@@ -10,7 +10,7 @@ from Y, must dominate X and separate all pairs inside X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import VertexRangeError
 from .graphs import Graph, VertexSet, closed_neighborhood_masks
@@ -71,21 +71,30 @@ def is_dominating(g: Graph, code: Iterable[int], x: Iterable[int] | None = None)
     return all(sig != 0 for sig in _signatures(g, code, xs))
 
 
+def _groups(xs: Iterable[int], sigs: Iterable[int]) -> dict[int, list[int]]:
+    """Vertices grouped by signature, each group in the order of xs."""
+    groups: dict[int, list[int]] = {}
+    for v, sig in zip(xs, sigs):
+        groups.setdefault(sig, []).append(v)
+    return groups
+
+
+def _pairs(groups: Iterable[list[int]]) -> tuple[tuple[int, int], ...]:
+    """All pairs inside each ascending group, sorted lexicographically."""
+    return tuple(sorted(
+        (members[i], members[j])
+        for members in groups
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    ))
+
+
 def unseparated_pairs(
     g: Graph, code: Iterable[int], x: Iterable[int] | None = None
 ) -> tuple[tuple[int, int], ...]:
     """All target pairs with identical signatures, sorted lexicographically."""
     xs = _target_list(g, x)
-    sigs = _signatures(g, code, xs)
-    groups: dict[int, list[int]] = {}
-    for v, sig in zip(xs, sigs):
-        groups.setdefault(sig, []).append(v)
-    pairs = []
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    return tuple(sorted(pairs))
+    return _pairs(_groups(xs, _signatures(g, code, xs)).values())
 
 
 def violations(
@@ -94,21 +103,16 @@ def violations(
     """Every failure of the code on the target set, undominated vertices
     first, each group in ascending order."""
     xs = _target_list(g, x)
-    sigs = _signatures(g, code, xs)
-    out = [
-        Violation(UNDOMINATED, (v,))
-        for v, sig in zip(xs, sigs)
-        if sig == 0
-    ]
-    out.extend(
-        Violation(UNSEPARATED, pair) for pair in unseparated_pairs(g, code, xs)
-    )
+    groups = _groups(xs, _signatures(g, code, xs))
+    out = [Violation(UNDOMINATED, (v,)) for v in groups.get(0, ())]
+    out.extend(Violation(UNSEPARATED, pair) for pair in _pairs(groups.values()))
     return tuple(out)
 
 
 def is_identifying(g: Graph, code: Iterable[int]) -> bool:
     """True when the code is a full identifying code of g."""
-    return len(violations(g, code)) == 0
+    sigs = _signatures(g, code, list(range(g.n)))
+    return 0 not in sigs and len(set(sigs)) == len(sigs)
 
 
 def is_xy_identifying(
@@ -125,3 +129,87 @@ def is_xy_identifying(
     if stray:
         raise ValueError(f"code vertices {stray} are not in the candidate set Y")
     return len(violations(g, code_set, x)) == 0
+
+
+class SignatureTable:
+    """Code signatures of every vertex, kept current as the graph gains
+    edges or the code loses vertices.
+
+    Holds sig[x], the bitmask of N[x] & C, and the vertices grouped by
+    signature. The code identifies the graph exactly when every group is a
+    single vertex and no signature is empty (`identifies`). Restoring an
+    edge uv changes only sig[u] and sig[v], and dropping a code vertex c
+    changes only the signatures in N[c], so each update costs O(1) or
+    O(deg c) lookups instead of a regroup of all n vertices.
+
+    adj is the adjacency of the graph. It is read when the table is built
+    and by `try_drop`, which needs it to hold the edges restored so far.
+    """
+
+    def __init__(self, adj: Sequence[Iterable[int]], code: Iterable[int]):
+        n = len(adj)
+        self.adj = adj
+        self.code_mask = _as_mask(code, n, "code")
+        cm = self.code_mask
+        self.sig: list[int] = []
+        for v in range(n):
+            sig = cm & (1 << v)
+            for w in adj[v]:
+                if cm >> w & 1:
+                    sig |= 1 << w
+            self.sig.append(sig)
+        self.groups = _groups(range(n), self.sig)
+
+    def identifies(self) -> bool:
+        """True when the code is an identifying code of the graph."""
+        return len(self.groups) == len(self.sig) and 0 not in self.groups
+
+    def _move(self, x: int, sig: int) -> None:
+        group = self.groups[self.sig[x]]
+        group.remove(x)
+        if not group:
+            del self.groups[self.sig[x]]
+        self.groups.setdefault(sig, []).append(x)
+        self.sig[x] = sig
+
+    def restore_edge(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
+        """Account for the new edge uv (not an edge before); return the
+        pairs it leaves unseparated that were separated before, sorted.
+
+        u gains v in its signature when v is in the code, and v gains u
+        likewise. A vertex whose signature grows leaves its old group, so
+        every pair in its new group is new. From an identifying code these
+        are all the unseparated pairs of the graph with uv, as
+        `unseparated_pairs` would list them.
+        """
+        moved = [(x, y) for x, y in ((u, v), (v, u)) if self.code_mask >> y & 1]
+        for x, y in moved:
+            self._move(x, self.sig[x] | 1 << y)
+        fresh = {
+            (min(x, z), max(x, z))
+            for x, _ in moved
+            for z in self.groups[self.sig[x]]
+            if z != x
+        }
+        return tuple(sorted(fresh))
+
+    def try_drop(self, c: int) -> bool:
+        """Remove c from the code if the code still identifies without it;
+        report whether it did. Requires `identifies()` and c in the code.
+
+        Every signature in N[c] holds c, and no other does, so dropping c
+        keeps them apart from each other; it is enough that none becomes
+        empty or equal to a signature outside N[c].
+        """
+        bit = 1 << c
+        closed = [c, *self.adj[c]]
+        new = [self.sig[x] & ~bit for x in closed]
+        if any(s == 0 or s in self.groups for s in new):
+            return False
+        for x in closed:
+            del self.groups[self.sig[x]]
+        for x, s in zip(closed, new):
+            self.sig[x] = s
+            self.groups[s] = [x]
+        self.code_mask &= ~bit
+        return True

@@ -4,10 +4,22 @@ the triangle-deletion patch pipeline for graphs with few triangles.
 construct_triangle_free returns a Certificate: a verified identifying code
 together with an exact integer size bound delta * |C| <= bound_num, where
 bound_num is (delta-1)*n plus 1 exactly when the graph is one of the
-exceptional family members. The construction recurses on a non-bridge edge
-removal and repairs the returned code; every branch is verified before it
-is accepted, and a failed bound raises BoundMissedError rather than ever
+exceptional family members. Every branch is verified before it is
+accepted, and a failed bound raises BoundMissedError rather than ever
 weakening the certificate.
+
+The construction follows the paper's induction as an iterative descent
+over one MutableGraph. Each level deletes the non-bridge edge that
+pick_cycle_edge chooses, until the remainder is a path, cycle, catalog
+member or tree with a direct code. The deleted edges are then restored in
+reverse order. A SignatureTable of the code is kept throughout, and its
+code identifies the current graph: all signatures are distinct and
+non-empty. Restoring uv changes only the signatures of u and v, so the
+pairs it breaks (the ClaimB step) are two table lookups. When there are
+any, a structural repair builds a Graph of the current level, and the
+table is rebuilt from its code. Repairs that code a subgraph call the
+construction again, so Python recursion is only as deep as repairs nest,
+never as deep as the cycle rank.
 
 Trace labels (CaseStep.label):
     Delta2Path / Delta2Cycle  code of a path / cycle, possibly with the
@@ -30,19 +42,20 @@ Trace labels (CaseStep.label):
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .checks import is_identifying, unseparated_pairs
+from .checks import SignatureTable, is_identifying, unseparated_pairs
 from .errors import (
     BoundMissedError,
     EdgeError,
     InvalidDeletionSetError,
     NotConnectedError,
     NotIdentifiableError,
+    NotSeparableError,
     NotTriangleFreeError,
+    NotYIdentifiableError,
     SearchBudgetError,
 )
 from .exact import (
@@ -53,11 +66,19 @@ from .exact import (
     odd_cycle_plus_chord_code,
     path_identifying_code,
 )
-from .families import FamilyId, in_f_delta, make_family, match_family, tree_plus_edge_code
+from .families import (
+    FamilyId,
+    fits_catalog,
+    in_f_delta,
+    make_family,
+    match_family,
+    tree_plus_edge_code,
+)
 from .graphs import (
     Graph,
     boundary_decomposition,
     BoundaryDecomposition,
+    MutableGraph,
     delete,
     find_closed_twins,
     graph_hash,
@@ -229,12 +250,17 @@ def _greedy_complete(g: Graph, base: set[int]) -> set[int]:
 
 
 def _prune(g: Graph, code: set[int]) -> set[int]:
-    """Drop removable vertices in ascending order; result is minimal."""
-    out = set(code)
-    for c in sorted(code):
-        if is_identifying(g, out - {c}):
-            out.discard(c)
-    return out
+    """Drop removable vertices in ascending order; result is minimal.
+
+    A vertex is removable when the code without it still identifies g.
+    Each test updates the signatures in N[c] only. A code that does not
+    identify g has no removable vertex, since dropping code vertices never
+    separates a pair or dominates a vertex.
+    """
+    table = SignatureTable(g.adj, code)
+    if not table.identifies():
+        return set(code)
+    return {c for c in sorted(code) if not table.try_drop(c)}
 
 
 def _two_regular(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
@@ -582,7 +608,7 @@ def _hub_code(hub: Graph, hu: int, hv: int, delta: int) -> tuple[set[int], str]:
             a_star = frozenset(
                 greedy_xy_identifying(hub, sorted(reps), a_sorted)
             )
-        except Exception:
+        except (NotSeparableError, NotYIdentifiableError):
             a_star = frozenset()
     singles = sorted(a_sorted, key=lambda x: (x in a_star, x))
     pairs = sorted(
@@ -699,17 +725,79 @@ def _repair(
 def _build(
     g: Graph, thr: int, steps: list[CaseStep], depth: int
 ) -> frozenset[int]:
-    """A verified identifying code of a connected triangle-free g, n >= 3."""
-    code = _build_inner(g, thr, steps, depth)
-    if not is_identifying(g, code):
-        code = _last_resort(g, thr, steps, depth, "pipeline code failed checks")
+    """A verified identifying code of a connected triangle-free g, n >= 3.
+
+    Descends by deleting non-bridge edges from one MutableGraph until a
+    level has a direct code, then restores the edges in reverse order,
+    repairing the code where a restored edge breaks it.
+    """
+    state = MutableGraph(g)
+    removed: list[tuple[int, int]] = []
+    while True:
+        level = depth + len(removed)
+        code = _direct_code(state, g if not removed else None, thr, steps, level)
+        if code is not None:
+            break
+        delta = state.max_degree()
+        u, v = pick_cycle_edge(state)
+        state.remove_edge(u, v)
+        code = _chorded_code(state, (u, v), delta, thr, steps, level)
+        if code is not None:
+            break
+        removed.append((u, v))
+    # From here on the table's code identifies the current state: all
+    # signatures are distinct and non-empty.
+    code, table = _checked_table(state, code, thr, steps, depth + len(removed))
+    while removed:
+        u, v = removed.pop()
+        level = depth + len(removed)
+        state.add_edge(u, v)
+        broken = table.restore_edge(u, v)
+        steps.append(
+            CaseStep(
+                STEP_CLAIM_B,
+                f"d{level}: restored ({u},{v}), unseparated {_fmt_pairs(broken)}",
+            )
+        )
+        if broken:
+            code = _repair(state.graph(), (u, v), frozenset(code), thr, steps, level)
+            code, table = _checked_table(state, code, thr, steps, level)
     return frozenset(code)
 
 
-def _build_inner(
-    g: Graph, thr: int, steps: list[CaseStep], depth: int
-) -> set[int]:
-    delta = g.max_degree()
+def _checked_table(
+    state: MutableGraph, code: set[int], thr: int, steps: list[CaseStep], depth: int
+) -> tuple[set[int], SignatureTable]:
+    """code and its signature table on the current state, with code first
+    replaced when it does not identify the state."""
+    table = SignatureTable(state.adj, code)
+    if not table.identifies():
+        code = _last_resort(
+            state.graph(), thr, steps, depth, "pipeline code failed checks"
+        )
+        table = SignatureTable(state.adj, code)
+    return code, table
+
+
+def _direct_code(
+    state: MutableGraph,
+    g: Graph | None,
+    thr: int,
+    steps: list[CaseStep],
+    depth: int,
+) -> set[int] | None:
+    """A code of the current state when it is a path, cycle, catalog member
+    or tree; None when the descent must go on. g is the state as a Graph
+    when one is at hand."""
+    delta = state.max_degree()
+    if (
+        delta > 2
+        and state.m != state.n - 1
+        and not fits_catalog(state.n, state.m, delta)
+    ):
+        return None
+    if g is None:
+        g = state.graph()
     if delta <= 2:
         return _two_regular(g, steps, depth)
     hit = match_family(g, delta)
@@ -720,39 +808,47 @@ def _build_inner(
         return {mapping[c] for c in entry.code}
     if g.m == g.n - 1:
         return _tree_code(g, thr, steps, depth)
-    u, v = pick_cycle_edge(g)
-    g1, _ = delete(g, edges=[(u, v)])
-    shape = linear_order(g1)
+    return None
+
+
+def _chorded_code(
+    state: MutableGraph,
+    e: tuple[int, int],
+    delta: int,
+    thr: int,
+    steps: list[CaseStep],
+    depth: int,
+) -> set[int] | None:
+    """A code of the state plus e, when the state (e just removed, maximum
+    degree delta before) is a path or cycle, or a catalog tree of maximum
+    degree 3 = delta; e is put back then. None when the descent must go
+    on. A non-bridge removal keeps the state connected."""
+    u, v = e
+    shape = linear_order(state.graph()) if state.max_degree() <= 2 else None
     if shape is not None:
-        return _chorded_two_regular(g, shape, (u, v), thr, steps, depth)
-    if (
+        state.add_edge(u, v)
+        return _chorded_two_regular(state.graph(), shape, e, thr, steps, depth)
+    if not (
         delta == 3
-        and g1.m == g1.n - 1
-        and g1.max_degree() == 3
+        and state.m == state.n - 1
+        and state.max_degree() == 3
+        and fits_catalog(state.n, state.m, 3)
     ):
-        hit1 = match_family(g1, 3)
-        if hit1 is not None and hit1[0].kind.startswith("T"):
-            fid, mapping = hit1
-            inv = {w: c for c, w in mapping.items()}
-            cat_code = tree_plus_edge_code(fid, (inv[u], inv[v]))
-            steps.append(
-                CaseStep(
-                    STEP_FAMILY_HIT,
-                    f"d{depth}: {fid} plus the removed edge",
-                )
-            )
-            return {mapping[c] for c in cat_code}
-    c1 = _build(g1, thr, steps, depth + 1)
-    broken = unseparated_pairs(g, c1)
+        return None
+    hit1 = match_family(state.graph(), 3)
+    if hit1 is None or not hit1[0].kind.startswith("T"):
+        return None
+    fid, mapping = hit1
+    inv = {w: c for c, w in mapping.items()}
+    cat_code = tree_plus_edge_code(fid, (inv[u], inv[v]))
     steps.append(
         CaseStep(
-            STEP_CLAIM_B,
-            f"d{depth}: restored ({u},{v}), unseparated {_fmt_pairs(broken)}",
+            STEP_FAMILY_HIT,
+            f"d{depth}: {fid} plus the removed edge",
         )
     )
-    if not broken:
-        return set(c1)
-    return _repair(g, (u, v), c1, thr, steps, depth)
+    state.add_edge(u, v)
+    return {mapping[c] for c in cat_code}
 
 
 def _validate_construct_input(g: Graph) -> None:
@@ -778,63 +874,58 @@ def construct_triangle_free(
     carries the verified-but-oversized code.
     """
     _validate_construct_input(g)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * (g.n + g.m) + 1000))
-    try:
-        steps: list[CaseStep] = []
-        code: set[int] = set(_build(g, fallback_threshold, steps, 0))
-        delta = g.max_degree()
-        fam = in_f_delta(g, max(delta, 3))
-        num, den = _bound_terms(g.n, delta, fam is not None)
-        if den * len(code) > num:
-            rescued: set[int] | None = None
-            if g.n <= fallback_threshold:
-                res = gamma_id_exact(g)
-                rescued = set(res.code)
+    steps: list[CaseStep] = []
+    code: set[int] = set(_build(g, fallback_threshold, steps, 0))
+    delta = g.max_degree()
+    fam = in_f_delta(g, max(delta, 3))
+    num, den = _bound_terms(g.n, delta, fam is not None)
+    if den * len(code) > num:
+        rescued: set[int] | None = None
+        if g.n <= fallback_threshold:
+            res = gamma_id_exact(g)
+            rescued = set(res.code)
+            steps.append(
+                CaseStep(
+                    STEP_EXACT_FALLBACK,
+                    "bound rescue: exact minimum",
+                )
+            )
+        else:
+            try:
+                capped = identifying_code_at_most(
+                    g, num // den, _RESCUE_BUDGET
+                )
+            except SearchBudgetError:
+                capped = None
+            if capped is not None:
+                rescued = set(capped)
                 steps.append(
                     CaseStep(
                         STEP_EXACT_FALLBACK,
-                        "bound rescue: exact minimum",
+                        "bound rescue: capped search",
                     )
                 )
-            else:
-                try:
-                    capped = identifying_code_at_most(
-                        g, num // den, _RESCUE_BUDGET
-                    )
-                except SearchBudgetError:
-                    capped = None
-                if capped is not None:
-                    rescued = set(capped)
-                    steps.append(
-                        CaseStep(
-                            STEP_EXACT_FALLBACK,
-                            "bound rescue: capped search",
-                        )
-                    )
-            if rescued is not None and den * len(rescued) <= num:
-                code = rescued
-            else:
-                raise BoundMissedError(
-                    tuple(sorted(code)),
-                    num,
-                    den,
-                    f"delta {delta}, n {g.n}",
-                )
-        verified = is_identifying(g, code) and den * len(code) <= num
-        return Certificate(
-            input_hash=graph_hash(g),
-            n=g.n,
-            delta=delta,
-            code=tuple(sorted(code)),
-            bound_num=num,
-            bound_den=den,
-            family=fam,
-            verified=verified,
-            trace=tuple(steps),
-        )
-    finally:
-        sys.setrecursionlimit(old_limit)
+        if rescued is not None and den * len(rescued) <= num:
+            code = rescued
+        else:
+            raise BoundMissedError(
+                tuple(sorted(code)),
+                num,
+                den,
+                f"delta {delta}, n {g.n}",
+            )
+    verified = is_identifying(g, code) and den * len(code) <= num
+    return Certificate(
+        input_hash=graph_hash(g),
+        n=g.n,
+        delta=delta,
+        code=tuple(sorted(code)),
+        bound_num=num,
+        bound_den=den,
+        family=fam,
+        verified=verified,
+        trace=tuple(steps),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -952,15 +1043,9 @@ def construct_near_triangle_free(
             CaseStep(STEP_COROLLARY_PATCH, f"deleted {t} edges")
         )
     damaged: set[int] = set()
-    cur_edges = list(gt.edges)
-    prev_pairs = set(unseparated_pairs(Graph(g.n, cur_edges), base))
+    table = SignatureTable(gt.adj, base)
     for e in edge_set:
-        cur_edges.append(e)
-        cur = Graph(g.n, cur_edges)
-        now_pairs = set(unseparated_pairs(cur, base))
-        fresh = sorted(
-            {x for p in now_pairs - prev_pairs for x in p} - damaged
-        )
+        fresh = sorted({x for p in table.restore_edge(*e) for x in p} - damaged)
         assert len(fresh) <= 4, f"edge {e} damaged {len(fresh)} new vertices"
         damaged.update(fresh)
         steps.append(
@@ -969,7 +1054,6 @@ def construct_near_triangle_free(
                 f"restored ({e[0]},{e[1]}), new vertices {fresh}",
             )
         )
-        prev_pairs = now_pairs
     code = set(base)
     if damaged:
         patch = greedy_xy_identifying(g, sorted(damaged), range(g.n))

@@ -175,25 +175,47 @@ def all_family_ids() -> tuple[FamilyId, ...]:
     return tuple(FamilyId(k) for k in _TREE_KINDS) + (P4, C4, C7)
 
 
+def _fixed_entry(kind: str) -> CatalogEntry:
+    if kind in _TREE_DATA:
+        n, edges, code = _TREE_DATA[kind]
+        return CatalogEntry(FamilyId(kind), Graph(n, edges), code, (2 * n + 1) // 3)
+    if kind == "P4":
+        return CatalogEntry(P4, make_standard("path", 4), (0, 1, 2), 3)
+    if kind == "C4":
+        return CatalogEntry(C4, make_standard("cycle", 4), (0, 1, 2), 3)
+    return CatalogEntry(C7, make_standard("cycle", 7), (0, 1, 2, 4, 6), 5)
+
+
+# The fifteen fixed members, built once; entries are immutable.
+_FIXED_ENTRIES = {fid.kind: _fixed_entry(fid.kind) for fid in all_family_ids()}
+_FIXED_SHAPES = frozenset((e.graph.n, e.graph.m) for e in _FIXED_ENTRIES.values())
+
+
 def make_family(family: FamilyId) -> CatalogEntry:
     """The catalog entry for a family tag. Star(3) resolves to T0."""
     if family.kind == "STAR":
         d = family.delta
         assert d is not None and d >= 3
         if d == 3:
-            return make_family(T0)
+            return _FIXED_ENTRIES["T0"]
         g = make_standard("star", d)
         return CatalogEntry(family, g, tuple(range(1, d + 1)), d)
-    if family.kind in _TREE_DATA:
-        n, edges, code = _TREE_DATA[family.kind]
-        return CatalogEntry(family, Graph(n, edges), code, (2 * n + 1) // 3)
-    if family.kind == "P4":
-        return CatalogEntry(P4, make_standard("path", 4), (0, 1, 2), 3)
-    if family.kind == "C4":
-        return CatalogEntry(C4, make_standard("cycle", 4), (0, 1, 2), 3)
-    if family.kind == "C7":
-        return CatalogEntry(C7, make_standard("cycle", 7), (0, 1, 2, 4, 6), 5)
-    raise UnknownFamilyError(f"unknown family tag {family}")
+    entry = _FIXED_ENTRIES.get(family.kind)
+    if entry is None:
+        raise UnknownFamilyError(f"unknown family tag {family}")
+    return entry
+
+
+def fits_catalog(n: int, m: int, delta: int) -> bool:
+    """Whether a graph with n vertices and m edges has the order and size
+    of some member of the delta-exceptional family (delta >= 3).
+
+    match_family can only succeed when this holds, so callers use it to
+    skip building a Graph for the lookup.
+    """
+    if delta >= 4:
+        return n == delta + 1 and m == delta
+    return (n, m) in _FIXED_SHAPES
 
 
 def match_family(g: Graph, delta: int) -> tuple[FamilyId, dict[int, int]] | None:
@@ -206,22 +228,23 @@ def match_family(g: Graph, delta: int) -> tuple[FamilyId, dict[int, int]] | None
     """
     if delta < 3:
         raise ValueError(f"the exceptional family needs delta >= 3, got {delta}")
+    if not fits_catalog(g.n, g.m, delta):
+        return None
     if delta >= 4:
         # Only the star survives past delta 3.
         degs = sorted(g.degree(v) for v in range(g.n))
-        if g.n != delta + 1 or degs != [1] * delta + [delta]:
+        if degs != [1] * delta + [delta]:
             return None
         entry = make_family(star(delta))
         mapping = find_isomorphism(entry.graph, g)
         assert mapping is not None
         return (entry.family, mapping)
-    for fid in all_family_ids():
-        entry = make_family(fid)
+    for entry in _FIXED_ENTRIES.values():
         if entry.graph.n != g.n or entry.graph.m != g.m:
             continue
         mapping = find_isomorphism(entry.graph, g)
         if mapping is not None:
-            return (fid, mapping)
+            return (entry.family, mapping)
     return None
 
 

@@ -106,6 +106,62 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+class MutableGraph:
+    """A working copy of a Graph whose edges are removed and restored in
+    O(1), with the maximum degree kept current.
+
+    bridges and pick_cycle_edge read it like a Graph, through n, adj and
+    edges. edges keeps the sorted order of the source graph while edges are
+    only removed; a restored edge goes to the end.
+    """
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.adj = [set(a) for a in g.adj]
+        self._edges = dict.fromkeys(g.edges)
+        self._per_degree = [0] * (g.n + 1)
+        for a in self.adj:
+            self._per_degree[len(a)] += 1
+        self._max = g.max_degree()
+
+    @property
+    def edges(self) -> Iterable[Edge]:
+        return self._edges.keys()
+
+    @property
+    def m(self) -> int:
+        return len(self._edges)
+
+    def max_degree(self) -> int:
+        return self._max
+
+    def _shift(self, v: int, step: int) -> None:
+        d = len(self.adj[v])
+        self._per_degree[d - step] -= 1
+        self._per_degree[d] += 1
+
+    def remove_edge(self, u: int, v: int) -> None:
+        del self._edges[_norm_edge(u, v)]
+        self.adj[u].remove(v)
+        self.adj[v].remove(u)
+        self._shift(u, -1)
+        self._shift(v, -1)
+        while self._max and not self._per_degree[self._max]:
+            self._max -= 1
+
+    def add_edge(self, u: int, v: int) -> None:
+        self._edges[_norm_edge(u, v)] = None
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        self._shift(u, 1)
+        self._shift(v, 1)
+        self._max = max(self._max, len(self.adj[u]), len(self.adj[v]))
+
+    def graph(self) -> Graph:
+        """The current edge set as an immutable Graph."""
+        return Graph(self.n, self._edges)
+
+
 def closed_neighborhood_masks(g: Graph) -> list[int]:
     """Closed neighbourhoods as bitmasks, bit v set iff v is in N[u].
 
@@ -192,10 +248,11 @@ def delete(
     for v in vs:
         if not (0 <= v < g.n):
             raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
+    present = set(g.edges)
     drop: set[Edge] = set()
     for u, v in edges:
         e = _norm_edge(u, v)
-        if e not in set(g.edges):
+        if e not in present:
             raise EdgeError(f"edge {e} not in graph")
         drop.add(e)
     keep = [v for v in range(g.n) if v not in vs]
@@ -226,57 +283,61 @@ def induced_subgraph(
     return sub, tuple(keep)
 
 
-def bridges(g: Graph) -> tuple[Edge, ...]:
-    """All bridge edges (edges whose removal disconnects their component)."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
+def bridges(g: Graph | MutableGraph) -> tuple[Edge, ...]:
+    """All bridge edges (edges whose removal disconnects their component).
+
+    Iterative depth-first search with low points: the tree edge (p, v) is
+    a bridge when no edge from the subtree of v other than (p, v) itself
+    reaches p or above.
+    """
+    n, adj = g.n, g.adj
+    disc = [-1] * n
+    low = [0] * n
     out: list[Edge] = []
     timer = 0
-    for root in range(g.n):
+    for root in range(n):
         if disc[root] != -1:
             continue
-        # Iterative DFS; each frame is (vertex, iterator over its neighbours).
-        stack: list[tuple[int, Iterable[int]]] = []
         disc[root] = low[root] = timer
         timer += 1
-        stack.append((root, iter(sorted(g.adj[root]))))
+        # Each frame is (vertex, tree parent, iterator over its neighbours).
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            v, it = stack[-1]
-            advanced = False
+            v, p, it = stack[-1]
+            lv = low[v]
             for w in it:
-                if disc[w] == -1:
-                    parent[w] = v
+                dw = disc[w]
+                if dw == -1:
+                    low[v] = lv
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(sorted(g.adj[w]))))
-                    advanced = True
+                    stack.append((w, v, iter(adj[w])))
                     break
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
+                if dw < lv and w != p:
+                    lv = dw
+            else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
+                low[v] = lv
+                if p != -1:
+                    if lv < low[p]:
+                        low[p] = lv
+                    elif lv > disc[p]:
                         out.append(_norm_edge(p, v))
     return tuple(sorted(out))
 
 
-def pick_cycle_edge(g: Graph) -> Edge:
+def pick_cycle_edge(g: Graph | MutableGraph) -> Edge:
     """A deterministic non-bridge edge: maximum degree sum, then smallest pair.
 
     Raises NoCycleEdgeError when the graph is a forest.
     """
     bridge_set = set(bridges(g))
+    deg = [len(a) for a in g.adj]
     best: Edge | None = None
     best_sum = -1
     for e in g.edges:
-        if e in bridge_set:
-            continue
-        s = g.degree(e[0]) + g.degree(e[1])
-        if s > best_sum:
+        s = deg[e[0]] + deg[e[1]]
+        if s > best_sum and e not in bridge_set:
             best, best_sum = e, s
     if best is None:
         raise NoCycleEdgeError("every edge is a bridge")

@@ -1,0 +1,252 @@
+"""The iterative construction and its signature table.
+
+Certificates are pinned by digest: the sha256 values below were recorded
+from the recursive construction that the iterative descent replaced, so a
+change to any certificate byte shows here. The signature table and the
+incremental prune are checked against the plain checkers with hypothesis.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idcodes import (
+    Graph,
+    bridges,
+    construct_near_triangle_free,
+    construct_triangle_free,
+    delete,
+    find_closed_twins,
+    is_identifying,
+    random_triangle_free,
+    serialize_certificate,
+    unseparated_pairs,
+)
+from idcodes.checks import SignatureTable
+from idcodes.construct import _prune
+from idcodes.graphs import MutableGraph
+
+
+def _sparse() -> list[Graph]:
+    return [random_triangle_free(n, (3 * n) // 2, n) for n in (40, 80, 120, 160, 200)]
+
+
+def _dense() -> list[Graph]:
+    return [random_triangle_free(n, 5 * n, n + 1) for n in (40, 60, 80)]
+
+
+def _repairs() -> list[Graph]:
+    # Inputs whose traces reach GStar / ComponentAssembly, the capped tree
+    # rescue, and the even chorded cycle.
+    args = [(16, 24, 33), (16, 32, 10), (16, 48, 12), (24, 48, 25),
+            (32, 64, 31), (32, 128, 13), (16, 32, 1)]
+    return [random_triangle_free(*a) for a in args]
+
+
+def _small() -> list[Graph]:
+    # Catalog-sized inputs: FamilyHit, ClaimC, paths and cycles.
+    out = []
+    for n in range(7, 13):
+        for m in range(n - 1, n + 6):
+            for seed in range(3):
+                g = random_triangle_free(n, m, seed)
+                if g.max_degree() >= 2:
+                    out.append(g)
+    return out
+
+
+def _planted(n: int, k: int, seed: int) -> Graph | None:
+    """A sparse triangle-free graph plus k edges that each close a triangle."""
+    rng = random.Random(seed)
+    g = random_triangle_free(n, (3 * n) // 2, seed)
+    edges = set(g.edges)
+    adj = [set(a) for a in g.adj]
+    while len(edges) < g.m + k:
+        w = rng.randrange(n)
+        if len(adj[w]) < 2:
+            continue
+        u, x = rng.sample(sorted(adj[w]), 2)
+        e = (min(u, x), max(u, x))
+        if e not in edges:
+            edges.add(e)
+            adj[u].add(x)
+            adj[x].add(u)
+    h = Graph(n, sorted(edges))
+    return None if find_closed_twins(h) else h
+
+
+def _near() -> list[Graph]:
+    gs = [_planted(n, k, 500 + n + k) for n in (30, 50, 70) for k in (1, 3)]
+    return [g for g in gs if g is not None]
+
+
+# group: (inputs, constructor, sha256 of the concatenated certificates)
+PINNED = {
+    "sparse": (
+        _sparse,
+        construct_triangle_free,
+        "5159f5de8621b15556cd4af073456e587c9ab625297d966cfaa0abec20367862",
+    ),
+    "dense": (
+        _dense,
+        construct_triangle_free,
+        "3d583acf85d45825c822564d39ed7f2e0f4e3e363968979f9d2d3e316a40c23f",
+    ),
+    "repairs": (
+        _repairs,
+        construct_triangle_free,
+        "bfe27ed09830fee5e8cc0490c264278b2e170c8be257f94b2cab8608067d2d19",
+    ),
+    "small": (
+        _small,
+        construct_triangle_free,
+        "a017a80d99b2f8ee4074c7a5dbcd49ebd779f820d76e74d8edd5c2c044e82902",
+    ),
+    "near": (
+        _near,
+        construct_near_triangle_free,
+        "d260093983ce1a6b359ce85d07cbb9c2dacfec71f63cf62b8e95e9803209b416",
+    ),
+}
+
+
+def _digest(graphs, build) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(serialize_certificate(build(g)).encode("ascii"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(PINNED))
+def test_certificates_match_pinned_digests(group):
+    graphs, build, expected = PINNED[group]
+    assert _digest(graphs(), build) == expected
+
+
+def test_high_cycle_rank_needs_no_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"recursion limit changed to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = random_triangle_free(120, 1200, 0)
+    assert g.m - g.n + 1 > sys.getrecursionlimit()
+    cert = construct_triangle_free(g)
+    assert cert.verified and is_identifying(g, cert.code)
+
+
+@st.composite
+def graph_and_code(draw, max_n=14):
+    n = draw(st.integers(3, max_n))
+    m = draw(st.integers(n - 1, 3 * n))
+    g = random_triangle_free(n, m, draw(st.integers(0, 10**6)))
+    code = draw(st.sets(st.integers(0, n - 1)))
+    return g, code
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_code(), st.data())
+def test_restore_reports_exactly_the_newly_unseparated_pairs(gc, data):
+    g, code = gc
+    e = data.draw(st.sampled_from(g.edges))
+    g1, _ = delete(g, edges=[e])
+    table = SignatureTable(g1.adj, code)
+    identifying = table.identifies()
+    assert identifying == is_identifying(g1, code)
+    fresh = table.restore_edge(*e)
+    before = set(unseparated_pairs(g1, code))
+    assert fresh == tuple(sorted(set(unseparated_pairs(g, code)) - before))
+    if identifying:
+        # The ClaimB step: from an identifying code, the new pairs are all.
+        assert fresh == unseparated_pairs(g, code)
+        assert table.identifies() == (not fresh)
+
+
+def _naive_prune(g: Graph, code: set[int]) -> set[int]:
+    out = set(code)
+    for c in sorted(code):
+        if is_identifying(g, out - {c}):
+            out.discard(c)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_code(), st.booleans())
+def test_incremental_prune_matches_naive_rule(gc, pad):
+    g, code = gc
+    if pad:
+        # Mostly identifying starting codes, where vertices do get dropped.
+        code = code | set(range(0, g.n, 2)) | {x for x in range(g.n) if g.degree(x) <= 1}
+    assert _prune(g, set(code)) == _naive_prune(g, set(code))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_and_code())
+def test_drops_leave_the_table_of_the_smaller_code(gc):
+    g, code = gc
+    # All of V identifies a connected triangle-free graph with n >= 3.
+    table = SignatureTable(g.adj, set(range(g.n)))
+    kept = {c for c in range(g.n) if c in code or not table.try_drop(c)}
+    fresh = SignatureTable(g.adj, kept)
+    assert table.identifies() and fresh.identifies()
+    assert (table.code_mask, table.sig, table.groups) == (
+        fresh.code_mask, fresh.sig, fresh.groups
+    )
+
+
+def _is_bridge(n: int, edges: list[tuple[int, int]], e: tuple[int, int]) -> bool:
+    rest = [f for f in edges if f != e]
+    reach, todo = {e[0]}, [e[0]]
+    while todo:
+        x = todo.pop()
+        for a, b in rest:
+            for y, z in ((a, b), (b, a)):
+                if y == x and z not in reach:
+                    reach.add(z)
+                    todo.append(z)
+    return e[1] not in reach
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] < e[1])
+                .map(tuple),
+                max_size=3 * n,
+            ),
+        )
+    ),
+    st.data(),
+)
+def test_mutable_graph_tracks_edge_edits(ne, data):
+    n, edges = ne
+    state = MutableGraph(Graph(n, edges))
+    current = sorted(edges)
+    for _ in range(data.draw(st.integers(0, 2 * len(edges) + 1))):
+        if current and data.draw(st.booleans()):
+            e = data.draw(st.sampled_from(current))
+            state.remove_edge(*e)
+            current.remove(e)
+        else:
+            missing = [(a, b) for a in range(n) for b in range(a + 1, n)
+                       if (a, b) not in current]
+            if not missing:
+                continue
+            e = data.draw(st.sampled_from(missing))
+            state.add_edge(*e)
+            current.append(e)
+        g = Graph(n, current)
+        assert state.graph() == g
+        assert state.m == g.m and state.max_degree() == g.max_degree()
+        assert bridges(state) == tuple(
+            e for e in g.edges if _is_bridge(n, list(g.edges), e)
+        )
