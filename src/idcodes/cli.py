@@ -16,12 +16,13 @@ Exit codes (outcome class only, never timing):
     3   unreadable input (parse error or missing file)
     4   domain error (disconnected, triangles, twins, bad options, ...)
     5   search budget exhausted before an answer
-    70  internal error
+    70  internal error (including a broken construction guarantee)
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -39,6 +40,7 @@ from .construct import (
 from .errors import (
     BoundMissedError,
     GraphFormatError,
+    GuaranteeError,
     IdCodeError,
     NotIdentifiableError,
     SearchBudgetError,
@@ -334,7 +336,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return worst
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parse_args returns a
+    fresh namespace on every call, so reuse carries nothing over."""
     p = _Parser(
         prog="idcodes",
         description="identifying codes: verify, solve, construct, certify",
@@ -422,6 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     except SearchBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except GuaranteeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (IdCodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

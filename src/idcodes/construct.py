@@ -11,7 +11,14 @@ weakening the certificate.
 The construction follows the paper's induction as an iterative descent
 over one MutableGraph. Each level deletes the non-bridge edge that
 pick_cycle_edge chooses, until the remainder is a path, cycle, catalog
-member or tree with a direct code. The deleted edges are then restored in
+member or tree with a direct code. The picker keeps its state on the
+MutableGraph across the descent: a lazy max-heap of candidate edges by
+degree sum, and the bridges it has met, which stay bridges while edges
+are only deleted and so are never tested again. A level therefore costs a
+short two-sided search around one edge in the typical case, not a
+bridge search of the whole graph; an edge on only one long cycle can
+still make a search cover its whole 2-edge-connected component. Restoring
+an edge drops that state. The deleted edges are then restored in
 reverse order. A SignatureTable of the code is kept throughout, and its
 code identifies the current graph: all signatures are distinct and
 non-empty. Restoring uv changes only the signatures of u and v, so the
@@ -46,10 +53,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .checks import SignatureTable, is_identifying, unseparated_pairs
+from .checks import SignatureTable, is_identifying
 from .errors import (
     BoundMissedError,
     EdgeError,
+    GuaranteeError,
     InvalidDeletionSetError,
     NotConnectedError,
     NotIdentifiableError,
@@ -227,26 +235,40 @@ def _last_resort(
 
 
 def _greedy_complete(g: Graph, base: set[int]) -> set[int]:
-    """Extend base to an identifying code, smallest resolver first."""
+    """Extend base to an identifying code, smallest resolver first.
+
+    Each round resolves the lowest undominated vertex, or else the
+    lexicographically first unseparated pair, with the smallest vertex
+    that does it. Both are read off a SignatureTable, which each added
+    vertex updates in O(deg) moves: the undominated vertices are the group
+    of the empty signature, and the first pair is the smallest pair of the
+    two lowest members of a group.
+    """
     code = set(base)
+    table = SignatureTable(g.adj, code)
     while True:
-        broken = unseparated_pairs(g, code)
-        bare = [
-            x
-            for x in range(g.n)
-            if not (g.closed_neighborhood(x) & code)
-        ]
-        if not broken and not bare:
-            return code
+        bare = table.groups.get(0)
         if bare:
-            resolver = g.closed_neighborhood(bare[0]) - code
+            resolver = g.closed_neighborhood(min(bare)) - code
         else:
-            a, b = broken[0]
+            firsts = [
+                tuple(sorted(group)[:2])
+                for group in table.groups.values()
+                if len(group) > 1
+            ]
+            if not firsts:
+                return code
+            a, b = min(firsts)
             resolver = (
                 g.closed_neighborhood(a) ^ g.closed_neighborhood(b)
             ) - code
-        assert resolver, "greedy completion stuck; graph not identifiable"
-        code.add(min(resolver))
+        if not resolver:
+            raise GuaranteeError(
+                "greedy completion stuck; graph not identifiable"
+            )
+        c = min(resolver)
+        code.add(c)
+        table.add(c)
 
 
 def _prune(g: Graph, code: set[int]) -> set[int]:
@@ -1046,7 +1068,10 @@ def construct_near_triangle_free(
     table = SignatureTable(gt.adj, base)
     for e in edge_set:
         fresh = sorted({x for p in table.restore_edge(*e) for x in p} - damaged)
-        assert len(fresh) <= 4, f"edge {e} damaged {len(fresh)} new vertices"
+        if len(fresh) > 4:
+            raise GuaranteeError(
+                f"edge {e} damaged {len(fresh)} new vertices, more than 4"
+            )
         damaged.update(fresh)
         steps.append(
             CaseStep(

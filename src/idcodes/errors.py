@@ -124,6 +124,14 @@ class SearchBudgetError(IdCodeError, RuntimeError):
     """A decision search exhausted its node budget before reaching an answer."""
 
 
+class GuaranteeError(IdCodeError, RuntimeError):
+    """A step of the construction broke a guarantee the paper proves.
+
+    Raised instead of returning a result that the proof does not cover; it
+    signals a bug in the package, not bad input.
+    """
+
+
 class BoundMissedError(IdCodeError, RuntimeError):
     """The constructor produced a verified code that misses the size bound.
 

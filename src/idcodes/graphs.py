@@ -8,6 +8,8 @@ so downstream output is reproducible run to run.
 from __future__ import annotations
 
 import hashlib
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -110,9 +112,18 @@ class MutableGraph:
     """A working copy of a Graph whose edges are removed and restored in
     O(1), with the maximum degree kept current.
 
-    bridges and pick_cycle_edge read it like a Graph, through n, adj and
-    edges. edges keeps the sorted order of the source graph while edges are
-    only removed; a restored edge goes to the end.
+    bridges reads it like a Graph, through n, adj and edges. edges keeps
+    the sorted order of the source graph while edges are only removed; a
+    restored edge goes to the end.
+
+    It also keeps the state that makes pick_cycle_edge incremental across
+    a run of deletions: a lazy max-heap of candidate edges keyed
+    (-degree sum, position in edges order). Degrees only fall while edges
+    are only removed, so a key is never below its edge's current sum, and
+    a top entry whose key is current is the maximum. Deleting edges never
+    turns a bridge into a non-bridge, so an edge once found to be a bridge
+    leaves the heap for good. add_edge can undo both facts, so it drops the
+    heap, which the next pick rebuilds from the current edge order.
     """
 
     def __init__(self, g: Graph):
@@ -123,6 +134,7 @@ class MutableGraph:
         for a in self.adj:
             self._per_degree[len(a)] += 1
         self._max = g.max_degree()
+        self._heap: list[tuple[int, int, Edge]] | None = None
 
     @property
     def edges(self) -> Iterable[Edge]:
@@ -156,10 +168,64 @@ class MutableGraph:
         self._shift(u, 1)
         self._shift(v, 1)
         self._max = max(self._max, len(self.adj[u]), len(self.adj[v]))
+        self._heap = None
 
     def graph(self) -> Graph:
         """The current edge set as an immutable Graph."""
         return Graph(self.n, self._edges)
+
+    def _pick_cycle_edge(self) -> Edge:
+        adj = self.adj
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = [
+                (-len(adj[u]) - len(adj[v]), i, (u, v))
+                for i, (u, v) in enumerate(self._edges)
+            ]
+            heapq.heapify(heap)
+        edges = self._edges
+        while heap:
+            key, i, e = heap[0]
+            u, v = e
+            s = len(adj[u]) + len(adj[v])
+            if e not in edges:
+                heapq.heappop(heap)
+            elif s < -key:
+                heapq.heapreplace(heap, (-s, i, e))
+            elif _joined_without(adj, u, v):
+                return e
+            else:
+                heapq.heappop(heap)
+        raise NoCycleEdgeError("every edge is a bridge")
+
+
+def _joined_without(adj: list[set[int]], u: int, v: int) -> bool:
+    """Whether u and v stay connected once their edge is ignored.
+
+    Two breadth-first searches, one from each end, take turns expanding
+    one vertex each. They stop when one reaches a vertex of the other (the
+    edge lies on a cycle) or when either runs out of vertices (a bridge),
+    so a bridge costs about twice the smaller side it separates.
+    """
+    adj[u].remove(v)
+    adj[v].remove(u)
+    try:
+        side = {u: 0, v: 1}
+        queues = (deque((u,)), deque((v,)))
+        while True:
+            for s, queue in enumerate(queues):
+                if not queue:
+                    return False
+                for w in adj[queue.popleft()]:
+                    t = side.get(w)
+                    if t is None:
+                        side[w] = s
+                        queue.append(w)
+                    elif t != s:
+                        return True
+    finally:
+        adj[u].add(v)
+        adj[v].add(u)
 
 
 def closed_neighborhood_masks(g: Graph) -> list[int]:
@@ -327,21 +393,22 @@ def bridges(g: Graph | MutableGraph) -> tuple[Edge, ...]:
 
 
 def pick_cycle_edge(g: Graph | MutableGraph) -> Edge:
-    """A deterministic non-bridge edge: maximum degree sum, then smallest pair.
+    """A deterministic non-bridge edge: maximum degree sum, then first in
+    edges order (the smallest pair for a Graph).
 
     Raises NoCycleEdgeError when the graph is a forest.
+
+    On a MutableGraph the choice is incremental over a run of deletions
+    (see MutableGraph): only the edge at the top of the candidate heap is
+    tested, by a two-sided search that ignores the edge, and bridges found
+    on the way are never tested again. A Graph gets a fresh MutableGraph.
+    In the typical case a pick costs a few heap operations and a short
+    search, not a pass over the whole graph. In the worst case, an edge on
+    only one long cycle, the search still explores its whole 2-edge-connected
+    component, so a pick can cost as much as a full bridge search.
     """
-    bridge_set = set(bridges(g))
-    deg = [len(a) for a in g.adj]
-    best: Edge | None = None
-    best_sum = -1
-    for e in g.edges:
-        s = deg[e[0]] + deg[e[1]]
-        if s > best_sum and e not in bridge_set:
-            best, best_sum = e, s
-    if best is None:
-        raise NoCycleEdgeError("every edge is a bridge")
-    return best
+    state = g if isinstance(g, MutableGraph) else MutableGraph(g)
+    return state._pick_cycle_edge()
 
 
 def linear_order(g: Graph) -> tuple[str, tuple[int, ...]] | None:

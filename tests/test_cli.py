@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import idcodes
 from idcodes import (
     Graph,
     load_graph,
@@ -193,3 +196,43 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("gamma 3")
+
+
+def test_consecutive_calls_share_no_options(tmp_path, capsys):
+    # The parser is built once per process; each call still starts from
+    # the defaults.
+    gp = write_graph(tmp_path, "c6.graph", cycle_graph(6))
+    out = tmp_path / "c6.cert"
+    assert main(["construct", gp, "--fallback", "0", "--out", str(out)]) == 0
+    assert main(["random", "9", "--seed", "4"]) == 0
+    first = capsys.readouterr().out
+    assert main(["construct", gp]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert main(["random", "9"]) == 0
+    default_seed = capsys.readouterr().out
+    assert main(["random", "9", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default_seed != first
+
+
+def test_broken_guarantee_exits_internal_under_optimize(tmp_path):
+    # The triangle 0-1-2 with one pendant on each corner; restoring the
+    # deleted edge (0, 1) is made to report five damaged vertices.
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+    gp = write_graph(tmp_path, "net.graph", g)
+    script = (
+        "import sys\n"
+        "from idcodes.checks import SignatureTable\n"
+        "from idcodes.cli import main\n"
+        "assert False, 'asserts are live'\n"
+        "SignatureTable.restore_edge = lambda self, u, v: ((0, 1), (2, 3), (3, 4))\n"
+        "sys.exit(main(['near-construct', sys.argv[1]]))\n"
+    )
+    src = str(Path(idcodes.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, gp],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 70, proc.stderr
+    assert proc.stderr.startswith("error: edge (0, 1) damaged 5 new vertices")

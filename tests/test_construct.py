@@ -12,6 +12,7 @@ from idcodes import (
     BoundMissedError,
     Certificate,
     Graph,
+    GuaranteeError,
     InvalidDeletionSetError,
     NotConnectedError,
     NotIdentifiableError,
@@ -30,11 +31,13 @@ from idcodes import (
     triangle_deletion_set,
     triangle_witness,
 )
+from idcodes.checks import SignatureTable
 from idcodes.construct import (
     STEP_COROLLARY_PATCH,
     STEP_DELTA2_CYCLE,
     STEP_DELTA2_PATH,
     STEP_FAMILY_HIT,
+    _greedy_complete,
 )
 
 KNOWN_LABELS = {
@@ -327,3 +330,20 @@ def test_near_construct_on_triangle_free_input():
     cert = construct_near_triangle_free(g)
     assert cert.verified
     assert cert.bound_num == (g.max_degree() - 1) * g.n + 1
+
+
+def test_per_edge_damage_above_four_raises(monkeypatch):
+    # The triangle 0-1-2 with one pendant on each corner; deleting (0, 1)
+    # leaves a tree. A restore that damages five vertices breaks the
+    # paper's guarantee, which must raise even under python -O.
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+    monkeypatch.setattr(
+        SignatureTable, "restore_edge", lambda self, u, v: ((0, 1), (2, 3), (3, 4))
+    )
+    with pytest.raises(GuaranteeError, match="damaged 5 new vertices"):
+        construct_near_triangle_free(g, deletions=[(0, 1)])
+
+
+def test_greedy_completion_on_closed_twins_raises():
+    with pytest.raises(GuaranteeError, match="greedy completion stuck"):
+        _greedy_complete(Graph(2, [(0, 1)]), set())

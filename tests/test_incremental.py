@@ -2,8 +2,9 @@
 
 Certificates are pinned by digest: the sha256 values below were recorded
 from the recursive construction that the iterative descent replaced, so a
-change to any certificate byte shows here. The signature table and the
-incremental prune are checked against the plain checkers with hypothesis.
+change to any certificate byte shows here. The signature table, the
+incremental prune, the incremental greedy completion and the cycle-edge
+picker are checked against plain reference versions with hypothesis.
 """
 
 from __future__ import annotations
@@ -16,20 +17,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idcodes.graphs
 from idcodes import (
     Graph,
+    GuaranteeError,
+    NoCycleEdgeError,
     bridges,
     construct_near_triangle_free,
     construct_triangle_free,
     delete,
     find_closed_twins,
     is_identifying,
+    pick_cycle_edge,
     random_triangle_free,
     serialize_certificate,
     unseparated_pairs,
 )
 from idcodes.checks import SignatureTable
-from idcodes.construct import _prune
+from idcodes.construct import _greedy_complete, _prune
 from idcodes.graphs import MutableGraph
 
 
@@ -250,3 +255,125 @@ def test_mutable_graph_tracks_edge_edits(ne, data):
         assert bridges(state) == tuple(
             e for e in g.edges if _is_bridge(n, list(g.edges), e)
         )
+
+
+def _graph_strategy(min_n=2, max_n=12):
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] < e[1])
+                .map(tuple),
+                max_size=3 * n,
+            ),
+        )
+    )
+
+
+def _oracle_pick(state: MutableGraph) -> tuple[int, int]:
+    """The picker's rule from a full bridge search: largest degree sum
+    among non-bridges, first in edges order."""
+    bridge_set = set(bridges(state.graph()))
+    best, best_sum = None, -1
+    for u, v in state.edges:
+        s = len(state.adj[u]) + len(state.adj[v])
+        if (u, v) not in bridge_set and s > best_sum:
+            best, best_sum = (u, v), s
+    if best is None:
+        raise NoCycleEdgeError("forest")
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_strategy(), st.data())
+def test_incremental_pick_matches_full_bridge_search(ne, data):
+    n, edges = ne
+    state = MutableGraph(Graph(n, edges))
+    for _ in range(data.draw(st.integers(1, 2 * len(edges) + 2))):
+        try:
+            expected = _oracle_pick(state)
+        except NoCycleEdgeError:
+            expected = None
+        if expected is None:
+            with pytest.raises(NoCycleEdgeError):
+                pick_cycle_edge(state)
+        else:
+            assert pick_cycle_edge(state) == expected
+        op = data.draw(st.sampled_from(["descend", "remove", "add", "again"]))
+        current = list(state.edges)
+        if op == "descend" and expected is not None:
+            state.remove_edge(*expected)
+        elif op == "remove" and current:
+            state.remove_edge(*data.draw(st.sampled_from(current)))
+        elif op == "add":
+            missing = [(a, b) for a in range(n) for b in range(a + 1, n)
+                       if b not in state.adj[a]]
+            if missing:
+                state.add_edge(*data.draw(st.sampled_from(missing)))
+
+
+def test_construction_runs_without_a_full_bridge_search(monkeypatch):
+    def refuse(g):
+        raise AssertionError("full bridge search during construction")
+
+    monkeypatch.setattr(idcodes.graphs, "bridges", refuse)
+    g = random_triangle_free(120, 1200, 0)
+    for build in (construct_triangle_free, construct_near_triangle_free):
+        cert = build(g)
+        assert cert.verified and is_identifying(g, cert.code)
+
+
+def _naive_greedy_complete(g: Graph, base: set[int]) -> set[int] | None:
+    """The greedy completion as a full rescan per added vertex; None when
+    some pair cannot be separated."""
+    code = set(base)
+    while True:
+        broken = unseparated_pairs(g, code)
+        bare = [x for x in range(g.n) if not (g.closed_neighborhood(x) & code)]
+        if not broken and not bare:
+            return code
+        if bare:
+            resolver = g.closed_neighborhood(bare[0]) - code
+        else:
+            a, b = broken[0]
+            resolver = (g.closed_neighborhood(a) ^ g.closed_neighborhood(b)) - code
+        if not resolver:
+            return None
+        code.add(min(resolver))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        graph_and_code(max_n=16),
+        _graph_strategy(min_n=1).flatmap(
+            lambda ne: st.tuples(
+                st.just(Graph(*ne)), st.sets(st.integers(0, ne[0] - 1))
+            )
+        ),
+    )
+)
+def test_incremental_greedy_completion_matches_naive_loop(gc):
+    g, base = gc
+    expected = _naive_greedy_complete(g, set(base))
+    if expected is None:
+        with pytest.raises(GuaranteeError):
+            _greedy_complete(g, set(base))
+    else:
+        assert _greedy_complete(g, set(base)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_and_code(), st.data())
+def test_add_leaves_the_table_of_the_larger_code(gc, data):
+    g, code = gc
+    table = SignatureTable(g.adj, code)
+    for c in sorted(data.draw(st.sets(st.integers(0, g.n - 1))) - code):
+        table.add(c)
+        code = code | {c}
+    fresh = SignatureTable(g.adj, code)
+    assert (table.code_mask, table.sig) == (fresh.code_mask, fresh.sig)
+    assert {s: sorted(vs) for s, vs in table.groups.items()} == {
+        s: sorted(vs) for s, vs in fresh.groups.items()
+    }
