@@ -125,7 +125,8 @@ class SearchBudgetError(IdCodeError, RuntimeError):
 
 
 class GuaranteeError(IdCodeError, RuntimeError):
-    """A step of the construction broke a guarantee the paper proves.
+    """A step of the construction or of the exact search broke a guarantee
+    that the paper or the algorithm proves.
 
     Raised instead of returning a result that the proof does not cover; it
     signals a bug in the package, not bad input.

@@ -6,21 +6,41 @@ violation of the current partial code (lowest undominated vertex, else
 lexicographically first unseparated pair), trying each candidate resolver in
 ascending order with sibling exclusion, and prunes with a greedy packing of
 pairwise disjoint resolver sets (each one needs its own new code vertex).
+
+Each node gets the partition of X by code signature from its parent: the
+mask U of undominated X-vertices and the masks of the signature classes
+with two or more members. The child that adds w clears N[w] from U and
+splits every class by N[w]. The packing walks the violations once, in
+branching order, and returns as soon as the bound prunes or a violation
+has no usable resolver; either way the node is cut, as with the full list.
+
+Greedy completion, which sets the first incumbent, adds the candidate w
+that settles the most violations, the lowest on a tie. Read off the
+partition, w settles |N[w] & U| + sum over classes C of k * (|C| - k)
+violations, where k = |N[w] & C|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .checks import is_identifying
 from .errors import (
     EdgeAdditionError,
+    GuaranteeError,
     NotIdentifiableError,
     NotYIdentifiableError,
     SearchBudgetError,
 )
-from .graphs import Graph, closed_neighborhood_masks, find_closed_twins, linear_order
+from .graphs import (
+    Graph,
+    _mask_of,
+    closed_neighborhood_masks,
+    find_closed_twins,
+    linear_order,
+)
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -56,15 +76,14 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 class _Search:
-    """One branch-and-bound run over a fixed (X, Y) instance."""
+    """One branch-and-bound run over a fixed (X, Y) instance.
+
+    A node's violations are kept as a partition of X by code signature:
+    `undom` is the bitmask of X-vertices with the empty signature, and
+    `groups` holds the bitmask of every signature class with two or more
+    members. Adding w to the code splits each class by N[w].
+    """
 
     def __init__(self, masks: list[int], xs: list[int], allowed: int):
         self.masks = masks
@@ -76,64 +95,54 @@ class _Search:
         self.best_mask: int | None = None
         self.stop_first = False
 
-    # -- violation bookkeeping -------------------------------------------
+    # -- signature partition ---------------------------------------------
 
-    def _violation_resolvers(self, code: int) -> list[int]:
-        """Resolver masks of all current violations, in branching order.
-
-        Undominated vertices come first (ascending), then unseparated pairs
-        (lexicographic). Resolvers are not yet restricted to unused allowed
-        vertices; callers intersect as needed.
-        """
+    def _partition(self, code: int) -> tuple[int, list[int]]:
+        """(undominated mask, multi-member signature classes) of X under code."""
         masks = self.masks
-        out = []
-        groups: dict[int, list[int]] = {}
+        undom = 0
+        classes: dict[int, int] = {}
         for x in self.xs:
             sig = masks[x] & code
-            if sig == 0:
-                out.append(masks[x])
-            groups.setdefault(sig, []).append(x)
-        pairs = []
-        for members in groups.values():
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pairs.append((members[i], members[j]))
-        pairs.sort()
-        out.extend(masks[a] ^ masks[b] for a, b in pairs)
-        return out
+            if not sig:
+                undom |= 1 << x
+            classes[sig] = classes.get(sig, 0) | 1 << x
+        return undom, [c for c in classes.values() if c & (c - 1)]
 
     def greedy_code(self, start: int) -> int | None:
         """Complete `start` to a feasible code greedily, or None if stuck.
 
-        Feasible completions exist whenever the full allowed set works, in
-        which case this always terminates: fixed violations stay fixed as
-        vertices are added.
+        Each step adds the candidate that settles the most violations, the
+        lowest on a tie. A violation nobody can settle stays so as vertices
+        are added, so the run is stuck exactly when no candidate settles any
+        violation that is left.
         """
+        masks = self.masks
+        undom, groups = self._partition(start)
         code = start
-        while True:
-            resolvers = [
-                r & self.allowed & ~code
-                for r in self._violation_resolvers(code)
-            ]
-            if not resolvers:
-                return code
-            if any(r == 0 for r in resolvers):
+        while undom or groups:
+            sizes = [c.bit_count() for c in groups]
+            best, pick = 0, -1
+            for w in _bits(self.allowed & ~code):
+                m = masks[w]
+                score = (m & undom).bit_count()
+                for c, size in zip(groups, sizes):
+                    k = (m & c).bit_count()
+                    score += k * (size - k)
+                if score > best:
+                    best, pick = score, w
+            if not best:
                 return None
-            # Score every candidate by how many violations it settles.
-            counts: dict[int, int] = {}
-            for r in resolvers:
-                for w in _bits(r):
-                    counts[w] = counts.get(w, 0) + 1
-            w = min(counts, key=lambda c: (-counts[c], c))
-            code |= 1 << w
-        # unreachable
+            code |= 1 << pick
+            undom &= ~masks[pick]
+            groups = _split(groups, masks[pick])
+        return code
 
-    def _node(self, code: int, banned: int) -> None:
+    def _node(self, code: int, banned: int, undom: int, groups: list[int]) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _OutOfBudget
-        resolvers = self._violation_resolvers(code)
-        if not resolvers:
+        if not (undom or groups):
             size = code.bit_count()
             if self.best_mask is None or size < self.best_size:
                 self.best_size = size
@@ -141,24 +150,63 @@ class _Search:
                 if self.stop_first:
                     raise _FoundEnough
             return
+        masks = self.masks
         usable = self.allowed & ~code & ~banned
-        first = resolvers[0] & usable
-        if first == 0:
+        # Branch on the first violation: the lowest undominated vertex, else
+        # the two lowest members of the class holding the lowest member.
+        if undom:
+            first = masks[(undom & -undom).bit_length() - 1]
+        else:
+            c = min(groups, key=lambda g: g & -g)
+            a = c & -c
+            b = c ^ a
+            first = masks[a.bit_length() - 1] ^ masks[(b & -b).bit_length() - 1]
+        first &= usable
+        if not first:
             return
-        # Lower bound: greedily pack pairwise disjoint resolver sets.
+        # Lower bound: greedily pack pairwise disjoint resolver sets, taking
+        # violations in branching order; stop once the bound prunes.
+        room = self.best_size - code.bit_count()
         lb = 0
         used = 0
-        for r in resolvers:
-            r &= usable
-            if r == 0:
+        rest = undom
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = masks[low.bit_length() - 1] & usable
+            if not r:
                 return
-            if r & used == 0:
+            if not r & used:
                 lb += 1
+                if lb >= room:
+                    return
                 used |= r
-        if code.bit_count() + lb >= self.best_size:
-            return
+        if groups:
+            # Pairs in lexicographic order: each member with its later
+            # partners, members ascending across all classes.
+            heap = [(c & -c, c) for c in groups]
+            heapify(heap)
+            while heap:
+                low, c = heappop(heap)
+                c ^= low
+                ma = masks[low.bit_length() - 1]
+                rest = c
+                while rest:
+                    y = rest & -rest
+                    rest ^= y
+                    r = (ma ^ masks[y.bit_length() - 1]) & usable
+                    if not r:
+                        return
+                    if not r & used:
+                        lb += 1
+                        if lb >= room:
+                            return
+                        used |= r
+                if c & (c - 1):
+                    heappush(heap, (c & -c, c))
         for w in _bits(first):
-            self._node(code | (1 << w), banned)
+            m = masks[w]
+            self._node(code | 1 << w, banned, undom & ~m, _split(groups, m))
             banned |= 1 << w
 
     def run(
@@ -177,7 +225,9 @@ class _Search:
         if cap is None:
             greedy = self.greedy_code(required)
             if greedy is None:
-                raise AssertionError("greedy stuck on a feasible instance")
+                raise GuaranteeError(
+                    "greedy completion stuck on a feasible instance"
+                )
             self.best_size = greedy.bit_count()
             self.best_mask = greedy
             if self.best_size == required.bit_count():
@@ -188,12 +238,25 @@ class _Search:
             if greedy is not None and greedy.bit_count() <= cap:
                 return greedy, True
         try:
-            self._node(required, 0)
+            self._node(required, 0, *self._partition(required))
         except _OutOfBudget:
             return self.best_mask, False
         except _FoundEnough:
             return self.best_mask, True
         return self.best_mask, True
+
+
+def _split(groups: list[int], m: int) -> list[int]:
+    """Split each class by the mask m, keeping parts with two or more members."""
+    out = []
+    for c in groups:
+        inside = c & m
+        if inside & (inside - 1):
+            out.append(inside)
+        outside = c ^ inside
+        if outside & (outside - 1):
+            out.append(outside)
+    return out
 
 
 def _feasibility_witness(
@@ -223,6 +286,19 @@ def _prepare(
     return masks, xs, _mask_of(ys)
 
 
+def _minimum(
+    masks: list[int], xs: list[int], allowed: int, required: int, node_budget: int
+) -> ExactResult:
+    """A minimum code of a feasible instance that contains `required`."""
+    search = _Search(masks, xs, allowed)
+    best, done = search.run(required, node_budget)
+    if best is None:
+        raise GuaranteeError(
+            "exact search ended without a code on a feasible instance"
+        )
+    return ExactResult(best.bit_count(), tuple(_bits(best)), search.nodes, done)
+
+
 def gamma_id_exact(
     g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExactResult:
@@ -236,10 +312,7 @@ def gamma_id_exact(
     if twins:
         raise NotIdentifiableError(twins[0])
     masks, xs, allowed = _prepare(g, None, None)
-    search = _Search(masks, xs, allowed)
-    best, done = search.run(0, node_budget)
-    assert best is not None
-    return ExactResult(best.bit_count(), tuple(_bits(best)), search.nodes, done)
+    return _minimum(masks, xs, allowed, 0, node_budget)
 
 
 def min_xy_identifying_exact(
@@ -263,10 +336,7 @@ def min_xy_identifying_exact(
             else "no candidate separates the witness pair"
         )
         raise NotYIdentifiableError(witness, reason)
-    search = _Search(masks, xs, allowed)
-    best, done = search.run(0, node_budget)
-    assert best is not None
-    return ExactResult(best.bit_count(), tuple(_bits(best)), search.nodes, done)
+    return _minimum(masks, xs, allowed, 0, node_budget)
 
 
 def min_identifying_containing(
@@ -279,10 +349,7 @@ def min_identifying_containing(
     if twins:
         raise NotIdentifiableError(twins[0])
     masks, xs, allowed = _prepare(g, None, None)
-    search = _Search(masks, xs, allowed)
-    best, done = search.run(_mask_of(required), node_budget)
-    assert best is not None
-    return ExactResult(best.bit_count(), tuple(_bits(best)), search.nodes, done)
+    return _minimum(masks, xs, allowed, _mask_of(required), node_budget)
 
 
 def identifying_code_at_most(
@@ -407,9 +474,9 @@ def odd_cycle_plus_chord_code(n: int, chord: tuple[int, int]) -> tuple[int, ...]
     edges.append((a, b))
     g = Graph(n, edges)
     if not is_identifying(g, code):
-        raise AssertionError(
+        raise GuaranteeError(
             f"chorded odd cycle pattern failed for n={n}, chord={chord}"
         )
     if len(code) > (n + 1) // 2:
-        raise AssertionError("chorded odd cycle pattern exceeded (n+1)/2")
+        raise GuaranteeError("chorded odd cycle pattern exceeded (n+1)/2")
     return code

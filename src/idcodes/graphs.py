@@ -29,6 +29,14 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _mask_of(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for each given vertex v."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 class Graph:
     """An immutable simple undirected graph on vertices 0..n-1.
 
@@ -38,11 +46,12 @@ class Graph:
         adj: per-vertex adjacency as a tuple of frozensets.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "_colors")
 
     n: int
     edges: tuple[Edge, ...]
     adj: tuple[VertexSet, ...]
+    _colors: tuple[int, ...] | None
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -67,6 +76,8 @@ class Graph:
         object.__setattr__(
             self, "adj", tuple(frozenset(s) for s in nbrs)
         )
+        # Stable colouring, filled in by isomorph.refine_colors on first use.
+        object.__setattr__(self, "_colors", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")

@@ -15,8 +15,15 @@ def refine_colors(g: Graph) -> tuple[int, ...]:
     """Stable colouring by iterated neighbour-colour multisets.
 
     Colour ids are assigned canonically (sorted key order) each round, so
-    the multiset of final colours is equal for isomorphic graphs.
+    the multiset of final colours is equal for isomorphic graphs. The
+    colouring is computed once per Graph object and kept on it.
     """
+    if g._colors is None:
+        object.__setattr__(g, "_colors", _refine(g))
+    return g._colors
+
+
+def _refine(g: Graph) -> tuple[int, ...]:
     colors = [0] * g.n
     distinct = 1
     while True:

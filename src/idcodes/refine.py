@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotSeparableError, NotYIdentifiableError
-from .graphs import Graph, closed_neighborhood_masks
+from .graphs import Graph, _mask_of, closed_neighborhood_masks
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,6 @@ class Partition:
     @property
     def count(self) -> int:
         return len(self.parts)
-
-
-def _mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def _grouped(masks: list[int], xs: list[int], code_mask: int) -> list[list[int]]:

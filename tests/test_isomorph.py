@@ -13,6 +13,7 @@ from idcodes import (
     is_isomorphic,
     make_family,
 )
+import idcodes.isomorph
 from idcodes.isomorph import invariant_key, refine_colors
 
 
@@ -70,6 +71,27 @@ def test_refine_colors_distinguishes_by_role():
     g = random_graph(7, 9, 11)
     h = permuted(g, 3)
     assert sorted(refine_colors(g)) == sorted(refine_colors(h))
+
+
+def test_colouring_is_computed_once_per_graph(monkeypatch):
+    bases = [random_graph(9, 12, seed) for seed in range(3)]
+    graphs = bases + [permuted(g, 7) for g in bases]
+    pairs = [(g, h) for g in graphs for h in graphs]
+    # Colours and mappings of fresh copies, which have never been refined.
+    def copy(g):
+        return Graph(g.n, g.edges)
+
+    colors = [refine_colors(copy(g)) for g in graphs]
+    mappings = [find_isomorphism(copy(g), copy(h)) for g, h in pairs]
+    refined = []
+    refine = idcodes.isomorph._refine
+    monkeypatch.setattr(
+        idcodes.isomorph, "_refine", lambda g: refined.append(id(g)) or refine(g)
+    )
+    for _ in range(2):
+        assert [find_isomorphism(g, h) for g, h in pairs] == mappings
+        assert [refine_colors(g) for g in graphs] == colors
+    assert sorted(refined) == sorted(id(g) for g in graphs)
 
 
 def test_nonisomorphic_verdict_matches_bruteforce():
