@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import VertexRangeError
-from .graphs import Graph, VertexSet, closed_neighborhood_masks
+from .graphs import (
+    Graph,
+    VertexSet,
+    _groups,
+    _pairs,
+    closed_neighborhood_masks,
+)
 
 UNDOMINATED = "undominated"
 UNSEPARATED = "unseparated"
@@ -69,24 +75,6 @@ def is_dominating(g: Graph, code: Iterable[int], x: Iterable[int] | None = None)
     neighbourhood. Target defaults to all of V."""
     xs = _target_list(g, x)
     return all(sig != 0 for sig in _signatures(g, code, xs))
-
-
-def _groups(xs: Iterable[int], sigs: Iterable[int]) -> dict[int, list[int]]:
-    """Vertices grouped by signature, each group in the order of xs."""
-    groups: dict[int, list[int]] = {}
-    for v, sig in zip(xs, sigs):
-        groups.setdefault(sig, []).append(v)
-    return groups
-
-
-def _pairs(groups: Iterable[list[int]]) -> tuple[tuple[int, int], ...]:
-    """All pairs inside each ascending group, sorted lexicographically."""
-    return tuple(sorted(
-        (members[i], members[j])
-        for members in groups
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    ))
 
 
 def unseparated_pairs(

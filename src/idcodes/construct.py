@@ -4,9 +4,12 @@ the triangle-deletion patch pipeline for graphs with few triangles.
 construct_triangle_free returns a Certificate: a verified identifying code
 together with an exact integer size bound delta * |C| <= bound_num, where
 bound_num is (delta-1)*n plus 1 exactly when the graph is one of the
-exceptional family members. Every branch is verified before it is
-accepted, and a failed bound raises BoundMissedError rather than ever
-weakening the certificate.
+exceptional family members (certified_bound gives every form). Every
+branch is verified before it is accepted. A case of the induction that
+yields no code raises GuaranteeError naming the case, and a code that
+misses the bound raises BoundMissedError: no generic search stands in for
+either. The one rescue is a capped search for a tree whose greedy code
+is over the bound.
 
 The construction follows the paper's induction as an iterative descent
 over one MutableGraph. Each level deletes the non-bridge edge that
@@ -42,7 +45,7 @@ Trace labels (CaseStep.label):
     GStar                     hub code around the removed edge (boundary
                               plus small far components)
     ComponentAssembly         a large far component coded by recursion
-    ExactFallback             exact or capped search replaced a construction
+    ExactFallback             capped search replaced a tree's greedy code
     CorollaryPatch            damage accounting for one restored non-bridge
                               edge in the triangle-deletion pipeline
 """
@@ -70,7 +73,6 @@ from .exact import (
     cycle_identifying_code,
     gamma_id_exact,
     identifying_code_at_most,
-    min_identifying_containing,
     odd_cycle_plus_chord_code,
     path_identifying_code,
 )
@@ -131,8 +133,9 @@ class Certificate:
     """A verified identifying code with its exact integer size bound.
 
     verified is True iff the code was checked to identify the input and
-    bound_den * |code| <= bound_num. family is the exceptional-family tag
-    of the whole input graph, if any.
+    bound_den * |code| <= bound_num; the constructors raise instead of
+    returning an unverified certificate. family is the exceptional-family
+    tag of the whole input graph, if any.
     """
 
     input_hash: str
@@ -194,14 +197,58 @@ def serialize_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bound_terms(n: int, delta: int, is_family: bool) -> tuple[int, int]:
-    """bound_num, bound_den for a triangle-free certificate."""
-    if is_family:
-        d = max(delta, 3)  # P4, C4, C7 carry the degree-3 family bound
-        return ((d - 1) * n + 1, d)
+def certified_bound(
+    g: Graph, family: FamilyId | None = None, t: int | None = None
+) -> tuple[int, int]:
+    """The size bound a certificate of g carries, as (num, den): a code C
+    meets it when den * |C| <= num. delta is the maximum degree of g.
+
+    Triangle-free form (t None): (delta - 1) * n, plus one for a member of
+    the exceptional family (P4, C4 and C7 carry the degree-3 bound), and
+    n + 3 over 2 for other paths and cycles. Near form, after t deleted
+    edges: (delta - 1) * n + 4 * t * delta + 1.
+    """
+    delta = g.max_degree()
+    if t is not None:
+        return ((delta - 1) * g.n + 4 * t * delta + 1, delta)
+    if family is not None:
+        d = max(delta, 3)
+        return ((d - 1) * g.n + 1, d)
     if delta == 2:
-        return (n + 3, 2)
-    return ((delta - 1) * n, delta)
+        return (g.n + 3, 2)
+    return ((delta - 1) * g.n, delta)
+
+
+def _certificate(
+    g: Graph,
+    code: Iterable[int],
+    family: FamilyId | None,
+    t: int | None,
+    steps: list[CaseStep],
+) -> Certificate:
+    """The final check of a constructor's code against g and its bound;
+    t is None for the triangle-free constructor."""
+    if t is None:
+        what = f"delta {g.max_degree()}, n {g.n}"
+    else:
+        what = f"patch pipeline, t={t}"
+    ordered = tuple(sorted(code))
+    if not is_identifying(g, ordered):
+        raise GuaranteeError(f"the code does not identify the graph ({what})")
+    num, den = certified_bound(g, family, t)
+    if den * len(ordered) > num:
+        raise BoundMissedError(ordered, num, den, what)
+    return Certificate(
+        input_hash=graph_hash(g),
+        n=g.n,
+        delta=g.max_degree(),
+        code=ordered,
+        bound_num=num,
+        bound_den=den,
+        family=family,
+        verified=True,
+        trace=tuple(steps),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +262,6 @@ def _fmt_pairs(pairs: tuple[tuple[int, int], ...]) -> str:
     if len(pairs) <= 4:
         return ",".join(f"({a},{b})" for a, b in pairs)
     return f"{len(pairs)} pairs"
-
-
-def _last_resort(
-    g: Graph, thr: int, steps: list[CaseStep], depth: int, note: str
-) -> set[int]:
-    """A verified code no matter what: exact when small, greedy otherwise."""
-    if g.n <= thr:
-        res = gamma_id_exact(g)
-        steps.append(
-            CaseStep(STEP_EXACT_FALLBACK, f"d{depth}: exact minimum ({note})")
-        )
-        return set(res.code)
-    code = set(greedy_xy_identifying(g, range(g.n), range(g.n)))
-    steps.append(
-        CaseStep(STEP_EXACT_FALLBACK, f"d{depth}: greedy completion ({note})")
-    )
-    return code
 
 
 def _greedy_complete(g: Graph, base: set[int]) -> set[int]:
@@ -370,7 +400,9 @@ def _chorded_two_regular(
                     )
                 )
                 return cand
-        return _last_resort(g, thr, steps, depth, "even chorded cycle pattern failed")
+        raise GuaranteeError(
+            f"d{depth}: no alternating code of the even cycle of {n} plus chord"
+        )
     # Path plus a chord.
     if n <= max(thr, 10):
         res = gamma_id_exact(g)
@@ -396,20 +428,9 @@ def _chorded_two_regular(
                 )
             )
             return cand
-    cap = (2 * n) // 3
-    try:
-        rescue = identifying_code_at_most(g, cap, _RESCUE_BUDGET)
-    except SearchBudgetError:
-        rescue = None
-    if rescue is not None:
-        steps.append(
-            CaseStep(
-                STEP_EXACT_FALLBACK,
-                f"d{depth}: capped search on chorded path",
-            )
-        )
-        return set(rescue)
-    return _last_resort(g, thr, steps, depth, "chorded path patterns failed")
+    raise GuaranteeError(
+        f"d{depth}: no path code of {n} plus chord with at most one vertex added"
+    )
 
 
 def _whole_boundary_code(
@@ -591,8 +612,8 @@ def _hub_code(hub: Graph, hu: int, hv: int, delta: int) -> tuple[set[int], str]:
 
     Template family: keep everything except a deterministic subset of the
     small-component vertices and up to two boundary vertices, preferring
-    boundary vertices that a greedy (Z, A)-code leaves out. Falls back to an
-    exact search forced to contain the edge ends.
+    boundary vertices that a greedy (Z, A)-code leaves out. No template
+    within the bound raises GuaranteeError.
     """
     a_set = (hub.adj[hu] | hub.adj[hv]) - {hu, hv}
     a_sorted = sorted(a_set)
@@ -604,7 +625,8 @@ def _hub_code(hub: Graph, hu: int, hv: int, delta: int) -> tuple[set[int], str]:
             key = frozenset(direct)
         else:
             partners = hub.adj[b]  # single neighbour inside its component
-            assert len(partners) == 1, "far vertex with no anchor"
+            if len(partners) != 1:
+                raise GuaranteeError(f"hub vertex {b} has no anchor")
             key = frozenset(hub.adj[min(partners)] & a_set)
         groups.setdefault(key, []).append(b)
     b_star: set[int] = set()
@@ -614,7 +636,8 @@ def _hub_code(hub: Graph, hu: int, hv: int, delta: int) -> tuple[set[int], str]:
         member_set = set(members)
         direct = [b for b in members if hub.adj[b] & a_set]
         loose = [b for b in members if not (hub.adj[b] & a_set)]
-        assert len(loose) <= len(direct), "unanchored small component"
+        if len(loose) > len(direct):
+            raise GuaranteeError(f"unanchored small component in {members}")
         b_star.update(loose)
         if len(loose) < len(direct):
             # One extra representative: prefer a member with no partner
@@ -653,8 +676,7 @@ def _hub_code(hub: Graph, hu: int, hv: int, delta: int) -> tuple[set[int], str]:
                 continue
             if is_identifying(hub, cand):
                 return cand, f"template {rname} minus {list(s)}"
-    res = min_identifying_containing(hub, (hu, hv), _RESCUE_BUDGET)
-    return set(res.code), "exact hub code"
+    raise GuaranteeError(f"no hub template within the bound around ({hu},{hv})")
 
 
 def _assemble(
@@ -729,8 +751,6 @@ def _repair(
             return code
     for comp in bd.large_components:
         sub, back = induced_subgraph(g, comp)
-        if sub.max_degree() > delta:
-            continue
         if match_family(sub, delta) is None:
             continue
         code = _merge_family_component(
@@ -741,7 +761,7 @@ def _repair(
     code = _assemble(g, bd, thr, steps, depth)
     if code is not None:
         return code
-    return _last_resort(g, thr, steps, depth, "structural repairs exhausted")
+    raise GuaranteeError(f"d{depth}: no repair of the code with ({u},{v}) restored")
 
 
 def _build(
@@ -769,7 +789,7 @@ def _build(
         removed.append((u, v))
     # From here on the table's code identifies the current state: all
     # signatures are distinct and non-empty.
-    code, table = _checked_table(state, code, thr, steps, depth + len(removed))
+    table = _checked_table(state, code, depth + len(removed))
     while removed:
         u, v = removed.pop()
         level = depth + len(removed)
@@ -783,22 +803,19 @@ def _build(
         )
         if broken:
             code = _repair(state.graph(), (u, v), frozenset(code), thr, steps, level)
-            code, table = _checked_table(state, code, thr, steps, level)
+            table = _checked_table(state, code, level)
     return frozenset(code)
 
 
 def _checked_table(
-    state: MutableGraph, code: set[int], thr: int, steps: list[CaseStep], depth: int
-) -> tuple[set[int], SignatureTable]:
-    """code and its signature table on the current state, with code first
-    replaced when it does not identify the state."""
+    state: MutableGraph, code: set[int], depth: int
+) -> SignatureTable:
+    """The signature table of code on the current state, which code must
+    identify."""
     table = SignatureTable(state.adj, code)
     if not table.identifies():
-        code = _last_resort(
-            state.graph(), thr, steps, depth, "pipeline code failed checks"
-        )
-        table = SignatureTable(state.adj, code)
-    return code, table
+        raise GuaranteeError(f"d{depth}: the level's code does not identify it")
+    return table
 
 
 def _direct_code(
@@ -890,64 +907,16 @@ def construct_triangle_free(
     at least three vertices.
 
     The certificate bound is delta*|C| <= (delta-1)*n, plus one exactly for
-    the exceptional family members (paths and cycles use n+3 over 2). When
-    the pipeline code misses the bound, an exact (n <= fallback_threshold)
-    or capped search replaces it; if that fails too, BoundMissedError
-    carries the verified-but-oversized code.
+    the exceptional family members (paths and cycles use n+3 over 2). A
+    code over the bound raises BoundMissedError, which carries the
+    verified-but-oversized code; a case of the construction that yields no
+    code, or a code that fails the final check, raises GuaranteeError.
     """
     _validate_construct_input(g)
     steps: list[CaseStep] = []
-    code: set[int] = set(_build(g, fallback_threshold, steps, 0))
-    delta = g.max_degree()
-    fam = in_f_delta(g, max(delta, 3))
-    num, den = _bound_terms(g.n, delta, fam is not None)
-    if den * len(code) > num:
-        rescued: set[int] | None = None
-        if g.n <= fallback_threshold:
-            res = gamma_id_exact(g)
-            rescued = set(res.code)
-            steps.append(
-                CaseStep(
-                    STEP_EXACT_FALLBACK,
-                    "bound rescue: exact minimum",
-                )
-            )
-        else:
-            try:
-                capped = identifying_code_at_most(
-                    g, num // den, _RESCUE_BUDGET
-                )
-            except SearchBudgetError:
-                capped = None
-            if capped is not None:
-                rescued = set(capped)
-                steps.append(
-                    CaseStep(
-                        STEP_EXACT_FALLBACK,
-                        "bound rescue: capped search",
-                    )
-                )
-        if rescued is not None and den * len(rescued) <= num:
-            code = rescued
-        else:
-            raise BoundMissedError(
-                tuple(sorted(code)),
-                num,
-                den,
-                f"delta {delta}, n {g.n}",
-            )
-    verified = is_identifying(g, code) and den * len(code) <= num
-    return Certificate(
-        input_hash=graph_hash(g),
-        n=g.n,
-        delta=delta,
-        code=tuple(sorted(code)),
-        bound_num=num,
-        bound_den=den,
-        family=fam,
-        verified=verified,
-        trace=tuple(steps),
-    )
+    code = _build(g, fallback_threshold, steps, 0)
+    fam = in_f_delta(g, max(g.max_degree(), 3))
+    return _certificate(g, code, fam, None, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,22 +1059,4 @@ def construct_near_triangle_free(
                 f"{len(set(patch) - base)}",
             )
         )
-    if not is_identifying(g, code):
-        code = set(_last_resort(g, fallback_threshold, steps, 0, "patched code failed"))
-    num = (delta - 1) * g.n + 4 * t * delta + 1
-    if delta * len(code) > num:
-        raise BoundMissedError(
-            tuple(sorted(code)), num, delta, f"patch pipeline, t={t}"
-        )
-    verified = is_identifying(g, code) and delta * len(code) <= num
-    return Certificate(
-        input_hash=graph_hash(g),
-        n=g.n,
-        delta=delta,
-        code=tuple(sorted(code)),
-        bound_num=num,
-        bound_den=delta,
-        family=None,
-        verified=verified,
-        trace=tuple(steps),
-    )
+    return _certificate(g, code, None, t, steps)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from .checks import is_identifying
 from .errors import (
     EdgeAdditionError,
+    GuaranteeError,
     UnknownFamilyError,
     UnsupportedCodeFormError,
 )
-from .exact import identifying_code_at_most
 from .graphs import Graph
 from .isomorph import find_isomorphism
 
@@ -192,10 +192,12 @@ _FIXED_SHAPES = frozenset((e.graph.n, e.graph.m) for e in _FIXED_ENTRIES.values(
 
 
 def make_family(family: FamilyId) -> CatalogEntry:
-    """The catalog entry for a family tag. Star(3) resolves to T0."""
+    """The catalog entry for a family tag. Star(3) resolves to T0; a tag
+    that names no member raises UnknownFamilyError."""
     if family.kind == "STAR":
         d = family.delta
-        assert d is not None and d >= 3
+        if d is None or d < 3:
+            raise UnknownFamilyError(f"stars need delta >= 3, got {d}")
         if d == 3:
             return _FIXED_ENTRIES["T0"]
         g = make_standard("star", d)
@@ -237,7 +239,8 @@ def match_family(g: Graph, delta: int) -> tuple[FamilyId, dict[int, int]] | None
             return None
         entry = make_family(star(delta))
         mapping = find_isomorphism(entry.graph, g)
-        assert mapping is not None
+        if mapping is None:
+            raise GuaranteeError(f"star degree sequence without a star map: {g}")
         return (entry.family, mapping)
     for entry in _FIXED_ENTRIES.values():
         if entry.graph.n != g.n or entry.graph.m != g.m:
@@ -304,9 +307,11 @@ def tree_plus_edge_code(family: FamilyId, e: tuple[int, int]) -> tuple[int, ...]
 
     The addition must keep maximum degree 3 and triangle-freeness (T0 has no
     admissible addition at all: its non-edges all join leaves at distance
-    two). The code is found by dropping one vertex from the catalog code
-    when possible, falling back to a capped exact search; size is always
-    gamma(T) - 1, the largest value below 2n/3.
+    two). The code drops one vertex from the catalog code when that
+    identifies T + e, and otherwise swaps two of its vertices for one
+    outside it; size is always gamma(T) - 1, the largest value below 2n/3.
+    Over all admissible additions one of the two succeeds, so a miss
+    raises GuaranteeError.
     """
     if family.kind == "STAR" and family.delta == 3:
         family = T0
@@ -317,7 +322,6 @@ def tree_plus_edge_code(family: FamilyId, e: tuple[int, int]) -> tuple[int, ...]
     entry = make_family(family)
     _admissible_addition(entry.graph, e)
     g = Graph(entry.graph.n, list(entry.graph.edges) + [tuple(e)])
-    cap = entry.gamma - 1
     for drop in entry.code:
         cand = tuple(c for c in entry.code if c != drop)
         if is_identifying(g, cand):
@@ -333,12 +337,10 @@ def tree_plus_edge_code(family: FamilyId, e: tuple[int, int]) -> tuple[int, ...]
                 cand = tuple(sorted(base + (w,)))
                 if is_identifying(g, cand):
                     return cand
-    code = identifying_code_at_most(g, cap)
-    if code is None:
-        raise AssertionError(
-            f"no identifying code of size {cap} exists for {family} plus {e}"
-        )
-    return code
+    raise GuaranteeError(
+        f"no code of size {entry.gamma - 1} within one swap of the catalog "
+        f"code for {family} plus {e}"
+    )
 
 
 def random_triangle_free(n: int, target_edges: int, seed: int) -> Graph:

@@ -11,7 +11,7 @@ import hashlib
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     EdgeError,
@@ -254,26 +254,32 @@ def closed_neighborhood_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _twin_pairs(keys: list[frozenset[int]]) -> tuple[tuple[int, int], ...]:
-    groups: dict[frozenset[int], list[int]] = {}
-    for v, key in enumerate(keys):
-        groups.setdefault(key, []).append(v)
-    pairs = []
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    return tuple(sorted(pairs))
+def _groups(xs: Iterable[int], sigs: Iterable[int]) -> dict[int, list[int]]:
+    """Vertices grouped by signature, each group in the order of xs."""
+    groups: dict[int, list[int]] = {}
+    for v, sig in zip(xs, sigs):
+        groups.setdefault(sig, []).append(v)
+    return groups
+
+
+def _pairs(groups: Iterable[list[int]]) -> tuple[tuple[int, int], ...]:
+    """All pairs inside each ascending group, sorted lexicographically."""
+    return tuple(sorted(
+        (members[i], members[j])
+        for members in groups
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    ))
 
 
 def find_closed_twins(g: Graph) -> tuple[tuple[int, int], ...]:
     """All pairs u < v with N[u] = N[v], sorted. Empty iff g is identifiable."""
-    return _twin_pairs([g.adj[v] | {v} for v in range(g.n)])
+    return _pairs(_groups(range(g.n), closed_neighborhood_masks(g)).values())
 
 
 def find_open_twins(g: Graph) -> tuple[tuple[int, int], ...]:
     """All pairs u < v with N(u) = N(v), sorted."""
-    return _twin_pairs([g.adj[v] for v in range(g.n)])
+    return _pairs(_groups(range(g.n), map(_mask_of, g.adj)).values())
 
 
 def triangle_witness(g: Graph) -> tuple[int, int, int] | None:
@@ -527,6 +533,25 @@ def graph_hash(g: Graph) -> str:
     return hashlib.sha256(serialize_graph(g).encode("ascii")).hexdigest()
 
 
+def _int_pairs(text: str) -> Iterator[tuple[int, int, int]]:
+    """(line number, a, b) for each line of text holding two integers a b.
+
+    '#' starts a comment and blank lines are skipped; any other line raises
+    GraphFormatError with its 1-based line number.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        try:
+            a, b = map(int, fields)
+        except ValueError:
+            raise GraphFormatError(
+                f"expected two integers, got {raw.strip()!r}", lineno
+            ) from None
+        yield lineno, a, b
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format written by serialize_graph.
 
@@ -536,21 +561,7 @@ def parse_graph(text: str) -> Graph:
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphFormatError(
-                f"expected two integers, got {raw.strip()!r}", lineno
-            )
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(
-                f"expected two integers, got {raw.strip()!r}", lineno
-            ) from None
+    for lineno, a, b in _int_pairs(text):
         if header is None:
             if a < 0 or b < 0:
                 raise GraphFormatError(

@@ -8,7 +8,7 @@ regular inputs.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _groups
 
 
 def refine_colors(g: Graph) -> tuple[int, ...]:
@@ -67,9 +67,7 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     order = sorted(
         range(g.n), key=lambda v: (class_size[cg[v]], -g.degree(v), v)
     )
-    by_color: dict[int, list[int]] = {}
-    for v in range(h.n):
-        by_color.setdefault(ch[v], []).append(v)
+    by_color = _groups(range(h.n), ch)
     mapping: dict[int, int] = {}
     used = [False] * h.n
 

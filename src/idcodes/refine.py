@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotSeparableError, NotYIdentifiableError
-from .graphs import Graph, _mask_of, closed_neighborhood_masks
+from .errors import GuaranteeError, NotSeparableError, NotYIdentifiableError
+from .graphs import Graph, _groups, _mask_of, closed_neighborhood_masks
 
 
 @dataclass(frozen=True)
@@ -27,21 +27,15 @@ class Partition:
         return len(self.parts)
 
 
-def _grouped(masks: list[int], xs: list[int], code_mask: int) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for v in xs:
-        groups.setdefault(masks[v] & code_mask, []).append(v)
-    return sorted(groups.values())
-
-
 def partition_by_code(
     g: Graph, x: Iterable[int], code: Iterable[int]
 ) -> Partition:
     """Partition of X into classes of equal code signature."""
     xs = sorted(set(x))
     masks = closed_neighborhood_masks(g)
-    parts = _grouped(masks, xs, _mask_of(code))
-    return Partition(tuple(tuple(p) for p in parts))
+    code_mask = _mask_of(code)
+    parts = _groups(xs, (masks[v] & code_mask for v in xs)).values()
+    return Partition(tuple(sorted(tuple(p) for p in parts)))
 
 
 def _separating_steps(g: Graph, x: Iterable[int], y: Iterable[int]) -> list[int]:
@@ -56,10 +50,11 @@ def _separating_steps(g: Graph, x: Iterable[int], y: Iterable[int]) -> list[int]
     code_mask = 0
     chosen: list[int] = []
     while True:
-        blocks = [p for p in _grouped(masks, xs, code_mask) if len(p) > 1]
+        groups = _groups(xs, (masks[v] & code_mask for v in xs)).values()
+        blocks = [p for p in groups if len(p) > 1]
         if not blocks:
             return chosen
-        u1, u2 = blocks[0][0], blocks[0][1]
+        u1, u2 = min(blocks)[:2]
         cands = (masks[u1] ^ masks[u2]) & y_mask
         if cands == 0:
             raise NotSeparableError((u1, u2))
@@ -77,7 +72,10 @@ def greedy_separating(
     """
     xs = sorted(set(x))
     chosen = _separating_steps(g, xs, y)
-    assert len(chosen) <= max(0, len(xs) - 1), "refinement exceeded |X|-1 picks"
+    if len(chosen) > max(0, len(xs) - 1):
+        raise GuaranteeError(
+            f"refinement took {len(chosen)} picks for |X| = {len(xs)}"
+        )
     return tuple(sorted(chosen))
 
 
@@ -95,7 +93,8 @@ def greedy_xy_identifying(
     masks = closed_neighborhood_masks(g)
     code_mask = _mask_of(chosen)
     bare = [v for v in xs if masks[v] & code_mask == 0]
-    assert len(bare) <= 1, "two undominated vertices after separation"
+    if len(bare) > 1:
+        raise GuaranteeError(f"undominated vertices {bare} after separation")
     if bare:
         cands = masks[bare[0]] & _mask_of(sorted(set(y)))
         if cands == 0:
@@ -103,5 +102,8 @@ def greedy_xy_identifying(
                 bare[0], "no candidate dominates the witness"
             )
         chosen.append((cands & -cands).bit_length() - 1)
-    assert len(chosen) <= len(xs), "identifying refinement exceeded |X| picks"
+    if len(chosen) > len(xs):
+        raise GuaranteeError(
+            f"identifying refinement took {len(chosen)} picks for |X| = {len(xs)}"
+        )
     return tuple(sorted(chosen))

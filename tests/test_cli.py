@@ -236,3 +236,56 @@ def test_broken_guarantee_exits_internal_under_optimize(tmp_path):
     )
     assert proc.returncode == 70, proc.stderr
     assert proc.stderr.startswith("error: edge (0, 1) damaged 5 new vertices")
+
+
+PRISM = Graph(
+    6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+)
+TRIANGLE_NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize(
+    "g, code, extra, line",
+    [
+        # Triangles: the near bound, t = |triangle_deletion_set| (2 and 1).
+        (PRISM, "0 1 3 4", [], "bound 3*4 <= 37: holds (slack -25)"),
+        (TRIANGLE_NET, "0 1 3 5", [], "bound 3*4 <= 25: holds (slack -13)"),
+        # An explicit delta takes the plain degree form at that value.
+        (PRISM, "0 1 3 4", ["--delta", "4"], "bound 4*4 <= 18: holds (slack -2)"),
+        (TRIANGLE_NET, "0 1 3 5", ["--delta", "4"],
+         "bound 4*4 <= 18: holds (slack -2)"),
+        # P4 carries the family bound unless delta is given.
+        (path_graph(4), "0 1 2", [], "bound 3*3 <= 9: holds (slack 0)"),
+        (path_graph(4), "0 1 2", ["--delta", "2"],
+         "bound 2*3 <= 4: FAILS (slack 2)"),
+    ],
+)
+def test_verify_bound_line(tmp_path, capsys, g, code, extra, line):
+    gp = write_graph(tmp_path, "g.graph", g)
+    cp = tmp_path / "c.code"
+    cp.write_text(code + "\n")
+    assert main(["verify", gp, "--code", str(cp), *extra]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("# x\n0 1\n\n1 2 3\n", "line 4:"),
+        ("0 1\nzero 2\n", "line 2:"),
+        ("0 1\n7\n", "line 2:"),
+    ],
+)
+def test_bad_deletions_file_exits_parse(tmp_path, capsys, text, where):
+    gp = write_graph(tmp_path, "net.graph", TRIANGLE_NET)
+    dp = tmp_path / "dels.txt"
+    dp.write_text(text)
+    assert main(["near-construct", gp, str(dp)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {where} ")
+
+
+def test_missing_deletions_file_exits_parse(tmp_path, capsys):
+    gp = write_graph(tmp_path, "net.graph", TRIANGLE_NET)
+    missing = tmp_path / "missing.txt"
+    assert main(["near-construct", gp, str(missing)]) == 3
+    assert f"cannot read edge file {missing}" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -18,12 +19,14 @@ from idcodes import (
     NotIdentifiableError,
     NotTriangleFreeError,
     bound_check,
+    certified_bound,
     construct_near_triangle_free,
     construct_triangle_free,
     gamma_id_exact,
     graph_hash,
     in_f_delta,
     is_identifying,
+    FamilyId,
     make_family,
     min_triangle_deletion_size,
     random_triangle_free,
@@ -31,8 +34,10 @@ from idcodes import (
     triangle_deletion_set,
     triangle_witness,
 )
+import idcodes.construct
 from idcodes.checks import SignatureTable
 from idcodes.construct import (
+    CaseStep,
     STEP_COROLLARY_PATCH,
     STEP_DELTA2_CYCLE,
     STEP_DELTA2_PATH,
@@ -347,3 +352,67 @@ def test_per_edge_damage_above_four_raises(monkeypatch):
 def test_greedy_completion_on_closed_twins_raises():
     with pytest.raises(GuaranteeError, match="greedy completion stuck"):
         _greedy_complete(Graph(2, [(0, 1)]), set())
+
+
+# A relabelling of the base R10.3 of the deduplication sweep: restoring
+# (1, 8) leaves 1 and 8 unseparated, and a far component is a P4 whose ends
+# see no boundary vertex, so the repair cuts off its far half, codes the
+# rest and rejoins it (ClaimC through _merge_path4_component).
+R10_3 = Graph(
+    10,
+    [(0, 3), (0, 4), (0, 8), (1, 7), (1, 8), (2, 7), (2, 9), (4, 5), (4, 6),
+     (6, 7), (6, 8), (8, 9)],
+)
+R10_3_SHA256 = "b0e9178a5afa5bb55405fcb6bb1b35d2cc6dbde3c9fe298541a93c56a9d458dc"
+
+
+def test_split_path_component_is_rejoined():
+    cert = construct_triangle_free(R10_3)
+    check_certificate(R10_3, cert)
+    assert cert.code == (0, 1, 2, 4, 6, 8)
+    assert CaseStep("ClaimC", "d2: split path component rejoined") in cert.trace
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == R10_3_SHA256
+
+
+def test_repair_without_a_case_raises(monkeypatch):
+    # The same restore with every structural case made to fail: no generic
+    # search stands in, the repair names its step and raises.
+    for name in ("_whole_boundary_code", "_merge_family_component", "_assemble"):
+        monkeypatch.setattr(idcodes.construct, name, lambda *a, **k: None)
+    with pytest.raises(GuaranteeError, match=r"d2: no repair .* \(1,8\) restored"):
+        construct_triangle_free(R10_3)
+
+
+def test_bound_miss_raises_directly(monkeypatch):
+    # A code of every vertex identifies a twin-free graph but misses every
+    # bound; it is reported, not replaced by a search.
+    monkeypatch.setattr(
+        idcodes.construct, "_build", lambda g, *a: frozenset(range(g.n))
+    )
+    g = path(6)
+    with pytest.raises(BoundMissedError) as ei:
+        construct_triangle_free(g)
+    assert ei.value.code == tuple(range(6))
+    assert (ei.value.bound_num, ei.value.bound_den) == (9, 2)
+
+
+def test_final_check_failure_raises(monkeypatch):
+    # A code that does not identify the input never becomes a certificate.
+    monkeypatch.setattr(idcodes.construct, "_build", lambda g, *a: frozenset({0}))
+    with pytest.raises(GuaranteeError, match="does not identify"):
+        construct_triangle_free(path(6))
+
+
+def test_certified_bound_forms():
+    t1 = make_family(FamilyId("T1"))
+    assert certified_bound(t1.graph, t1.family) == (15, 3)
+    p4 = make_family(FamilyId("P4"))
+    assert certified_bound(p4.graph, p4.family) == (9, 3)  # degree-3 form
+    assert certified_bound(cycle(6)) == (9, 2)
+    assert certified_bound(t1.graph) == (14, 3)  # not passed as a member
+    prism = Graph(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    assert certified_bound(prism, t=2) == (37, 3)
+    assert certified_bound(t1.graph, t=0) == (15, 3)

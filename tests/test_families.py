@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import idcodes
 import oracles
 from idcodes import (
     EdgeAdditionError,
@@ -232,3 +237,27 @@ def test_random_triangle_free_deterministic():
 def test_random_triangle_free_hits_target_at_moderate_density():
     g = random_triangle_free(20, 28, seed=7)
     assert g.m == 28
+
+
+def test_bad_star_tags_raise_under_optimize():
+    # Star(2) would be P3 with a code that does not identify it, and a star
+    # tag without a degree names nothing; both must raise even when python
+    # -O strips asserts.
+    script = (
+        "from idcodes import FamilyId, UnknownFamilyError, make_family\n"
+        "assert False, 'asserts are live'\n"
+        "for fid in (FamilyId('STAR', 2), FamilyId('STAR')):\n"
+        "    try:\n"
+        "        make_family(fid)\n"
+        "    except UnknownFamilyError:\n"
+        "        print('raised', fid)\n"
+    )
+    src = str(Path(idcodes.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised Star(2)\nraised Star(None)\n"
