@@ -157,7 +157,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    cert = construct_triangle_free(g, fallback_threshold=args.fallback)
+    cert = construct_triangle_free(g)
     _write_text(args.out, serialize_certificate(cert))
     return EXIT_OK
 
@@ -167,9 +167,7 @@ def _cmd_near_construct(args: argparse.Namespace) -> int:
     deletions = (
         _read_deletions(args.deletions) if args.deletions is not None else None
     )
-    cert = construct_near_triangle_free(
-        g, deletions=deletions, fallback_threshold=args.fallback
-    )
+    cert = construct_near_triangle_free(g, deletions=deletions)
     _write_text(args.out, serialize_certificate(cert))
     return EXIT_OK
 
@@ -227,6 +225,9 @@ def _cmd_random(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# report fills its gamma column up to this order unless --slow is given.
+_REPORT_GAMMA_MAX_N = 16
+
 _REPORT_COLUMNS = (
     "file",
     "n",
@@ -255,11 +256,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         status = "ok"
         try:
             if triangle_witness(g) is None:
-                cert = construct_triangle_free(g, fallback_threshold=args.fallback)
+                cert = construct_triangle_free(g)
             else:
-                cert = construct_near_triangle_free(
-                    g, fallback_threshold=args.fallback
-                )
+                cert = construct_near_triangle_free(g)
             size = len(cert.code)
             bound_num, bound_den = cert.bound_num, cert.bound_den
             slack = bound_den * size - bound_num
@@ -273,7 +272,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             status = f"error:{type(e).__name__}"
             worst = EXIT_BOUND_MISSED
         gamma: int | None = None
-        if g.n <= args.fallback or args.slow:
+        if g.n <= _REPORT_GAMMA_MAX_N or args.slow:
             try:
                 gamma = gamma_id_exact(g).size
             except (NotIdentifiableError, SearchBudgetError):
@@ -334,7 +333,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("construct", help="certified triangle-free construction")
     sp.add_argument("graph", help="graph file")
-    sp.add_argument("--fallback", type=int, default=16, help="exact-solver size cap")
     sp.add_argument("--out", default=None, help="certificate file (default stdout)")
     sp.set_defaults(func=_cmd_construct)
 
@@ -348,7 +346,6 @@ def _build_parser() -> _Parser:
         default=None,
         help="optional edge list to delete (one 'u v' per line)",
     )
-    sp.add_argument("--fallback", type=int, default=16, help="exact-solver size cap")
     sp.add_argument("--out", default=None, help="certificate file (default stdout)")
     sp.set_defaults(func=_cmd_near_construct)
 
@@ -373,7 +370,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("report", help="bound-compliance table for a directory")
     sp.add_argument("directory", help="directory scanned for *.graph files")
-    sp.add_argument("--fallback", type=int, default=16, help="exact-solver size cap")
     sp.add_argument("--out", default=None, help="also write a TSV to this path")
     sp.add_argument(
         "--slow",

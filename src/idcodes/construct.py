@@ -79,7 +79,6 @@ from .exact import (
 from .families import (
     FamilyId,
     fits_catalog,
-    in_f_delta,
     make_family,
     match_family,
     tree_plus_edge_code,
@@ -114,7 +113,11 @@ STEP_COROLLARY_PATCH = "CorollaryPatch"
 
 CERTIFICATE_VERSION = "idcodes-certificate v1"
 
+# Trees and paths plus a chord up to this order get an exact minimum code.
+_EXACT_MAX_N = 16
 _RESCUE_BUDGET = 20_000_000
+
+_Match = tuple[FamilyId, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -326,11 +329,9 @@ def _two_regular(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
     return {order[i] for i in pattern}
 
 
-def _tree_code(
-    g: Graph, thr: int, steps: list[CaseStep], depth: int
-) -> set[int]:
+def _tree_code(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
     """Non-catalog tree with maximum degree >= 3."""
-    if g.n <= thr:
+    if g.n <= _EXACT_MAX_N:
         res = gamma_id_exact(g)
         steps.append(
             CaseStep(STEP_TREE_BASE, f"d{depth}: tree of {g.n}, exact minimum")
@@ -366,7 +367,6 @@ def _chorded_two_regular(
     g: Graph,
     order_info: tuple[str, tuple[int, ...]],
     e: tuple[int, int],
-    thr: int,
     steps: list[CaseStep],
     depth: int,
 ) -> set[int]:
@@ -404,7 +404,7 @@ def _chorded_two_regular(
             f"d{depth}: no alternating code of the even cycle of {n} plus chord"
         )
     # Path plus a chord.
-    if n <= max(thr, 10):
+    if n <= _EXACT_MAX_N:
         res = gamma_id_exact(g)
         steps.append(
             CaseStep(
@@ -470,7 +470,6 @@ def _merge_star_component(
     bd: BoundaryDecomposition,
     comp: tuple[int, ...],
     center: int,
-    thr: int,
     steps: list[CaseStep],
     depth: int,
 ) -> set[int] | None:
@@ -488,7 +487,7 @@ def _merge_star_component(
     if g2.n < 3 or not is_connected(g2):
         return None
     sub_steps: list[CaseStep] = []
-    c2 = _build(g2, thr, sub_steps, depth + 1)
+    c2 = _build(g2, _catalog_match(g2), sub_steps, depth + 1)
     n2o = {nn: oo for oo, nn in o2n.items()}
     base = {n2o[x] for x in c2}
     others = [l for l in leaves if l != xd]
@@ -515,7 +514,6 @@ def _merge_star_component(
 def _merge_path4_component(
     g: Graph,
     comp_order: tuple[int, ...],
-    thr: int,
     steps: list[CaseStep],
     depth: int,
 ) -> set[int] | None:
@@ -526,7 +524,7 @@ def _merge_path4_component(
     if gf.n < 3 or not is_connected(gf):
         return None
     sub_steps: list[CaseStep] = []
-    cf = _build(gf, thr, sub_steps, depth + 1)
+    cf = _build(gf, _catalog_match(gf), sub_steps, depth + 1)
     n2o = {nn: oo for oo, nn in o2n.items()}
     base = {n2o[x] for x in cf}
     if x2 in base:
@@ -548,7 +546,6 @@ def _merge_family_component(
     comp: tuple[int, ...],
     sub: Graph,
     back: tuple[int, ...],
-    thr: int,
     steps: list[CaseStep],
     depth: int,
 ) -> set[int] | None:
@@ -556,9 +553,7 @@ def _merge_family_component(
     part of it into the rest of the graph before recursing."""
     center = _star_shape(sub)
     if center is not None:
-        return _merge_star_component(
-            g, bd, comp, back[center], thr, steps, depth
-        )
+        return _merge_star_component(g, bd, comp, back[center], steps, depth)
     # Degree-3 catalog members (trees T1..T11, P4, C4, C7 shapes).
     shape = linear_order(sub)
     if shape is not None and shape[0] == "path" and sub.n == 4:
@@ -568,7 +563,7 @@ def _merge_family_component(
             g.adj[order[3]] & boundary
         ):
             oriented = order if g.adj[order[1]] & boundary else order[::-1]
-            code = _merge_path4_component(g, oriented, thr, steps, depth)
+            code = _merge_path4_component(g, oriented, steps, depth)
             if code is not None:
                 return code
     # Remove an induced path on three vertices whose removal keeps the rest
@@ -584,12 +579,11 @@ def _merge_family_component(
             g3, o2n = delete(g, vertices=[a, mid, b])
             if g3.n < 3 or not is_connected(g3):
                 continue
-            if not allow_family_rest:
-                d3 = g3.max_degree()
-                if d3 >= 3 and in_f_delta(g3, d3) is not None:
-                    continue
+            hit3 = _catalog_match(g3)
+            if not allow_family_rest and hit3 is not None and g3.max_degree() >= 3:
+                continue
             sub_steps: list[CaseStep] = []
-            c3 = _build(g3, thr, sub_steps, depth + 1)
+            c3 = _build(g3, hit3, sub_steps, depth + 1)
             n2o = {nn: oo for oo, nn in o2n.items()}
             base = {n2o[x] for x in c3}
             for extra in ((a, b), (a, mid), (mid, b)):
@@ -682,7 +676,6 @@ def _hub_code(hub: Graph, hu: int, hv: int, delta: int) -> tuple[set[int], str]:
 def _assemble(
     g: Graph,
     bd: BoundaryDecomposition,
-    thr: int,
     steps: list[CaseStep],
     depth: int,
 ) -> set[int] | None:
@@ -697,7 +690,7 @@ def _assemble(
     sub_steps: list[CaseStep] = []
     for comp in bd.large_components:
         subg, backk = induced_subgraph(g, comp)
-        ck = _build(subg, thr, sub_steps, depth + 1)
+        ck = _build(subg, _catalog_match(subg), sub_steps, depth + 1)
         total |= {backk[x] for x in ck}
         sub_steps.append(
             CaseStep(
@@ -721,7 +714,6 @@ def _repair(
     g: Graph,
     e: tuple[int, int],
     c1: frozenset[int],
-    thr: int,
     steps: list[CaseStep],
     depth: int,
 ) -> set[int]:
@@ -753,21 +745,26 @@ def _repair(
         sub, back = induced_subgraph(g, comp)
         if match_family(sub, delta) is None:
             continue
-        code = _merge_family_component(
-            g, bd, comp, sub, back, thr, steps, depth
-        )
+        code = _merge_family_component(g, bd, comp, sub, back, steps, depth)
         if code is not None:
             return code
-    code = _assemble(g, bd, thr, steps, depth)
+    code = _assemble(g, bd, steps, depth)
     if code is not None:
         return code
     raise GuaranteeError(f"d{depth}: no repair of the code with ({u},{v}) restored")
 
 
+def _catalog_match(g: Graph) -> _Match | None:
+    """g's exceptional-family match at its own maximum degree; paths and
+    cycles are judged at degree 3, where P4, C4 and C7 are members."""
+    return match_family(g, max(g.max_degree(), 3))
+
+
 def _build(
-    g: Graph, thr: int, steps: list[CaseStep], depth: int
+    g: Graph, hit: _Match | None, steps: list[CaseStep], depth: int
 ) -> frozenset[int]:
-    """A verified identifying code of a connected triangle-free g, n >= 3.
+    """A verified identifying code of a connected triangle-free g, n >= 3,
+    whose _catalog_match is hit.
 
     Descends by deleting non-bridge edges from one MutableGraph until a
     level has a direct code, then restores the edges in reverse order,
@@ -777,13 +774,14 @@ def _build(
     removed: list[tuple[int, int]] = []
     while True:
         level = depth + len(removed)
-        code = _direct_code(state, g if not removed else None, thr, steps, level)
+        known = (g, hit) if not removed else None
+        code = _direct_code(state, known, steps, level)
         if code is not None:
             break
         delta = state.max_degree()
         u, v = pick_cycle_edge(state)
         state.remove_edge(u, v)
-        code = _chorded_code(state, (u, v), delta, thr, steps, level)
+        code = _chorded_code(state, (u, v), delta, steps, level)
         if code is not None:
             break
         removed.append((u, v))
@@ -802,7 +800,7 @@ def _build(
             )
         )
         if broken:
-            code = _repair(state.graph(), (u, v), frozenset(code), thr, steps, level)
+            code = _repair(state.graph(), (u, v), frozenset(code), steps, level)
             table = _checked_table(state, code, level)
     return frozenset(code)
 
@@ -820,14 +818,13 @@ def _checked_table(
 
 def _direct_code(
     state: MutableGraph,
-    g: Graph | None,
-    thr: int,
+    known: tuple[Graph, _Match | None] | None,
     steps: list[CaseStep],
     depth: int,
 ) -> set[int] | None:
     """A code of the current state when it is a path, cycle, catalog member
-    or tree; None when the descent must go on. g is the state as a Graph
-    when one is at hand."""
+    or tree; None when the descent must go on. known is the state as a
+    Graph with its _catalog_match, when both are at hand."""
     delta = state.max_degree()
     if (
         delta > 2
@@ -835,18 +832,18 @@ def _direct_code(
         and not fits_catalog(state.n, state.m, delta)
     ):
         return None
-    if g is None:
-        g = state.graph()
+    g, hit = known if known is not None else (state.graph(), None)
     if delta <= 2:
         return _two_regular(g, steps, depth)
-    hit = match_family(g, delta)
+    if known is None:
+        hit = match_family(g, delta)
     if hit is not None:
         fid, mapping = hit
         entry = make_family(fid)
         steps.append(CaseStep(STEP_FAMILY_HIT, f"d{depth}: {fid}"))
         return {mapping[c] for c in entry.code}
     if g.m == g.n - 1:
-        return _tree_code(g, thr, steps, depth)
+        return _tree_code(g, steps, depth)
     return None
 
 
@@ -854,7 +851,6 @@ def _chorded_code(
     state: MutableGraph,
     e: tuple[int, int],
     delta: int,
-    thr: int,
     steps: list[CaseStep],
     depth: int,
 ) -> set[int] | None:
@@ -866,7 +862,7 @@ def _chorded_code(
     shape = linear_order(state.graph()) if state.max_degree() <= 2 else None
     if shape is not None:
         state.add_edge(u, v)
-        return _chorded_two_regular(state.graph(), shape, e, thr, steps, depth)
+        return _chorded_two_regular(state.graph(), shape, e, steps, depth)
     if not (
         delta == 3
         and state.m == state.n - 1
@@ -900,9 +896,7 @@ def _validate_construct_input(g: Graph) -> None:
         raise NotConnectedError("input graph is not connected")
 
 
-def construct_triangle_free(
-    g: Graph, fallback_threshold: int = 16
-) -> Certificate:
+def construct_triangle_free(g: Graph) -> Certificate:
     """A certified identifying code for a connected triangle-free graph on
     at least three vertices.
 
@@ -914,8 +908,9 @@ def construct_triangle_free(
     """
     _validate_construct_input(g)
     steps: list[CaseStep] = []
-    code = _build(g, fallback_threshold, steps, 0)
-    fam = in_f_delta(g, max(g.max_degree(), 3))
+    hit = _catalog_match(g)
+    code = _build(g, hit, steps, 0)
+    fam = None if hit is None else hit[0]
     return _certificate(g, code, fam, None, steps)
 
 
@@ -973,7 +968,6 @@ def min_triangle_deletion_size(g: Graph, cap: int) -> int | None:
 def construct_near_triangle_free(
     g: Graph,
     deletions: Iterable[tuple[int, int]] | None = None,
-    fallback_threshold: int = 16,
 ) -> Certificate:
     """A certified identifying code for a connected identifiable graph with
     few triangles: delete a triangle-hitting edge set, build a code of the
@@ -1013,7 +1007,7 @@ def construct_near_triangle_free(
         )
     if not is_connected(gt):
         raise InvalidDeletionSetError("deletion set disconnects the graph")
-    sub = construct_triangle_free(gt, fallback_threshold)
+    sub = construct_triangle_free(gt)
     steps = list(sub.trace)
     base = set(sub.code)
     t = len(edge_set)

@@ -356,11 +356,12 @@ def induced_subgraph(
     Returns the subgraph (relabelled 0..k-1 in sorted original order) and the
     new-to-old id table.
     """
-    keep = sorted(set(vertices))
+    kept = set(vertices)
+    keep = sorted(kept)
     for v in keep:
         if not (0 <= v < g.n):
             raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    drop = [v for v in range(g.n) if v not in set(keep)]
+    drop = [v for v in range(g.n) if v not in kept]
     sub, old_to_new = delete(g, vertices=drop)
     del old_to_new  # identical to enumerate(keep)
     return sub, tuple(keep)

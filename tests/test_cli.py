@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import idcodes
+import idcodes.cli
 from idcodes import (
+    BoundMissedError,
     Graph,
     load_graph,
     parse_graph,
@@ -181,6 +183,43 @@ def test_report_over_directory(tmp_path, capsys):
         assert cols[8] != "-"
 
 
+def test_report_error_row(tmp_path, capsys):
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "c6.graph").write_text(serialize_graph(cycle_graph(6)))
+    split = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    (d / "split.graph").write_text(serialize_graph(split))
+    assert main(["report", str(d)]) == 2
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("c6.graph", "ok"),
+        ("split.graph", "error:NotConnectedError"),
+    ]
+    assert rows[1][4:8] == ["-", "-", "-", "-"]
+
+
+def test_report_bound_missed_row(tmp_path, capsys, monkeypatch):
+    def missed(g):
+        raise BoundMissedError(tuple(range(g.n)), 9, 2, "forced")
+
+    monkeypatch.setattr(idcodes.cli, "construct_triangle_free", missed)
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "p6.graph").write_text(serialize_graph(path_graph(6)))
+    assert main(["report", str(d)]) == 2
+    row = capsys.readouterr().out.splitlines()[1].split()
+    # code_size, bound_num, bound_den, slack (2*6 - 9), gamma, status
+    assert row[4:] == ["6", "9", "2", "3", "4", "bound-missed"]
+
+
+def test_fallback_option_is_gone(tmp_path, capsys):
+    gp = write_graph(tmp_path, "c6.graph", cycle_graph(6))
+    with pytest.raises(SystemExit) as ei:
+        main(["construct", gp, "--fallback", "3"])
+    assert ei.value.code == 4
+    assert "unrecognized arguments: --fallback" in capsys.readouterr().err
+
+
 def test_report_empty_directory(tmp_path, capsys):
     d = tmp_path / "empty"
     d.mkdir()
@@ -203,7 +242,7 @@ def test_consecutive_calls_share_no_options(tmp_path, capsys):
     # the defaults.
     gp = write_graph(tmp_path, "c6.graph", cycle_graph(6))
     out = tmp_path / "c6.cert"
-    assert main(["construct", gp, "--fallback", "0", "--out", str(out)]) == 0
+    assert main(["construct", gp, "--out", str(out)]) == 0
     assert main(["random", "9", "--seed", "4"]) == 0
     first = capsys.readouterr().out
     assert main(["construct", gp]) == 0

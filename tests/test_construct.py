@@ -35,6 +35,7 @@ from idcodes import (
     triangle_witness,
 )
 import idcodes.construct
+import idcodes.families
 from idcodes.checks import SignatureTable
 from idcodes.construct import (
     CaseStep,
@@ -203,13 +204,6 @@ def test_bound_check_reports():
     assert rep.bound_num == 7
 
 
-def test_fallback_threshold_is_respected():
-    # Tiny threshold forces the constructive branches; certificates still hold.
-    g = random_triangle_free(18, 24, seed=123)
-    cert = construct_triangle_free(g, fallback_threshold=0)
-    check_certificate(g, cert)
-
-
 # --- triangle deletion ------------------------------------------------------
 
 
@@ -373,6 +367,52 @@ def test_split_path_component_is_rejoined():
     assert CaseStep("ClaimC", "d2: split path component rejoined") in cert.trace
     text = serialize_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == R10_3_SHA256
+
+
+# Restoring (1, 5) at level 0 leaves 1 and 7 unseparated, and a far
+# component is the star of degree 4 around 8, so the repair rebuilds it
+# through the delta >= 4 candidates of _merge_star_component.
+STAR4_MERGE = Graph(
+    13,
+    [(0, 1), (0, 7), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (3, 9),
+     (4, 7), (5, 6), (5, 7), (8, 9), (8, 10), (8, 11), (8, 12)],
+)
+STAR4_MERGE_SHA256 = (
+    "4f6927b4a6720d1b8273779200155e6c6058a023046b54f67333a924da7e27ac"
+)
+
+
+def test_star_component_merged_at_delta_four():
+    cert = construct_triangle_free(STAR4_MERGE)
+    check_certificate(STAR4_MERGE, cert)
+    assert cert.delta == 4
+    assert cert.code == (0, 1, 3, 4, 5, 6, 8, 11, 12)
+    assert cert.trace[-1] == CaseStep(
+        "ClaimC", "d0: star component rebuilt around leaf 9"
+    )
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == STAR4_MERGE_SHA256
+
+
+def test_catalog_member_is_matched_once(monkeypatch):
+    # The level-0 match also gives the certificate its family field.
+    entry = make_family(FamilyId("T6"))
+    perm = list(range(entry.graph.n))
+    random.Random(3).shuffle(perm)
+    g = Graph(entry.graph.n, [(perm[u], perm[v]) for u, v in entry.graph.edges])
+    calls = []
+    match = idcodes.families.match_family
+
+    def counting(h, delta):
+        calls.append((h.n, delta))
+        return match(h, delta)
+
+    monkeypatch.setattr(idcodes.families, "match_family", counting)
+    monkeypatch.setattr(idcodes.construct, "match_family", counting)
+    cert = construct_triangle_free(g)
+    check_certificate(g, cert)
+    assert cert.family == FamilyId("T6")
+    assert calls == [(13, 3)]
 
 
 def test_repair_without_a_case_raises(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -127,6 +128,17 @@ def test_induced_subgraph_adjacency():
         for i in range(sub.n):
             for j in range(i + 1, sub.n):
                 assert sub.has_edge(i, j) == g.has_edge(back[i], back[j])
+
+
+def test_induced_subgraph_is_linear():
+    # The kept set is built once: dropping one end of a path of 6,000
+    # vertices took over a second when it was rebuilt per vertex.
+    g = path(6000)
+    start = time.perf_counter()
+    sub, back = induced_subgraph(g, range(1, 6000))
+    elapsed = time.perf_counter() - start
+    assert (sub.n, sub.m) == (5999, 5998) and back[0] == 1
+    assert elapsed < 0.25
 
 
 def test_bridges_characterisation():
