@@ -907,6 +907,12 @@ def construct_triangle_free(g: Graph) -> Certificate:
     code, or a code that fails the final check, raises GuaranteeError.
     """
     _validate_construct_input(g)
+    return _construct_checked(g)
+
+
+def _construct_checked(g: Graph) -> Certificate:
+    """construct_triangle_free on an input already known to be connected
+    and triangle-free, with at least three vertices."""
     steps: list[CaseStep] = []
     hit = _catalog_match(g)
     code = _build(g, hit, steps, 0)
@@ -1007,7 +1013,7 @@ def construct_near_triangle_free(
         )
     if not is_connected(gt):
         raise InvalidDeletionSetError("deletion set disconnects the graph")
-    sub = construct_triangle_free(gt)
+    sub = _construct_checked(gt)
     steps = list(sub.trace)
     base = set(sub.code)
     t = len(edge_set)

@@ -7,23 +7,29 @@ lexicographically first unseparated pair), trying each candidate resolver in
 ascending order with sibling exclusion, and prunes with a greedy packing of
 pairwise disjoint resolver sets (each one needs its own new code vertex).
 
-Each node gets the partition of X by code signature from its parent: the
-mask U of undominated X-vertices and the masks of the signature classes
-with two or more members. The child that adds w clears N[w] from U and
-splits every class by N[w]. The packing walks the violations once, in
-branching order, and returns as soon as the bound prunes or a violation
-has no usable resolver; either way the node is cut, as with the full list.
+Each node gets from its parent the resolver sets of its violations, in
+branching order, so the first set is the one it branches on. The child that
+adds w keeps the sets that do not hold w: w resolves exactly the others,
+and adding a vertex never opens a violation. The packing takes the sets
+smallest first, by a stable sort so that ties keep branching order, and
+stops as soon as the bound prunes; a violation with no usable resolver cuts
+the node. Taking small sets first leaves room for more disjoint ones than
+branching order does. Any such packing is a valid bound, so a tighter one
+prunes only subtrees that hold no code smaller than the incumbent, and the
+search finds the same incumbents in the same order.
 
-Greedy completion, which sets the first incumbent, adds the candidate w
-that settles the most violations, the lowest on a tie. Read off the
-partition, w settles |N[w] & U| + sum over classes C of k * (|C| - k)
-violations, where k = |N[w] & C|.
+Greedy completion, which sets the first incumbent, keeps the partition of X
+by code signature: the mask U of undominated X-vertices and the masks of
+the signature classes with two or more members. It adds the candidate w
+that settles the most violations, the lowest on a tie, then clears N[w]
+from U and splits every class by N[w]. Read off the partition, w settles
+|N[w] & U| + sum over classes C of k * (|C| - k) violations, where
+k = |N[w] & C|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .checks import is_identifying
@@ -36,9 +42,10 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _groups,
     _mask_of,
+    _pairs,
     closed_neighborhood_masks,
-    find_closed_twins,
     linear_order,
 )
 
@@ -79,7 +86,8 @@ def _bits(mask: int) -> list[int]:
 class _Search:
     """One branch-and-bound run over a fixed (X, Y) instance.
 
-    A node's violations are kept as a partition of X by code signature:
+    A search node holds the resolver sets of its violations, in branching
+    order. Greedy completion works on the partition of X by code signature:
     `undom` is the bitmask of X-vertices with the empty signature, and
     `groups` holds the bitmask of every signature class with two or more
     members. Adding w to the code splits each class by N[w].
@@ -138,11 +146,21 @@ class _Search:
             groups = _split(groups, masks[pick])
         return code
 
-    def _node(self, code: int, banned: int, undom: int, groups: list[int]) -> None:
+    def _violations(self, code: int) -> list[int]:
+        """The resolver set, within the candidates, of every violation of
+        code, in branching order: undominated vertices ascending, then
+        unseparated pairs in lexicographic order."""
+        masks, allowed = self.masks, self.allowed
+        groups = _groups(self.xs, [masks[x] & code for x in self.xs])
+        return [masks[x] & allowed for x in groups.get(0, ())] + [
+            (masks[a] ^ masks[b]) & allowed for a, b in _pairs(groups.values())
+        ]
+
+    def _node(self, code: int, banned: int, rs: list[int]) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _OutOfBudget
-        if not (undom or groups):
+        if not rs:
             size = code.bit_count()
             if self.best_mask is None or size < self.best_size:
                 self.best_size = size
@@ -150,64 +168,37 @@ class _Search:
                 if self.stop_first:
                     raise _FoundEnough
             return
-        masks = self.masks
-        usable = self.allowed & ~code & ~banned
-        # Branch on the first violation: the lowest undominated vertex, else
-        # the two lowest members of the class holding the lowest member.
-        if undom:
-            first = masks[(undom & -undom).bit_length() - 1]
-        else:
-            c = min(groups, key=lambda g: g & -g)
-            a = c & -c
-            b = c ^ a
-            first = masks[a.bit_length() - 1] ^ masks[(b & -b).bit_length() - 1]
-        first &= usable
-        if not first:
-            return
-        # Lower bound: greedily pack pairwise disjoint resolver sets, taking
-        # violations in branching order; stop once the bound prunes.
+        # A violation is open, so every completion adds one vertex at least:
+        # with room for one at most, no smaller code lies below.
         room = self.best_size - code.bit_count()
+        if room <= 1:
+            return
+        # An open violation's set holds no code vertex; only the excluded
+        # siblings are masked out.
+        keep = ~banned
+        usable = [r & keep for r in rs]
+        if 0 in usable:
+            return
+        # Lower bound: greedily pack pairwise disjoint resolver sets (each
+        # needs its own new code vertex), smallest set first, ties in
+        # branching order; stop once the bound prunes.
+        first = usable[0]
+        usable.sort(key=int.bit_count)
         lb = 0
         used = 0
-        rest = undom
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            r = masks[low.bit_length() - 1] & usable
-            if not r:
-                return
+        for r in usable:
             if not r & used:
                 lb += 1
                 if lb >= room:
                     return
                 used |= r
-        if groups:
-            # Pairs in lexicographic order: each member with its later
-            # partners, members ascending across all classes.
-            heap = [(c & -c, c) for c in groups]
-            heapify(heap)
-            while heap:
-                low, c = heappop(heap)
-                c ^= low
-                ma = masks[low.bit_length() - 1]
-                rest = c
-                while rest:
-                    y = rest & -rest
-                    rest ^= y
-                    r = (ma ^ masks[y.bit_length() - 1]) & usable
-                    if not r:
-                        return
-                    if not r & used:
-                        lb += 1
-                        if lb >= room:
-                            return
-                        used |= r
-                if c & (c - 1):
-                    heappush(heap, (c & -c, c))
-        for w in _bits(first):
-            m = masks[w]
-            self._node(code | 1 << w, banned, undom & ~m, _split(groups, m))
-            banned |= 1 << w
+        # Branch on the first violation. A child keeps the violations its
+        # new vertex does not resolve, in the same order.
+        while first:
+            low = first & -first
+            first ^= low
+            self._node(code | low, banned, [r for r in rs if not r & low])
+            banned |= low
 
     def run(
         self,
@@ -238,7 +229,7 @@ class _Search:
             if greedy is not None and greedy.bit_count() <= cap:
                 return greedy, True
         try:
-            self._node(required, 0, *self._partition(required))
+            self._node(required, 0, self._violations(required))
         except _OutOfBudget:
             return self.best_mask, False
         except _FoundEnough:
@@ -286,6 +277,16 @@ def _prepare(
     return masks, xs, _mask_of(ys)
 
 
+def _prepare_identifiable(g: Graph) -> tuple[list[int], list[int], int]:
+    """_prepare for X = Y = V, raising NotIdentifiableError with the smallest
+    closed twin pair when g has one."""
+    masks, xs, allowed = _prepare(g, None, None)
+    twins = _pairs(_groups(xs, masks).values())
+    if twins:
+        raise NotIdentifiableError(twins[0])
+    return masks, xs, allowed
+
+
 def _minimum(
     masks: list[int], xs: list[int], allowed: int, required: int, node_budget: int
 ) -> ExactResult:
@@ -308,10 +309,7 @@ def gamma_id_exact(
     A blown node budget yields ExactResult(optimal=False) holding the best
     verified code found.
     """
-    twins = find_closed_twins(g)
-    if twins:
-        raise NotIdentifiableError(twins[0])
-    masks, xs, allowed = _prepare(g, None, None)
+    masks, xs, allowed = _prepare_identifiable(g)
     return _minimum(masks, xs, allowed, 0, node_budget)
 
 
@@ -345,10 +343,7 @@ def min_identifying_containing(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExactResult:
     """Minimum identifying code forced to contain the given vertices."""
-    twins = find_closed_twins(g)
-    if twins:
-        raise NotIdentifiableError(twins[0])
-    masks, xs, allowed = _prepare(g, None, None)
+    masks, xs, allowed = _prepare_identifiable(g)
     return _minimum(masks, xs, allowed, _mask_of(required), node_budget)
 
 
@@ -360,10 +355,7 @@ def identifying_code_at_most(
     Raises SearchBudgetError when the budget runs out undecided, and
     NotIdentifiableError when the graph has closed twins.
     """
-    twins = find_closed_twins(g)
-    if twins:
-        raise NotIdentifiableError(twins[0])
-    masks, xs, allowed = _prepare(g, None, None)
+    masks, xs, allowed = _prepare_identifiable(g)
     search = _Search(masks, xs, allowed)
     best, done = search.run(0, node_budget, cap=cap, stop_first=True)
     if best is None and not done:

@@ -186,11 +186,10 @@ def test_criterion_6_random_triangle_free_stress():
         assert cert.verified
         assert is_identifying(g, cert.code)
         assert cert.bound_den * len(cert.code) <= cert.bound_num
-        if n <= 16:
-            gamma = gamma_id_exact(g).size
-            assert gamma <= len(cert.code)
-            assert cert.bound_den * gamma <= cert.bound_num
-            exact_confirmed += 1
+        gamma = gamma_id_exact(g).size
+        assert gamma <= len(cert.code)
+        assert cert.bound_den * gamma <= cert.bound_num
+        exact_confirmed += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     print(

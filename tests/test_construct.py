@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import time
 
 import pytest
 
@@ -394,6 +395,40 @@ def test_star_component_merged_at_delta_four():
     assert hashlib.sha256(text.encode()).hexdigest() == STAR4_MERGE_SHA256
 
 
+# Four catalog trees glued by edges between vertices of degree at most 2:
+# the greedy tree code has 39 vertices against a cap of 38, so the capped
+# exact search of _tree_code runs.
+GLUED_TREE = Graph(
+    58,
+    [(0, 1), (0, 4), (0, 7), (1, 2), (1, 3), (2, 10), (2, 13), (3, 16),
+     (4, 5), (4, 6), (7, 8), (7, 9), (10, 11), (10, 12), (11, 25), (12, 43),
+     (13, 14), (13, 15), (16, 17), (16, 18), (19, 20), (19, 29), (20, 21),
+     (20, 22), (21, 23), (22, 26), (22, 50), (23, 24), (23, 25), (26, 27),
+     (26, 28), (29, 30), (29, 31), (32, 33), (32, 36), (32, 39), (33, 34),
+     (33, 35), (34, 42), (34, 45), (36, 37), (36, 38), (39, 40), (39, 41),
+     (42, 43), (42, 44), (45, 46), (45, 47), (48, 49), (48, 52), (48, 55),
+     (49, 50), (49, 51), (52, 53), (52, 54), (55, 56), (55, 57)],
+)
+GLUED_TREE_SHA256 = (
+    "999de7294071c1c1806bccd8b3e256e845ab2a84395a0930d2c2fbbf7dd24230"
+)
+
+
+@pytest.mark.slow
+def test_glued_tree_capped_search_within_a_minute():
+    t0 = time.perf_counter()
+    cert = construct_triangle_free(GLUED_TREE)
+    elapsed = time.perf_counter() - t0
+    check_certificate(GLUED_TREE, cert)
+    assert len(cert.code) == 38
+    assert cert.trace[-1] == CaseStep(
+        "ExactFallback", "d0: capped search shrank tree code to 38"
+    )
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == GLUED_TREE_SHA256
+    assert elapsed < 60.0
+
+
 def test_catalog_member_is_matched_once(monkeypatch):
     # The level-0 match also gives the certificate its family field.
     entry = make_family(FamilyId("T6"))
@@ -413,6 +448,24 @@ def test_catalog_member_is_matched_once(monkeypatch):
     check_certificate(g, cert)
     assert cert.family == FamilyId("T6")
     assert calls == [(13, 3)]
+
+
+def test_near_construct_checks_the_remainder_once(monkeypatch):
+    # The triangle-free remainder of the net (6 vertices, 5 edges) is
+    # checked by construct_near_triangle_free alone, not again inside.
+    calls = {"triangle_witness": [], "is_connected": []}
+    for name, seen in calls.items():
+        real = getattr(idcodes.construct, name)
+
+        def counting(h, real=real, seen=seen):
+            seen.append((h.n, len(h.edges)))
+            return real(h)
+
+        monkeypatch.setattr(idcodes.construct, name, counting)
+    g = net()
+    check_certificate(g, construct_near_triangle_free(g))
+    assert calls["triangle_witness"].count((6, 5)) == 1
+    assert calls["is_connected"].count((6, 5)) == 1
 
 
 def test_repair_without_a_case_raises(monkeypatch):

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import pytest
 
+import idcodes.exact
+import idcodes.graphs
 import oracles
 from idcodes import (
     EdgeAdditionError,
@@ -214,3 +216,32 @@ def test_odd_cycle_plus_chord_rejections():
     with pytest.raises(EdgeAdditionError) as ei:
         odd_cycle_plus_chord_code(9, (0, 2))
     assert ei.value.reason == "triangle"
+
+
+def test_entry_points_build_the_masks_once(monkeypatch):
+    calls = []
+    real = idcodes.graphs.closed_neighborhood_masks
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(idcodes.graphs, "closed_neighborhood_masks", counting)
+    monkeypatch.setattr(idcodes.exact, "closed_neighborhood_masks", counting)
+    # Closed twins {1, 2} and {0, 5}: the witness is the smallest pair, not
+    # the first repeat a scan in vertex order meets.
+    twins = Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (0, 4), (0, 5), (4, 5)])
+    entries = (
+        gamma_id_exact,
+        lambda g: min_identifying_containing(g, (0,)),
+        lambda g: identifying_code_at_most(g, 4),
+    )
+    for run in entries:
+        calls.clear()
+        run(path(7))
+        assert calls == [7]
+        calls.clear()
+        with pytest.raises(NotIdentifiableError) as err:
+            run(twins)
+        assert err.value.twins == (0, 5)
+        assert calls == [6]
