@@ -7,7 +7,7 @@ purpose; only use at small sizes.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 
 def neighborhoods(n: int, edges) -> list[set[int]]:
@@ -107,54 +107,59 @@ def connected(n: int, edges) -> bool:
 
 
 def automorphism_count(n: int, edges) -> int:
-    """Number of adjacency-preserving permutations, by brute force."""
-    eset = {(min(u, v), max(u, v)) for u, v in edges}
-    count = 0
-    for perm in permutations(range(n)):
-        mapped = {
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in eset
-        }
-        if mapped == eset:
-            count += 1
-    return count
+    """Number of adjacency-preserving permutations, by backtracking: vertex
+    v takes each unused image whose adjacency to the images of 0..v-1
+    matches v's own, so every complete extension is an automorphism."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    image: list[int] = []
+    free = set(range(n))
+
+    def extend(v: int) -> int:
+        if v == n:
+            return 1
+        count = 0
+        for w in sorted(free):
+            if all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
+                image.append(w)
+                free.remove(w)
+                count += extend(v + 1)
+                free.add(w)
+                image.pop()
+        return count
+
+    return extend(0)
 
 
 def connected_triangle_free_graphs(n: int):
     """All labeled connected triangle-free graphs on n vertices, as sorted
-    edge tuples, in increasing bitmask order over the sorted pair list."""
+    edge tuples. The pairs are decided depth first in sorted order, taking
+    a pair before leaving it out, so the graphs come in descending
+    lexicographic order of their 0/1 vectors over the sorted pair list. A
+    pair joins only if its ends share no neighbour, and a branch ends once
+    the undecided pairs are too few to complete a spanning tree."""
     pairs = list(combinations(range(n), 2))
-    npairs = len(pairs)
-    ubit = [1 << u for u, _ in pairs]
-    vbit = [1 << v for _, v in pairs]
-    full = (1 << n) - 1
-    for mask in range(1 << npairs):
-        if mask.bit_count() < n - 1:
-            continue
-        adj = [0] * n
-        m = mask
-        tri = False
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            u, v = pairs[i]
-            if adj[u] & adj[v]:
-                tri = True
-                break
-            adj[u] |= vbit[i]
-            adj[v] |= ubit[i]
-        if tri:
-            continue
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                w = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                nxt |= adj[w]
-            frontier = nxt & ~seen
-            seen |= nxt
-        if seen != full:
-            continue
-        yield tuple(pairs[i] for i in range(npairs) if mask >> i & 1)
+    adj = [0] * n
+    chosen: list[tuple[int, int]] = []
+
+    def extend(i: int, missing: int):
+        if len(pairs) - i < missing:
+            return
+        if i == len(pairs):
+            if connected(n, chosen):
+                yield tuple(chosen)
+            return
+        u, v = pairs[i]
+        if not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            chosen.append((u, v))
+            yield from extend(i + 1, missing - 1)
+            chosen.pop()
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        yield from extend(i + 1, missing)
+
+    yield from extend(0, n - 1)
