@@ -113,6 +113,7 @@ def is_xy_identifying(
     """
     code_set = sorted(set(code))
     y_set = set(y)
+    _as_mask(y_set, g.n, "candidate")
     stray = [c for c in code_set if c not in y_set]
     if stray:
         raise ValueError(f"code vertices {stray} are not in the candidate set Y")

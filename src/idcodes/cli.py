@@ -268,7 +268,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             slack = bound_den * size - bound_num
             status = "bound-missed"
             worst = EXIT_BOUND_MISSED
-        except IdCodeError as e:
+        except (IdCodeError, ValueError) as e:
             status = f"error:{type(e).__name__}"
             worst = EXIT_BOUND_MISSED
         gamma: int | None = None

@@ -64,9 +64,7 @@ from .errors import (
     InvalidDeletionSetError,
     NotConnectedError,
     NotIdentifiableError,
-    NotSeparableError,
     NotTriangleFreeError,
-    NotYIdentifiableError,
     SearchBudgetError,
 )
 from .exact import (
@@ -126,9 +124,6 @@ class CaseStep:
 
     label: str
     detail: str = ""
-
-    def __str__(self) -> str:
-        return f"{self.label}: {self.detail}" if self.detail else self.label
 
 
 @dataclass(frozen=True)
@@ -260,11 +255,9 @@ def _certificate(
 
 
 def _fmt_pairs(pairs: tuple[tuple[int, int], ...]) -> str:
-    if not pairs:
-        return "none"
-    if len(pairs) <= 4:
-        return ",".join(f"({a},{b})" for a, b in pairs)
-    return f"{len(pairs)} pairs"
+    # Restoring an edge uv to an identifying code moves only u and v, each
+    # into a group that held at most one vertex: at most 3 pairs break.
+    return ",".join(f"({a},{b})" for a, b in pairs) or "none"
 
 
 def _greedy_complete(g: Graph, base: set[int]) -> set[int]:
@@ -385,24 +378,16 @@ def _chorded_two_regular(
                 )
             )
             return {order[i] for i in pattern}
-        evens = set(range(0, n, 2))
-        odds = set(range(1, n, 2))
         # Chord between two odd positions keeps the even class certifying
         # and vice versa; a mixed chord works with either.
-        first = odds if (a % 2 == 0 and b % 2 == 0) else evens
-        for pattern in (first, evens if first is odds else odds):
-            cand = {order[i] for i in pattern}
-            if is_identifying(g, cand):
-                steps.append(
-                    CaseStep(
-                        STEP_DELTA2_CYCLE,
-                        f"d{depth}: even cycle of {n} plus chord, alternating code",
-                    )
-                )
-                return cand
-        raise GuaranteeError(
-            f"d{depth}: no alternating code of the even cycle of {n} plus chord"
+        parity = 1 if (a % 2 == 0 and b % 2 == 0) else 0
+        steps.append(
+            CaseStep(
+                STEP_DELTA2_CYCLE,
+                f"d{depth}: even cycle of {n} plus chord, alternating code",
+            )
         )
+        return {order[i] for i in range(parity, n, 2)}
     # Path plus a chord.
     if n <= _EXACT_MAX_N:
         res = gamma_id_exact(g)
@@ -433,26 +418,28 @@ def _chorded_two_regular(
     )
 
 
+def _case_code(g: Graph, code: set[int], case: str, depth: int) -> set[int]:
+    """code, when it identifies g; else GuaranteeError naming the repair
+    case whose template code is."""
+    if not is_identifying(g, code):
+        raise GuaranteeError(f"d{depth}: the {case} template does not identify")
+    return code
+
+
 def _whole_boundary_code(
     g: Graph, bd: BoundaryDecomposition, steps: list[CaseStep], depth: int
-) -> set[int] | None:
-    """Every vertex is within distance one of the removed edge: all but one
-    neighbour on each side certifies (n <= 2*delta makes the bound work)."""
-    us: tuple[int | None, ...] = bd.near_u or (None,)
-    vs: tuple[int | None, ...] = bd.near_v or (None,)
-    for up in us:
-        for vp in vs:
-            drop = {x for x in (up, vp) if x is not None}
-            cand = set(range(g.n)) - drop
-            if is_identifying(g, cand):
-                steps.append(
-                    CaseStep(
-                        STEP_CLAIM_A,
-                        f"d{depth}: all vertices except {sorted(drop)}",
-                    )
-                )
-                return cand
-    return None
+) -> set[int]:
+    """Every vertex is within distance one of the removed edge uv: all but
+    the lowest neighbour on each side (n <= 2*delta makes the bound work).
+
+    As g is triangle-free, dropping any neighbour of u and any neighbour of
+    v leaves a code when n >= 5; n = 4 is C4, which the descent codes as a
+    cycle. uv is not a bridge, so neither side is empty.
+    """
+    drop = sorted((bd.near_u[0], bd.near_v[0]))
+    code = _case_code(g, set(range(g.n)) - set(drop), STEP_CLAIM_A, depth)
+    steps.append(CaseStep(STEP_CLAIM_A, f"d{depth}: all vertices except {drop}"))
+    return code
 
 
 def _star_shape(sub: Graph) -> int | None:
@@ -472,20 +459,19 @@ def _merge_star_component(
     center: int,
     steps: list[CaseStep],
     depth: int,
-) -> set[int] | None:
+) -> set[int]:
     """Remove an exceptional star component except one attachment leaf,
     recurse, then put the star back using its centre and all but one of the
-    remaining leaves (degree-3 case: two-vertex variants)."""
+    remaining leaves (degree-3 case: two-vertex variants).
+
+    The star has delta leaves, so its centre has no edge outside it and a
+    leaf attaches it; the rest of g stays connected around the edge.
+    """
     delta = g.max_degree()
     leaves = sorted(set(comp) - {center})
     boundary = set(bd.boundary)
-    receivers = [l for l in leaves if g.adj[l] & boundary]
-    if not receivers:
-        return None
-    xd = receivers[0]
+    xd = min(l for l in leaves if g.adj[l] & boundary)
     g2, o2n = delete(g, vertices=sorted(set(comp) - {xd}))
-    if g2.n < 3 or not is_connected(g2):
-        return None
     sub_steps: list[CaseStep] = []
     c2 = _build(g2, _catalog_match(g2), sub_steps, depth + 1)
     n2o = {nn: oo for oo, nn in o2n.items()}
@@ -508,7 +494,9 @@ def _merge_star_component(
                 )
             )
             return cand
-    return None
+    raise GuaranteeError(
+        f"d{depth}: no {STEP_CLAIM_C} star template around leaf {xd} identifies"
+    )
 
 
 def _merge_path4_component(
@@ -516,13 +504,12 @@ def _merge_path4_component(
     comp_order: tuple[int, ...],
     steps: list[CaseStep],
     depth: int,
-) -> set[int] | None:
-    """Exceptional P4 component whose endpoints have no boundary neighbour:
-    cut off its far half, recurse, and re-attach two vertices."""
+) -> set[int]:
+    """Exceptional P4 component x1-x2-x3-x4 whose endpoints have no
+    boundary neighbour, and x2 has one: cut off its far half, recurse, and
+    re-attach two vertices. x1 hangs on x2, so the rest stays connected."""
     x1, x2, x3, x4 = comp_order
     gf, o2n = delete(g, vertices=[x3, x4])
-    if gf.n < 3 or not is_connected(gf):
-        return None
     sub_steps: list[CaseStep] = []
     cf = _build(gf, _catalog_match(gf), sub_steps, depth + 1)
     n2o = {nn: oo for oo, nn in o2n.items()}
@@ -531,13 +518,12 @@ def _merge_path4_component(
         cand = base | {x3}
     else:
         cand = (base - {x1}) | {x2, x3}
-    if is_identifying(g, cand):
-        steps.extend(sub_steps)
-        steps.append(
-            CaseStep(STEP_CLAIM_C, f"d{depth}: split path component rejoined")
-        )
-        return cand
-    return None
+    code = _case_code(g, cand, f"{STEP_CLAIM_C} path", depth)
+    steps.extend(sub_steps)
+    steps.append(
+        CaseStep(STEP_CLAIM_C, f"d{depth}: split path component rejoined")
+    )
+    return code
 
 
 def _merge_family_component(
@@ -548,7 +534,7 @@ def _merge_family_component(
     back: tuple[int, ...],
     steps: list[CaseStep],
     depth: int,
-) -> set[int] | None:
+) -> set[int]:
     """An exceptional far component would break the per-part budget; absorb
     part of it into the rest of the graph before recursing."""
     center = _star_shape(sub)
@@ -563,27 +549,18 @@ def _merge_family_component(
             g.adj[order[3]] & boundary
         ):
             oriented = order if g.adj[order[1]] & boundary else order[::-1]
-            code = _merge_path4_component(g, oriented, steps, depth)
-            if code is not None:
-                return code
+            return _merge_path4_component(g, oriented, steps, depth)
     # Remove an induced path on three vertices whose removal keeps the rest
-    # connected, recurse, then add two of the three back.
+    # connected, recurse, then add two of the three back. The rest holds
+    # the edge's closed neighbourhood, so it has at least 4 vertices.
     comp_set = set(comp)
-    attempts: list[tuple[int, int, int]] = []
     for mid in sorted(comp_set):
-        nbrs = sorted(g.adj[mid] & comp_set)
-        for a, b in combinations(nbrs, 2):
-            attempts.append((a, mid, b))
-    for allow_family_rest in (False, True):
-        for a, mid, b in attempts:
+        for a, b in combinations(sorted(g.adj[mid] & comp_set), 2):
             g3, o2n = delete(g, vertices=[a, mid, b])
-            if g3.n < 3 or not is_connected(g3):
-                continue
-            hit3 = _catalog_match(g3)
-            if not allow_family_rest and hit3 is not None and g3.max_degree() >= 3:
+            if not is_connected(g3):
                 continue
             sub_steps: list[CaseStep] = []
-            c3 = _build(g3, hit3, sub_steps, depth + 1)
+            c3 = _build(g3, _catalog_match(g3), sub_steps, depth + 1)
             n2o = {nn: oo for oo, nn in o2n.items()}
             base = {n2o[x] for x in c3}
             for extra in ((a, b), (a, mid), (mid, b)):
@@ -597,79 +574,67 @@ def _merge_family_component(
                         )
                     )
                     return cand
-    return None
+    raise GuaranteeError(
+        f"d{depth}: no {STEP_CLAIM_C} path of the far component {list(comp)} "
+        "can be absorbed"
+    )
 
 
 def _hub_code(hub: Graph, hu: int, hv: int, delta: int) -> tuple[set[int], str]:
     """Code of the hub (boundary plus small far components), containing both
     ends of the removed edge.
 
-    Template family: keep everything except a deterministic subset of the
-    small-component vertices and up to two boundary vertices, preferring
-    boundary vertices that a greedy (Z, A)-code leaves out. No template
-    within the bound raises GuaranteeError.
+    Template: everything except a representative set of the small-component
+    vertices and up to two boundary vertices, preferring boundary vertices
+    that a greedy (Z, A)-code leaves out. No template within the bound
+    raises GuaranteeError.
     """
     a_set = (hub.adj[hu] | hub.adj[hv]) - {hu, hv}
     a_sorted = sorted(a_set)
-    b_all = sorted(set(range(hub.n)) - a_set - {hu, hv})
+    # The small components have one or two vertices. Each vertex is grouped
+    # by its neighbourhood in A, a vertex with none (a loose one) by its
+    # partner's, which is then a direct member of the same group.
     groups: dict[frozenset[int], list[int]] = {}
-    for b in b_all:
-        direct = hub.adj[b] & a_set
-        if direct:
-            key = frozenset(direct)
+    for b in sorted(set(range(hub.n)) - a_set - {hu, hv}):
+        if hub.adj[b] & a_set:
+            anchor = b
+        elif len(hub.adj[b]) == 1:
+            (anchor,) = hub.adj[b]
         else:
-            partners = hub.adj[b]  # single neighbour inside its component
-            if len(partners) != 1:
-                raise GuaranteeError(f"hub vertex {b} has no anchor")
-            key = frozenset(hub.adj[min(partners)] & a_set)
-        groups.setdefault(key, []).append(b)
+            raise GuaranteeError(f"hub vertex {b} has no anchor")
+        groups.setdefault(frozenset(hub.adj[anchor] & a_set), []).append(b)
     b_star: set[int] = set()
     reps: list[int] = []
     for key in sorted(groups, key=sorted):
         members = groups[key]
-        member_set = set(members)
         direct = [b for b in members if hub.adj[b] & a_set]
         loose = [b for b in members if not (hub.adj[b] & a_set)]
         if len(loose) > len(direct):
             raise GuaranteeError(f"unanchored small component in {members}")
         b_star.update(loose)
         if len(loose) < len(direct):
-            # One extra representative: prefer a member with no partner
-            # inside the group at all, then one not partnering the loose set.
-            lonely = [b for b in direct if not (hub.adj[b] & member_set)]
-            loose_partners = {min(hub.adj[b]) for b in loose}
-            pool = lonely or [b for b in direct if b not in loose_partners]
-            b_star.add(min(pool or direct))
+            # One extra representative with no partner in the group. Two
+            # partnered direct members would close a triangle with A, so
+            # in a triangle-free hub the partnered ones are the loose
+            # members' partners, and one is left over.
+            lonely = [b for b in direct if not (hub.adj[b] & set(members))]
+            if not lonely:
+                raise GuaranteeError(f"no unpartnered member in {members}")
+            b_star.add(min(lonely))
         reps.append(min(direct))
-    a_star: frozenset[int] = frozenset()
-    if reps:
-        try:
-            a_star = frozenset(
-                greedy_xy_identifying(hub, sorted(reps), a_sorted)
-            )
-        except (NotSeparableError, NotYIdentifiableError):
-            a_star = frozenset()
+    # Each representative's group is keyed by its own neighbourhood in A,
+    # so A dominates the representatives and separates every pair of them.
+    a_star = frozenset(greedy_xy_identifying(hub, reps, a_sorted))
     singles = sorted(a_sorted, key=lambda x: (x in a_star, x))
     pairs = sorted(
         combinations(a_sorted, 2),
         key=lambda p: (sum(1 for x in p if x in a_star), p),
     )
-    drops: list[tuple[int, ...]] = [()]
-    drops.extend((x,) for x in singles)
-    drops.extend(pairs)
-    removals = (
-        ("representative", b_star),
-        ("all-small", set(b_all)),
-        ("nothing", set()),
-    )
-    everything = set(range(hub.n))
-    for rname, removed in removals:
-        for s in drops:
-            cand = everything - removed - set(s)
-            if delta * len(cand) > (delta - 1) * hub.n:
-                continue
-            if is_identifying(hub, cand):
-                return cand, f"template {rname} minus {list(s)}"
+    kept = set(range(hub.n)) - b_star
+    for s in [(), *((x,) for x in singles), *pairs]:
+        cand = kept - set(s)
+        if delta * len(cand) <= (delta - 1) * hub.n and is_identifying(hub, cand):
+            return cand, f"template representative minus {list(s)}"
     raise GuaranteeError(f"no hub template within the bound around ({hu},{hv})")
 
 
@@ -678,7 +643,7 @@ def _assemble(
     bd: BoundaryDecomposition,
     steps: list[CaseStep],
     depth: int,
-) -> set[int] | None:
+) -> set[int]:
     """Hub-and-components assembly: code the hub with both edge ends forced
     in, code each large far component recursively, take the union."""
     small = set(bd.isolated) | {x for p in bd.pair_components for x in p}
@@ -698,16 +663,15 @@ def _assemble(
                 f"d{depth}: far component of {len(comp)} coded with {len(ck)}",
             )
         )
-    if is_identifying(g, total):
-        steps.append(
-            CaseStep(
-                STEP_G_STAR,
-                f"d{depth}: hub of {hub.n} vertices, {how}",
-            )
+    code = _case_code(g, total, STEP_G_STAR, depth)
+    steps.append(
+        CaseStep(
+            STEP_G_STAR,
+            f"d{depth}: hub of {hub.n} vertices, {how}",
         )
-        steps.extend(sub_steps)
-        return total
-    return None
+    )
+    steps.extend(sub_steps)
+    return code
 
 
 def _repair(
@@ -717,15 +681,17 @@ def _repair(
     steps: list[CaseStep],
     depth: int,
 ) -> set[int]:
-    """The recursion's code fails on g with e restored; fix it."""
+    """The recursion's code fails on g with e restored; fix it.
+
+    A small addition around the restored edge comes first: it reuses the
+    recursion's work and usually suffices. Otherwise the paper's case
+    split picks one template: ClaimA when no vertex is far from the edge,
+    ClaimC when a large far component is a catalog member, G* else.
+    """
     u, v = e
     delta = g.max_degree()
     budget = (delta - 1) * g.n  # g is never a family member here
-    # Small additions around the restored edge first: they reuse the
-    # recursion's work and usually suffice.
-    quick: list[tuple[int, ...]] = [(u,), (v,), (u, v)]
-    quick.extend((u, y) for y in sorted(g.adj[v] - {u}))
-    quick.extend((v, x) for x in sorted(g.adj[u] - {v}))
+    quick = [(u,), (v,), *((u, y) for y in sorted(g.adj[v] - {u}))]
     for extra in quick:
         cand = set(c1) | set(extra)
         if delta * len(cand) <= budget and is_identifying(g, cand):
@@ -738,20 +704,12 @@ def _repair(
             return cand
     bd = boundary_decomposition(g, u, v)
     if not bd.far:
-        code = _whole_boundary_code(g, bd, steps, depth)
-        if code is not None:
-            return code
+        return _whole_boundary_code(g, bd, steps, depth)
     for comp in bd.large_components:
         sub, back = induced_subgraph(g, comp)
-        if match_family(sub, delta) is None:
-            continue
-        code = _merge_family_component(g, bd, comp, sub, back, steps, depth)
-        if code is not None:
-            return code
-    code = _assemble(g, bd, steps, depth)
-    if code is not None:
-        return code
-    raise GuaranteeError(f"d{depth}: no repair of the code with ({u},{v}) restored")
+        if match_family(sub, delta) is not None:
+            return _merge_family_component(g, bd, comp, sub, back, steps, depth)
+    return _assemble(g, bd, steps, depth)
 
 
 def _catalog_match(g: Graph) -> _Match | None:

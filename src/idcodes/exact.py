@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .checks import is_identifying
+from .checks import _as_mask, _target_list, is_identifying
 from .errors import (
     EdgeAdditionError,
     GuaranteeError,
@@ -43,7 +43,6 @@ from .errors import (
 from .graphs import (
     Graph,
     _groups,
-    _mask_of,
     _pairs,
     closed_neighborhood_masks,
     linear_order,
@@ -269,12 +268,9 @@ def _prepare(
     g: Graph, x: Iterable[int] | None, y: Iterable[int] | None
 ) -> tuple[list[int], list[int], int]:
     masks = closed_neighborhood_masks(g)
-    xs = sorted(set(range(g.n) if x is None else x))
-    ys = sorted(set(range(g.n) if y is None else y))
-    for v in xs + ys:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return masks, xs, _mask_of(ys)
+    xs = _target_list(g, x)
+    allowed = _as_mask(range(g.n) if y is None else y, g.n, "candidate")
+    return masks, xs, allowed
 
 
 def _prepare_identifiable(g: Graph) -> tuple[list[int], list[int], int]:
@@ -344,7 +340,8 @@ def min_identifying_containing(
 ) -> ExactResult:
     """Minimum identifying code forced to contain the given vertices."""
     masks, xs, allowed = _prepare_identifiable(g)
-    return _minimum(masks, xs, allowed, _mask_of(required), node_budget)
+    required_mask = _as_mask(required, g.n, "required")
+    return _minimum(masks, xs, allowed, required_mask, node_budget)
 
 
 def identifying_code_at_most(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .checks import _as_mask, _target_list
 from .errors import GuaranteeError, NotSeparableError, NotYIdentifiableError
 from .graphs import Graph, _groups, _mask_of, closed_neighborhood_masks
 
@@ -31,22 +32,19 @@ def partition_by_code(
     g: Graph, x: Iterable[int], code: Iterable[int]
 ) -> Partition:
     """Partition of X into classes of equal code signature."""
-    xs = sorted(set(x))
+    xs = _target_list(g, x)
     masks = closed_neighborhood_masks(g)
-    code_mask = _mask_of(code)
+    code_mask = _as_mask(code, g.n, "code")
     parts = _groups(xs, (masks[v] & code_mask for v in xs)).values()
     return Partition(tuple(sorted(tuple(p) for p in parts)))
 
 
-def _separating_steps(g: Graph, x: Iterable[int], y: Iterable[int]) -> list[int]:
+def _separating_steps(xs: list[int], y_mask: int, masks: list[int]) -> list[int]:
     """Chronological separator choices; raises on an inseparable pair.
 
     Selection rule: take the lexicographically smallest non-singleton block,
     then the smallest candidate separating its two smallest members.
     """
-    xs = sorted(set(x))
-    y_mask = _mask_of(sorted(set(y)))
-    masks = closed_neighborhood_masks(g)
     code_mask = 0
     chosen: list[int] = []
     while True:
@@ -68,10 +66,12 @@ def greedy_separating(
 ) -> tuple[int, ...]:
     """A Y-subset separating all pairs of X, of size at most |X| - 1.
 
-    Raises NotSeparableError with a witness pair when X is not Y-separable.
+    Raises NotSeparableError with a witness pair when X is not Y-separable,
+    and VertexRangeError for a vertex of X or Y outside the graph.
     """
-    xs = sorted(set(x))
-    chosen = _separating_steps(g, xs, y)
+    xs = _target_list(g, x)
+    y_mask = _as_mask(y, g.n, "candidate")
+    chosen = _separating_steps(xs, y_mask, closed_neighborhood_masks(g))
     if len(chosen) > max(0, len(xs) - 1):
         raise GuaranteeError(
             f"refinement took {len(chosen)} picks for |X| = {len(xs)}"
@@ -86,17 +86,19 @@ def greedy_xy_identifying(
 
     After full separation the signatures are pairwise distinct, so at most
     one X-vertex has the empty signature; one more candidate covers it.
-    Raises NotSeparableError / NotYIdentifiableError with witnesses.
+    Raises NotSeparableError / NotYIdentifiableError with witnesses, and
+    VertexRangeError for a vertex of X or Y outside the graph.
     """
-    xs = sorted(set(x))
-    chosen = _separating_steps(g, xs, y)
+    xs = _target_list(g, x)
+    y_mask = _as_mask(y, g.n, "candidate")
     masks = closed_neighborhood_masks(g)
+    chosen = _separating_steps(xs, y_mask, masks)
     code_mask = _mask_of(chosen)
     bare = [v for v in xs if masks[v] & code_mask == 0]
     if len(bare) > 1:
         raise GuaranteeError(f"undominated vertices {bare} after separation")
     if bare:
-        cands = masks[bare[0]] & _mask_of(sorted(set(y)))
+        cands = masks[bare[0]] & y_mask
         if cands == 0:
             raise NotYIdentifiableError(
                 bare[0], "no candidate dominates the witness"

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from idcodes import (
     Graph,
+    VertexRangeError,
     Violation,
     code_neighborhood,
     is_dominating,
@@ -102,6 +103,8 @@ def test_is_xy_identifying():
     assert not is_xy_identifying(g, (0, 1, 2, 3), (0, 1, 2, 3), (0, 2))
     with pytest.raises(ValueError):
         is_xy_identifying(g, (0, 1), (0, 1), (0, 3))  # 3 outside Y
+    with pytest.raises(VertexRangeError, match="candidate vertex 9"):
+        is_xy_identifying(g, (0, 1), (1, 2, 9), (1, 2))
 
 
 def test_is_xy_identifying_matches_bruteforce():

@@ -198,6 +198,23 @@ def test_report_error_row(tmp_path, capsys):
     assert rows[1][4:8] == ["-", "-", "-", "-"]
 
 
+def test_report_value_error_rows(tmp_path, capsys):
+    # Too few vertices, and a triangle (maximum degree 2), are rejected with
+    # a plain ValueError; each gets its own row and the batch goes on.
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "c6.graph").write_text(serialize_graph(cycle_graph(6)))
+    (d / "k2.graph").write_text(serialize_graph(Graph(2, [(0, 1)])))
+    (d / "k3.graph").write_text(serialize_graph(cycle_graph(3)))
+    assert main(["report", str(d)]) == 2
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("c6.graph", "ok"),
+        ("k2.graph", "error:ValueError"),
+        ("k3.graph", "error:ValueError"),
+    ]
+
+
 def test_report_bound_missed_row(tmp_path, capsys, monkeypatch):
     def missed(g):
         raise BoundMissedError(tuple(range(g.n)), 9, 2, "forced")

@@ -13,6 +13,7 @@ import oracles
 from idcodes import (
     BoundMissedError,
     Certificate,
+    EdgeError,
     Graph,
     GuaranteeError,
     InvalidDeletionSetError,
@@ -45,6 +46,8 @@ from idcodes.construct import (
     STEP_DELTA2_PATH,
     STEP_FAMILY_HIT,
     _greedy_complete,
+    _hub_code,
+    _repair,
 )
 
 KNOWN_LABELS = {
@@ -254,6 +257,17 @@ def test_near_construct_validation():
         construct_near_triangle_free(
             two_chord_hexagon(), deletions=[(0, 2)]
         )
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        construct_near_triangle_free(Graph(2, [(0, 1)]))
+    with pytest.raises(NotConnectedError):
+        construct_near_triangle_free(
+            Graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (5, 7)])
+        )
+    with pytest.raises(EdgeError, match=r"deletion \(3, 4\) is not an edge"):
+        construct_near_triangle_free(net(), deletions=[(0, 1), (4, 3)])
+    # (0, 1) breaks the triangle, but (0, 3) is the bridge to a pendant.
+    with pytest.raises(InvalidDeletionSetError, match="disconnects"):
+        construct_near_triangle_free(net(), deletions=[(0, 1), (0, 3)])
 
 
 def test_near_construct_certificate():
@@ -324,6 +338,22 @@ def test_near_construct_explicit_deletions():
         construct_near_triangle_free(g, deletions=[(0, 1), (1, 2), (0, 2)])
 
 
+# The wheel with hub 10 on the rim 0-9: the greedy deletion takes every
+# other spoke, five edges, past the brute-force range of the summary step.
+WHEEL10 = Graph(
+    11, [(i, (i + 1) % 10) for i in range(10)] + [(i, 10) for i in range(10)]
+)
+WHEEL10_SHA256 = "f3bb05c78903734d5d92e8196fc470b6f50b7151cbe8e6edf31d5e5ed000ed5b"
+
+
+def test_near_construct_with_more_than_four_deletions():
+    cert = construct_near_triangle_free(WHEEL10)
+    assert cert.verified and is_identifying(WHEEL10, cert.code)
+    assert CaseStep(STEP_COROLLARY_PATCH, "deleted 5 edges") in cert.trace
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == WHEEL10_SHA256
+
+
 def test_near_construct_on_triangle_free_input():
     g = random_triangle_free(10, 13, seed=5)
     assert g.max_degree() >= 3
@@ -368,6 +398,26 @@ def test_split_path_component_is_rejoined():
     assert CaseStep("ClaimC", "d2: split path component rejoined") in cert.trace
     text = serialize_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == R10_3_SHA256
+
+
+# Restoring (5, 6) at level 2 leaves 5 and 6 unseparated, and a far
+# component is a P4 whose ends see no boundary vertex; here the code of the
+# rest leaves out the P4's second vertex, so the first is swapped for it.
+P4_SWAP = Graph(
+    10,
+    [(0, 3), (0, 7), (1, 7), (1, 9), (2, 8), (3, 5), (3, 8), (4, 6), (4, 8),
+     (5, 6), (5, 7), (6, 9)],
+)
+P4_SWAP_SHA256 = "dcc230109b6b71d054526aa518cdf70c72a8c9c7609c1f824ddd5efe292f3434"
+
+
+def test_split_path_component_swaps_its_first_vertex():
+    cert = construct_triangle_free(P4_SWAP)
+    check_certificate(P4_SWAP, cert)
+    assert cert.code == (1, 3, 4, 5, 6, 8)
+    assert CaseStep("ClaimC", "d2: split path component rejoined") in cert.trace
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == P4_SWAP_SHA256
 
 
 # Restoring (1, 5) at level 0 leaves 1 and 7 unseparated, and a far
@@ -429,6 +479,17 @@ def test_glued_tree_capped_search_within_a_minute():
     assert elapsed < 60.0
 
 
+def test_glued_tree_rescue_out_of_budget_reports_the_greedy_code(monkeypatch):
+    # A capped search cut off by its budget leaves the greedy code, which
+    # misses the bound: the theorem surfaces as BoundMissedError.
+    monkeypatch.setattr(idcodes.construct, "_RESCUE_BUDGET", 1)
+    with pytest.raises(BoundMissedError) as ei:
+        construct_triangle_free(GLUED_TREE)
+    assert len(ei.value.code) == 39
+    assert (ei.value.bound_num, ei.value.bound_den) == (116, 3)
+    assert is_identifying(GLUED_TREE, ei.value.code)
+
+
 def test_catalog_member_is_matched_once(monkeypatch):
     # The level-0 match also gives the certificate its family field.
     entry = make_family(FamilyId("T6"))
@@ -468,13 +529,106 @@ def test_near_construct_checks_the_remainder_once(monkeypatch):
     assert calls["is_connected"].count((6, 5)) == 1
 
 
-def test_repair_without_a_case_raises(monkeypatch):
-    # The same restore with every structural case made to fail: no generic
-    # search stands in, the repair names its step and raises.
-    for name in ("_whole_boundary_code", "_merge_family_component", "_assemble"):
-        monkeypatch.setattr(idcodes.construct, name, lambda *a, **k: None)
-    with pytest.raises(GuaranteeError, match=r"d2: no repair .* \(1,8\) restored"):
-        construct_triangle_free(R10_3)
+def _repair_raises(monkeypatch, g: Graph, e: tuple[int, int], match: str) -> None:
+    """Repair g around e with every code of g itself failing the check, so
+    that no quick patch fits and the case's own template is rejected;
+    subgraphs coded on the way are checked as usual."""
+    real = idcodes.construct.is_identifying
+    monkeypatch.setattr(
+        idcodes.construct, "is_identifying", lambda h, c: h is not g and real(h, c)
+    )
+    with pytest.raises(GuaranteeError, match=match):
+        _repair(g, e, frozenset(), [], 0)
+
+
+def test_claim_a_case_raises_when_its_template_fails(monkeypatch):
+    # K_{3,3} around (0, 3): every vertex is a neighbour of 0 or 3.
+    g = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    _repair_raises(
+        monkeypatch, g, (0, 3), "d0: the ClaimA template does not identify"
+    )
+
+
+def test_claim_c_star_case_raises_when_its_templates_fail(monkeypatch):
+    _repair_raises(
+        monkeypatch, STAR4_MERGE, (1, 5), "d0: no ClaimC star template around leaf 9"
+    )
+
+
+# Around (0, 1) the far component is the path 4-5-6-7, joined to the
+# boundary at 5 only (PATH4_INNER), or at its end 4 as well (PATH4_END).
+PATH4_INNER = Graph(
+    8, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 5), (4, 5), (5, 6), (6, 7)]
+)
+PATH4_END = Graph(
+    8, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 5), (3, 4), (4, 5), (5, 6), (6, 7)]
+)
+
+
+def test_claim_c_path_case_raises_when_its_template_fails(monkeypatch):
+    _repair_raises(
+        monkeypatch,
+        PATH4_INNER,
+        (0, 1),
+        "d0: the ClaimC path template does not identify",
+    )
+
+
+def test_claim_c_absorption_raises_when_no_path_fits(monkeypatch):
+    _repair_raises(
+        monkeypatch,
+        PATH4_END,
+        (0, 1),
+        r"d0: no ClaimC path of the far component \[4, 5, 6, 7\] can be absorbed",
+    )
+
+
+# Around (0, 1): the far vertices 5 and 6 are isolated, and 8-7-9 is a path
+# of three, not a catalog member; the hub is the closed neighbourhood plus
+# 5 and 6.
+HUB_AND_PATH = Graph(
+    10,
+    [(0, 1), (0, 3), (0, 4), (1, 2), (2, 4), (3, 6), (3, 7), (4, 5), (4, 8),
+     (7, 8), (7, 9)],
+)
+
+
+def test_g_star_case_raises_when_its_union_fails(monkeypatch):
+    _repair_raises(
+        monkeypatch, HUB_AND_PATH, (0, 1), "d0: the GStar template does not identify"
+    )
+
+
+def test_hub_without_a_template_raises(monkeypatch):
+    monkeypatch.setattr(idcodes.construct, "is_identifying", lambda h, c: False)
+    with pytest.raises(GuaranteeError, match=r"no hub template .* around \(0,1\)"):
+        _repair(HUB_AND_PATH, (0, 1), frozenset(), [], 0)
+
+
+def test_hub_groups_that_the_decomposition_never_forms_raise():
+    # Hubs around (0, 1) with A = {2}. 3 and 4 both hang on 2 and on each
+    # other, which only a triangle allows; a lone 3 has no neighbour at all;
+    # the pair 3-4 has no neighbour in A.
+    hub = Graph(5, [(0, 1), (0, 2), (2, 3), (2, 4), (3, 4)])
+    with pytest.raises(GuaranteeError, match=r"no unpartnered member in \[3, 4\]"):
+        _hub_code(hub, 0, 1, 3)
+    with pytest.raises(GuaranteeError, match="hub vertex 3 has no anchor"):
+        _hub_code(Graph(4, [(0, 1), (0, 2)]), 0, 1, 3)
+    with pytest.raises(GuaranteeError, match=r"unanchored .* in \[3, 4\]"):
+        _hub_code(Graph(5, [(0, 1), (0, 2), (3, 4)]), 0, 1, 3)
+
+
+def test_level_code_that_does_not_identify_raises(monkeypatch):
+    monkeypatch.setattr(idcodes.construct, "path_identifying_code", lambda n: ())
+    with pytest.raises(GuaranteeError, match="d0: the level's code does not"):
+        construct_triangle_free(path(6))
+
+
+def test_long_path_plus_chord_without_a_code_raises(monkeypatch):
+    monkeypatch.setattr(idcodes.construct, "is_identifying", lambda h, c: False)
+    g = Graph(20, [(i, i + 1) for i in range(19)] + [(0, 5)])
+    with pytest.raises(GuaranteeError, match="no path code of 20 plus chord"):
+        construct_triangle_free(g)
 
 
 def test_bound_miss_raises_directly(monkeypatch):

@@ -16,6 +16,7 @@ from idcodes import (
     NotIdentifiableError,
     NotYIdentifiableError,
     SearchBudgetError,
+    VertexRangeError,
     cycle_identifying_code,
     gamma_id_closed_form,
     gamma_id_exact,
@@ -245,3 +246,13 @@ def test_entry_points_build_the_masks_once(monkeypatch):
             run(twins)
         assert err.value.twins == (0, 5)
         assert calls == [6]
+
+
+def test_out_of_range_vertices_are_rejected():
+    p4 = path(4)
+    with pytest.raises(VertexRangeError, match="target vertex 9"):
+        min_xy_identifying_exact(p4, [0, 9], range(4))
+    with pytest.raises(VertexRangeError, match="candidate vertex -1"):
+        min_xy_identifying_exact(p4, [0, 1], [-1, 0, 1])
+    with pytest.raises(VertexRangeError, match="required vertex 5"):
+        min_identifying_containing(path(5), [4, 5])

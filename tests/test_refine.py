@@ -10,6 +10,7 @@ import oracles
 from idcodes import (
     Graph,
     NotSeparableError,
+    VertexRangeError,
     greedy_separating,
     greedy_xy_identifying,
     is_xy_identifying,
@@ -127,3 +128,21 @@ def test_p3_greedy_within_bound_exact_is_two():
     assert len(code) <= 3
     assert is_xy_identifying(g, range(3), range(3), code)
     assert min_xy_identifying_exact(g, range(3), range(3)).size == 2
+
+
+def test_out_of_range_vertices_are_rejected():
+    # A target or candidate outside 0..n-1 is a VertexRangeError, never an
+    # IndexError or a negative index read as vertex n - 1.
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(VertexRangeError, match="target vertex 9"):
+        greedy_separating(p4, [9], [0])
+    with pytest.raises(VertexRangeError, match="candidate vertex 7"):
+        greedy_separating(p4, [0, 1], [0, 7])
+    with pytest.raises(VertexRangeError, match="target vertex -1"):
+        greedy_xy_identifying(p4, [-1, 2], [0, 1])
+    with pytest.raises(VertexRangeError, match="candidate vertex 4"):
+        greedy_xy_identifying(p4, [0, 1], [0, 1, 4])
+    with pytest.raises(VertexRangeError, match="target vertex 9"):
+        partition_by_code(p4, [0, 9], [1])
+    with pytest.raises(VertexRangeError, match="code vertex -2"):
+        partition_by_code(p4, [0, 1], [-2])
