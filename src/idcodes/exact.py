@@ -18,6 +18,28 @@ branching order does. Any such packing is a valid bound, so a tighter one
 prunes only subtrees that hold no code smaller than the incumbent, and the
 search finds the same incumbents in the same order.
 
+When the packing ends one vertex short of a cut, the node tries one
+half-integral step of the LP relaxation of the same hitting-set problem:
+a packed set P and two unpacked sets A and B whose packed vertices lie in
+P, in disjoint parts. Weight 1/2 on each of P, A and B and 1 on every other
+packed set is a fractional packing worth half a vertex more, and a
+completion is a whole number of vertices, so the node is cut. Three sets
+that pairwise meet with no vertex in all three, such as {3, 4}, {3, 9, 15}
+and {4, 9, 15}, are the typical case.
+
+The root list leaves out every violation that an earlier one dominates,
+one whose resolver set holds the set of an earlier violation: a pair of
+undominated vertices with no common candidate, and a repeated set. Any
+vertex that resolves the earlier violation resolves the later one, so the
+later one is open only while the earlier one is, and it never packs: it
+comes after the earlier one, which either packs or meets the packing, and
+holds it. Leaves, cuts, packings and half-integral steps stay the same
+(where a dropped set could be A or B, its dominator can), and the first open
+violation is never a dropped one, so the first set of the list is still the
+one the node branches on. Were the dominator later, dropping the earlier
+set would let equal-sized sets between the two pack first, and could drop
+the set a node branches on, so only earlier dominators count.
+
 Greedy completion, which sets the first incumbent, keeps the partition of X
 by code signature: the mask U of undominated X-vertices and the masks of
 the signature classes with two or more members. It adds the candidate w
@@ -86,10 +108,14 @@ class _Search:
     """One branch-and-bound run over a fixed (X, Y) instance.
 
     A search node holds the resolver sets of its violations, in branching
-    order. Greedy completion works on the partition of X by code signature:
-    `undom` is the bitmask of X-vertices with the empty signature, and
-    `groups` holds the bitmask of every signature class with two or more
-    members. Adding w to the code splits each class by N[w].
+    order, less those an earlier violation dominates (see _violations):
+    the first set is still the first open violation, the one the node
+    branches on. The bound packs disjoint sets and then tries one
+    half-integral step (see _node). Greedy completion works on the
+    partition of X by code signature: `undom` is the bitmask of X-vertices
+    with the empty signature, and `groups` holds the bitmask of every
+    signature class with two or more members. Adding w to the code splits
+    each class by N[w].
     """
 
     def __init__(self, masks: list[int], xs: list[int], allowed: int):
@@ -147,13 +173,19 @@ class _Search:
 
     def _violations(self, code: int) -> list[int]:
         """The resolver set, within the candidates, of every violation of
-        code, in branching order: undominated vertices ascending, then
-        unseparated pairs in lexicographic order."""
+        code that no earlier one dominates, in branching order: undominated
+        vertices ascending, then unseparated pairs in lexicographic order.
+
+        Dropped are a pair of undominated vertices a, b with no common
+        candidate in N[a] & N[b], whose set then holds the earlier set of a,
+        and any set equal to an earlier one."""
         masks, allowed = self.masks, self.allowed
         groups = _groups(self.xs, [masks[x] & code for x in self.xs])
-        return [masks[x] & allowed for x in groups.get(0, ())] + [
-            (masks[a] ^ masks[b]) & allowed for a, b in _pairs(groups.values())
-        ]
+        rs = [masks[x] & allowed for x in groups.get(0, ())]
+        for a, b in _pairs(groups.values()):
+            if masks[a] & code or masks[a] & masks[b] & allowed:
+                rs.append((masks[a] ^ masks[b]) & allowed)
+        return list(dict.fromkeys(rs))
 
     def _node(self, code: int, banned: int, rs: list[int]) -> None:
         self.nodes += 1
@@ -185,12 +217,36 @@ class _Search:
         usable.sort(key=int.bit_count)
         lb = 0
         used = 0
+        packed = []
         for r in usable:
             if not r & used:
                 lb += 1
                 if lb >= room:
                     return
                 used |= r
+                packed.append(r)
+        # One short: look for a packed set P and two unpacked sets A and B
+        # whose packed vertices all lie in P, in disjoint parts. Weight 1/2
+        # on P, A and B, and 1 on every other packed set, is a fractional
+        # packing of value lb + 1/2, so by LP duality every completion needs
+        # lb + 1 = room vertices. Every set meets the packing now; each one
+        # whose part lies in one packed set is filed under it (a packed set
+        # under itself, its part meeting every other), and the node is cut
+        # once two parts in one file are disjoint.
+        if lb == room - 1:
+            parts: dict[int, list[int]] = {}
+            for r in usable:
+                t = r & used
+                for p in packed:
+                    if t & p:
+                        break
+                if t & ~p:
+                    continue
+                seen = parts.setdefault(p, [])
+                for s in seen:
+                    if not s & t:
+                        return
+                seen.append(t)
         # Branch on the first violation. A child keeps the violations its
         # new vertex does not resolve, in the same order.
         while first:

@@ -3,12 +3,14 @@
 The outputs of the exact entry points are pinned by digest, twice. The
 `PINNED` records hold the node count, so those digests pin the search tree
 itself; they were recorded from the kernel that packs its bound smallest
-resolver set first. The `PINNED_CODES` digests cover the same records with
-the node counts left out, and were recorded from the kernel before it, which
-packed in branching order: the tighter bound may only shrink the tree, never
-change a completed search's code. A hypothesis property compares _Search
-with a naive copy of the kernel that rebuilt its whole violation list at
-every node and packed in branching order.
+resolver set first, then tries one half-integral step, on a root list
+without dominated violations. The `PINNED_CODES` digests cover the same
+records with the node counts left out, and were recorded from an older
+kernel, which packed in branching order and had no half-integral step: a
+tighter bound may only shrink the tree, never change a completed search's
+code. A hypothesis property compares _Search with a naive copy of the
+kernel that rebuilt its whole violation list at every node and packed in
+branching order.
 """
 
 from __future__ import annotations
@@ -116,23 +118,23 @@ def _budget() -> list[str]:
 PINNED = {
     "gamma": (
         _gamma,
-        "4574365ba6747d1687e71054068607ce31e973ed01b5cc72984a41169cd968cc",
+        "72642295c823cb0b727d7d32a2cc2f3e61acaf82e3978f6869353b11a5d8e24d",
     ),
     "xy": (
         _xy,
-        "baaa89eff8597075f479187144cb7b2dd7fbb3fc86d913585cf266a9bbc1d310",
+        "12c15dcce47fc45abd53e27b4c83566060a0af28533605eb8265dd6bf89baeac",
     ),
     "containing": (
         _containing,
-        "8194a1800c2a7e170efabfc6c1eebec9e834f5e367927f1236d485e55731bcaf",
+        "45f8869da80979e979f11defdc16b3edec56849b95e3946f9859c7ec486acfb8",
     ),
     "at_most": (
         _at_most,
-        "80c9281cad25fe31d4d5f8779f64e08495ddbbd9b041ef488415f8e6d4650ced",
+        "8543c44ce232a5963af29b638ddf3fec930069607244271b58076f45a8923b3d",
     ),
     "budget": (
         _budget,
-        "a3e2227007e669025c1a33b160879d996e6d59e21cb2b5e237e7f8504feb1cb6",
+        "db8677de045542fc40937584221ecd7d828222d92796b38649715aa846138ff6",
     ),
 }
 
@@ -257,6 +259,16 @@ def _mask(vertices) -> int:
     return sum(1 << v for v in set(vertices))
 
 
+def _half_integral_triple():
+    """X = {0, 1, 2}, drawn from Y = {3, 4, 9, 15}, whose resolver sets
+    {3, 4}, {3, 9, 15} and {4, 9, 15} pairwise meet with no vertex in all
+    three. Each pair's set repeats the third vertex's set, so the root list
+    is just the triple."""
+    edges = [(0, 3), (0, 4), (1, 3), (1, 9), (1, 15), (2, 4), (2, 9), (2, 15)]
+    masks = closed_neighborhood_masks(Graph(16, edges))
+    return masks, [0, 1, 2], _mask((3, 4, 9, 15))
+
+
 @st.composite
 def instances(draw):
     """A graph, target set X and candidate set Y, feasible or not."""
@@ -287,6 +299,8 @@ def _size(mask: int | None) -> float:
     st.booleans(),
     st.one_of(st.just(10**6), st.integers(1, 400)),
 )
+# The half-integral triple: cut at the root against the greedy code {3, 4}.
+@example(_half_integral_triple(), frozenset(), None, False, 10**6)
 # Here the naive packing prunes at the root, while smallest first packs to 1
 # and the search takes 6 nodes: under a 1-node budget only the naive search
 # completes, so a tighter bound does not mean fewer nodes on every input.
@@ -316,6 +330,19 @@ def test_search_matches_naive_kernel(inst, start_set, cap, stop_first, budget):
         # by its budget.
         complete, cut = (best, found[0]) if done else (found[0], best)
         assert _size(complete) <= _size(cut)
+
+
+def test_half_integral_step_cuts_the_triple_at_the_root():
+    masks, xs, allowed = _half_integral_triple()
+    search = _Search(masks, xs, allowed)
+    triple = [_mask(s) for s in ((3, 4), (3, 9, 15), (4, 9, 15))]
+    assert search._violations(0) == triple
+    # Greedy takes 3, then 4. The root has room for 2 vertices, and packing
+    # {3, 4} alone leaves the bound at 1; weight 1/2 on all three sets
+    # raises it to 3/2, so the root is cut and {3, 4} is optimal. Without
+    # that step the search branches on {3, 4} and takes 3 nodes.
+    assert search.run(0, 10**6) == (_mask((3, 4)), True)
+    assert search.nodes == 1
 
 
 def test_stuck_greedy_raises_guarantee_error(monkeypatch):
