@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _groups,
+    _mask_of,
     _pairs,
     closed_neighborhood_masks,
 )
@@ -141,13 +142,7 @@ class SignatureTable:
         self.adj = adj
         self.code_mask = _as_mask(code, n, "code")
         cm = self.code_mask
-        self.sig: list[int] = []
-        for v in range(n):
-            sig = cm & (1 << v)
-            for w in adj[v]:
-                if cm >> w & 1:
-                    sig |= 1 << w
-            self.sig.append(sig)
+        self.sig = [cm & (_mask_of(a) | 1 << v) for v, a in enumerate(adj)]
         self.groups = _groups(range(n), self.sig)
 
     def identifies(self) -> bool:
@@ -172,15 +167,18 @@ class SignatureTable:
         are all the unseparated pairs of the graph with uv, as
         `unseparated_pairs` would list them.
         """
-        moved = [(x, y) for x, y in ((u, v), (v, u)) if self.code_mask >> y & 1]
-        for x, y in moved:
-            self._move(x, self.sig[x] | 1 << y)
-        fresh = {
-            (min(x, z), max(x, z))
-            for x, _ in moved
-            for z in self.groups[self.sig[x]]
-            if z != x
-        }
+        cm, sig, groups = self.code_mask, self.sig, self.groups
+        gains_u, gains_v = cm >> v & 1, cm >> u & 1
+        if gains_u:
+            self._move(u, sig[u] | 1 << v)
+        if gains_v:
+            self._move(v, sig[v] | 1 << u)
+        fresh = set()
+        for x, gains in ((u, gains_u), (v, gains_v)):
+            if gains:
+                fresh.update(
+                    (x, z) if x < z else (z, x) for z in groups[sig[x]] if z != x
+                )
         return tuple(sorted(fresh))
 
     def add(self, c: int) -> None:

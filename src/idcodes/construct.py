@@ -15,19 +15,22 @@ The construction follows the paper's induction as an iterative descent
 over one MutableGraph. Each level deletes the non-bridge edge that
 pick_cycle_edge chooses, until the remainder is a path, cycle, catalog
 member or tree with a direct code. The picker keeps its state on the
-MutableGraph across the descent: a lazy max-heap of candidate edges by
-degree sum, and the bridges it has met, which stay bridges while edges
-are only deleted and so are never tested again. A level therefore costs a
-short two-sided search around one edge in the typical case, not a
-bridge search of the whole graph; an edge on only one long cycle can
-still make a search cover its whole 2-edge-connected component. Restoring
-an edge drops that state. The deleted edges are then restored in
-reverse order. A SignatureTable of the code is kept throughout, and its
-code identifies the current graph: all signatures are distinct and
-non-empty. Restoring uv changes only the signatures of u and v, so the
-pairs it breaks (the ClaimB step) are two table lookups. When there are
-any, a structural repair builds a Graph of the current level, and the
-table is rebuilt from its code. Repairs that code a subgraph call the
+MutableGraph across the descent: a lazy max-heap of candidate edges, one
+int per edge that encodes its degree sum and then its position, and the
+bridges it has met, which stay bridges while edges are only deleted and
+so are never tested again. A level therefore costs a short two-sided
+search around one edge in the typical case, not a bridge search of the
+whole graph; the search marks vertices with fresh stamps in one list per
+MutableGraph, so it never clears or allocates a visited set. An edge on
+only one long cycle can still make a search cover its whole
+2-edge-connected component. Restoring an edge drops the heap. The deleted
+edges are then restored in reverse order. A SignatureTable of the code,
+whose signatures come from the same mask kernel as the closed
+neighbourhoods, is kept throughout, and its code identifies the current
+graph: all signatures are distinct and non-empty. Restoring uv changes
+only the signatures of u and v, so the pairs it breaks (the ClaimB step)
+are two table lookups. When there are any, a structural repair builds a
+Graph of the current level, and the table is rebuilt from its code. Repairs that code a subgraph call the
 construction again, so Python recursion is only as deep as repairs nest,
 never as deep as the cycle rank.
 

@@ -130,17 +130,19 @@ class _Search:
 
     # -- signature partition ---------------------------------------------
 
-    def _partition(self, code: int) -> tuple[int, list[int]]:
-        """(undominated mask, multi-member signature classes) of X under code."""
+    def _classes(self, code: int) -> dict[int, int]:
+        """The signature classes of X under code, as masks keyed by signature."""
         masks = self.masks
-        undom = 0
         classes: dict[int, int] = {}
         for x in self.xs:
             sig = masks[x] & code
-            if not sig:
-                undom |= 1 << x
             classes[sig] = classes.get(sig, 0) | 1 << x
-        return undom, [c for c in classes.values() if c & (c - 1)]
+        return classes
+
+    def _partition(self, code: int) -> tuple[int, list[int]]:
+        """(undominated mask, multi-member signature classes) of X under code."""
+        classes = self._classes(code)
+        return classes.get(0, 0), [c for c in classes.values() if c & (c - 1)]
 
     def greedy_code(self, start: int) -> int | None:
         """Complete `start` to a feasible code greedily, or None if stuck.
@@ -176,15 +178,31 @@ class _Search:
         code that no earlier one dominates, in branching order: undominated
         vertices ascending, then unseparated pairs in lexicographic order.
 
-        Dropped are a pair of undominated vertices a, b with no common
+        Left out are a pair of undominated vertices a, b with no common
         candidate in N[a] & N[b], whose set then holds the earlier set of a,
-        and any set equal to an earlier one."""
+        and any set equal to an earlier one. The undominated pairs are
+        listed from the candidates of a, so the left-out ones cost
+        nothing."""
         masks, allowed = self.masks, self.allowed
-        groups = _groups(self.xs, [masks[x] & code for x in self.xs])
-        rs = [masks[x] & allowed for x in groups.get(0, ())]
-        for a, b in _pairs(groups.values()):
-            if masks[a] & code or masks[a] & masks[b] & allowed:
-                rs.append((masks[a] ^ masks[b]) & allowed)
+        classes = self._classes(code)
+        rs = [masks[x] & allowed for x in _bits(classes.get(0, 0))]
+        # The pairs (a, b) in lexicographic order: for each a ascending,
+        # the later members b of its class that lie in N[c] for some
+        # candidate c in N[a], ascending. The code lies in Y, so two
+        # dominated vertices with one signature share a code vertex, and
+        # only undominated pairs are left out.
+        for a in self.xs:
+            ma = masks[a]
+            mates = classes[ma & code] & -(2 << a)
+            if mates:
+                near = 0
+                for c in _bits(ma & allowed):
+                    near |= masks[c]
+                mates &= near
+            while mates:
+                low = mates & -mates
+                rs.append((ma ^ masks[low.bit_length() - 1]) & allowed)
+                mates ^= low
         return list(dict.fromkeys(rs))
 
     def _node(self, code: int, banned: int, rs: list[int]) -> None:
@@ -262,7 +280,8 @@ class _Search:
         cap: int | None = None,
         stop_first: bool = False,
     ) -> tuple[int | None, bool]:
-        """Search below the cap (exclusive upper start). Returns
+        """Search below the cap (exclusive upper start) for a code that
+        holds required, which must lie within the candidates. Returns
         (best_mask_or_None, completed_without_budget_exhaustion)."""
         self.budget = budget
         self.nodes = 0

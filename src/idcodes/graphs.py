@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -128,13 +127,22 @@ class MutableGraph:
     restored edge goes to the end.
 
     It also keeps the state that makes pick_cycle_edge incremental across
-    a run of deletions: a lazy max-heap of candidate edges keyed
-    (-degree sum, position in edges order). Degrees only fall while edges
-    are only removed, so a key is never below its edge's current sum, and
-    a top entry whose key is current is the maximum. Deleting edges never
-    turns a bridge into a non-bridge, so an edge once found to be a bridge
-    leaves the heap for good. add_edge can undo both facts, so it drops the
-    heap, which the next pick rebuilds from the current edge order.
+    a run of deletions: a lazy max-heap of candidate edges. The heap holds
+    one int per edge, (top - degree sum) * size + position, where position
+    is the edge's index in the edges order when the heap was built (kept
+    in `_order`), size is the number of those edges and top is twice the
+    maximum degree then, so a smaller key is a larger sum, then an earlier
+    edge; divmod decodes it. Degrees only fall while edges are only
+    removed, so a key is never above its edge's current one, and a top
+    entry whose key is current is the maximum. Deleting edges never turns a
+    bridge into a non-bridge, so an edge once found to be a bridge leaves
+    the heap for good. add_edge can undo both facts, so it drops the heap,
+    which the next pick rebuilds from the current edge order.
+
+    The cycle test marks vertices in `_mark`, one entry per vertex, with a
+    fresh pair of stamps per call from the rising counter `_stamp`, so a
+    stamp left by an earlier call is below the current pair and reads as
+    unmarked, and no call has to clear the list.
     """
 
     def __init__(self, g: Graph):
@@ -145,7 +153,11 @@ class MutableGraph:
         for a in self.adj:
             self._per_degree[len(a)] += 1
         self._max = g.max_degree()
-        self._heap: list[tuple[int, int, Edge]] | None = None
+        self._heap: list[int] | None = None
+        self._order: list[Edge] = []
+        self._top = 0
+        self._mark = [0] * g.n
+        self._stamp = 0
 
     @property
     def edges(self) -> Iterable[Edge]:
@@ -158,27 +170,35 @@ class MutableGraph:
     def max_degree(self) -> int:
         return self._max
 
-    def _shift(self, v: int, step: int) -> None:
-        d = len(self.adj[v])
-        self._per_degree[d - step] -= 1
-        self._per_degree[d] += 1
-
     def remove_edge(self, u: int, v: int) -> None:
-        del self._edges[_norm_edge(u, v)]
-        self.adj[u].remove(v)
-        self.adj[v].remove(u)
-        self._shift(u, -1)
-        self._shift(v, -1)
-        while self._max and not self._per_degree[self._max]:
-            self._max -= 1
+        del self._edges[(u, v) if u < v else (v, u)]
+        au, av = self.adj[u], self.adj[v]
+        au.remove(v)
+        av.remove(u)
+        per = self._per_degree
+        d = len(au)
+        per[d + 1] -= 1
+        per[d] += 1
+        d = len(av)
+        per[d + 1] -= 1
+        per[d] += 1
+        top = self._max
+        while top and not per[top]:
+            top -= 1
+        self._max = top
 
     def add_edge(self, u: int, v: int) -> None:
-        self._edges[_norm_edge(u, v)] = None
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        self._shift(u, 1)
-        self._shift(v, 1)
-        self._max = max(self._max, len(self.adj[u]), len(self.adj[v]))
+        self._edges[(u, v) if u < v else (v, u)] = None
+        au, av = self.adj[u], self.adj[v]
+        au.add(v)
+        av.add(u)
+        per = self._per_degree
+        du, dv = len(au), len(av)
+        per[du - 1] -= 1
+        per[du] += 1
+        per[dv - 1] -= 1
+        per[dv] += 1
+        self._max = max(self._max, du, dv)
         self._heap = None
 
     def graph(self) -> Graph:
@@ -189,54 +209,78 @@ class MutableGraph:
         adj = self.adj
         heap = self._heap
         if heap is None:
+            order = self._order = list(self._edges)
+            top = self._top = 2 * self._max
+            size = len(order)
             heap = self._heap = [
-                (-len(adj[u]) - len(adj[v]), i, (u, v))
-                for i, (u, v) in enumerate(self._edges)
+                (top - len(adj[u]) - len(adj[v])) * size + i
+                for i, (u, v) in enumerate(order)
             ]
             heapq.heapify(heap)
+        order, top = self._order, self._top
+        size = len(order)
         edges = self._edges
         while heap:
-            key, i, e = heap[0]
+            drop, i = divmod(heap[0], size)
+            e = order[i]
             u, v = e
-            s = len(adj[u]) + len(adj[v])
+            fresh = top - len(adj[u]) - len(adj[v])
             if e not in edges:
                 heapq.heappop(heap)
-            elif s < -key:
-                heapq.heapreplace(heap, (-s, i, e))
-            elif _joined_without(adj, u, v):
+            elif fresh > drop:
+                heapq.heapreplace(heap, fresh * size + i)
+            elif self._joined_without(u, v):
                 return e
             else:
                 heapq.heappop(heap)
         raise NoCycleEdgeError("every edge is a bridge")
 
+    def _joined_without(self, u: int, v: int) -> bool:
+        """Whether u and v stay connected once their edge uv is ignored.
 
-def _joined_without(adj: list[set[int]], u: int, v: int) -> bool:
-    """Whether u and v stay connected once their edge is ignored.
-
-    Two breadth-first searches, one from each end, take turns expanding
-    one vertex each. They stop when one reaches a vertex of the other (the
-    edge lies on a cycle) or when either runs out of vertices (a bridge),
-    so a bridge costs about twice the smaller side it separates.
-    """
-    adj[u].remove(v)
-    adj[v].remove(u)
-    try:
-        side = {u: 0, v: 1}
-        queues = (deque((u,)), deque((v,)))
-        while True:
-            for s, queue in enumerate(queues):
-                if not queue:
+        Two breadth-first searches, one from each end, take turns expanding
+        one vertex each. They stop when one reaches a vertex of the other
+        (the edge lies on a cycle) or when either runs out of vertices (a
+        bridge), so a bridge costs about twice the smaller side it
+        separates. Each side's queue is a list read through a head index.
+        A vertex reached from u is marked a and one reached from v is
+        marked b = a + 1, the call's two stamps; any mark below a is
+        unmarked.
+        """
+        adj, mark = self.adj, self._mark
+        a = self._stamp + 1
+        b = self._stamp = a + 1
+        adj[u].remove(v)
+        adj[v].remove(u)
+        try:
+            mark[u] = a
+            mark[v] = b
+            qa, qb = [u], [v]
+            ia = ib = 0
+            while True:
+                if ia == len(qa):
                     return False
-                for w in adj[queue.popleft()]:
-                    t = side.get(w)
-                    if t is None:
-                        side[w] = s
-                        queue.append(w)
-                    elif t != s:
+                for w in adj[qa[ia]]:
+                    t = mark[w]
+                    if t < a:
+                        mark[w] = a
+                        qa.append(w)
+                    elif t == b:
                         return True
-    finally:
-        adj[u].add(v)
-        adj[v].add(u)
+                ia += 1
+                if ib == len(qb):
+                    return False
+                for w in adj[qb[ib]]:
+                    t = mark[w]
+                    if t < a:
+                        mark[w] = b
+                        qb.append(w)
+                    elif t == a:
+                        return True
+                ib += 1
+        finally:
+            adj[u].add(v)
+            adj[v].add(u)
 
 
 def closed_neighborhood_masks(g: Graph) -> list[int]:
@@ -245,13 +289,7 @@ def closed_neighborhood_masks(g: Graph) -> list[int]:
     Used by the checkers and the exact solver; quadratic-size total output
     is fine at the instance sizes this package targets.
     """
-    masks = []
-    for v in range(g.n):
-        m = 1 << v
-        for w in g.adj[v]:
-            m |= 1 << w
-        masks.append(m)
-    return masks
+    return [_mask_of(a) | 1 << v for v, a in enumerate(g.adj)]
 
 
 def _groups(xs: Iterable[int], sigs: Iterable[int]) -> dict[int, list[int]]:
@@ -417,9 +455,11 @@ def pick_cycle_edge(g: Graph | MutableGraph) -> Edge:
     Raises NoCycleEdgeError when the graph is a forest.
 
     On a MutableGraph the choice is incremental over a run of deletions
-    (see MutableGraph): only the edge at the top of the candidate heap is
-    tested, by a two-sided search that ignores the edge, and bridges found
-    on the way are never tested again. A Graph gets a fresh MutableGraph.
+    (see MutableGraph): only the edge at the top of its integer-keyed
+    candidate heap is tested, by a two-sided search that ignores the edge
+    and marks vertices with the call's own stamps in a list the
+    MutableGraph keeps, and bridges found on the way are never tested
+    again. A Graph gets a fresh MutableGraph.
     In the typical case a pick costs a few heap operations and a short
     search, not a pass over the whole graph. In the worst case, an edge on
     only one long cycle, the search still explores its whole 2-edge-connected

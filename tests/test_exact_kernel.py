@@ -10,7 +10,8 @@ kernel, which packed in branching order and had no half-integral step: a
 tighter bound may only shrink the tree, never change a completed search's
 code. A hypothesis property compares _Search with a naive copy of the
 kernel that rebuilt its whole violation list at every node and packed in
-branching order.
+branching order, and another compares the root list with the plain
+filtered list of every pair of every signature class.
 """
 
 from __future__ import annotations
@@ -330,6 +331,31 @@ def test_search_matches_naive_kernel(inst, start_set, cap, stop_first, budget):
         # by its budget.
         complete, cut = (best, found[0]) if done else (found[0], best)
         assert _size(complete) <= _size(cut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.frozensets(st.integers(0, 12)))
+def test_root_list_matches_the_filtered_pair_list(inst, code_set):
+    # The plain rule: every pair of every signature class, in lexicographic
+    # order, less the undominated pairs with no common candidate, then the
+    # repeated sets.
+    masks, xs, allowed = inst
+    code = _mask(code_set) & allowed
+    classes: dict[int, list[int]] = {}
+    for x in xs:
+        classes.setdefault(masks[x] & code, []).append(x)
+    rs = [masks[x] & allowed for x in classes.get(0, [])]
+    pairs = sorted(
+        (a, b)
+        for members in classes.values()
+        for i, a in enumerate(members)
+        for b in members[i + 1:]
+    )
+    for a, b in pairs:
+        if masks[a] & code or masks[a] & masks[b] & allowed:
+            rs.append((masks[a] ^ masks[b]) & allowed)
+    expected = list(dict.fromkeys(rs))
+    assert _Search(masks, xs, allowed)._violations(code) == expected
 
 
 def test_half_integral_step_cuts_the_triple_at_the_root():

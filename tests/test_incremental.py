@@ -3,8 +3,9 @@
 Certificates are pinned by digest: the sha256 values below were recorded
 from the recursive construction that the iterative descent replaced, so a
 change to any certificate byte shows here. The signature table, the
-incremental prune, the incremental greedy completion and the cycle-edge
-picker are checked against plain reference versions with hypothesis.
+incremental prune, the incremental greedy completion, the cycle-edge
+picker with its stamped cycle test, and the mask kernel are checked
+against plain reference versions with hypothesis.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from idcodes import (
     GuaranteeError,
     NoCycleEdgeError,
     bridges,
+    components,
     construct_near_triangle_free,
     construct_triangle_free,
     delete,
@@ -35,7 +37,7 @@ from idcodes import (
 )
 from idcodes.checks import SignatureTable
 from idcodes.construct import _greedy_complete, _prune
-from idcodes.graphs import MutableGraph
+from idcodes.graphs import MutableGraph, closed_neighborhood_masks
 
 
 def _sparse() -> list[Graph]:
@@ -311,6 +313,92 @@ def test_incremental_pick_matches_full_bridge_search(ne, data):
                        if b not in state.adj[a]]
             if missing:
                 state.add_edge(*data.draw(st.sampled_from(missing)))
+
+
+def _random_graph(n: int, m: int, seed: int) -> Graph:
+    """m distinct random edges on n vertices, triangles allowed."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("n", [40, 50, 60])
+def test_incremental_pick_matches_full_bridge_search_on_long_descents(n):
+    # A full descent to a spanning forest, far longer than the graphs the
+    # hypothesis strategy draws, checked at every pick.
+    for g in (
+        random_triangle_free(n, (3 * n) // 2, n),
+        random_triangle_free(n, 3 * n, n + 1),
+        _random_graph(n, 2 * n, n + 2),
+    ):
+        state = MutableGraph(g)
+        while True:
+            try:
+                expected = _oracle_pick(state)
+            except NoCycleEdgeError:
+                break
+            assert pick_cycle_edge(state) == expected
+            state.remove_edge(*expected)
+        with pytest.raises(NoCycleEdgeError):
+            pick_cycle_edge(state)
+        assert state.m == g.n - len(components(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_strategy(), st.data())
+def test_cycle_test_on_a_reused_state_matches_a_plain_search(ne, data):
+    # One MutableGraph answers many cycle tests in a row, between edge
+    # removals (bridges included) and additions, so a mark left by an
+    # earlier call must never read as a mark of the current one.
+    n, edges = ne
+    state = MutableGraph(Graph(n, edges))
+    for _ in range(data.draw(st.integers(1, 4 * len(edges) + 4))):
+        current = list(state.edges)
+        op = data.draw(st.sampled_from(["ask", "ask", "remove", "add"]))
+        if op == "ask" and current:
+            u, v = data.draw(st.sampled_from(current))
+            if data.draw(st.booleans()):
+                u, v = v, u
+            expected = not _is_bridge(n, current, (min(u, v), max(u, v)))
+            assert state._joined_without(u, v) == expected
+            assert state.graph() == Graph(n, current)
+        elif op == "remove" and current:
+            state.remove_edge(*data.draw(st.sampled_from(current)))
+        elif op == "add":
+            missing = [(a, b) for a in range(n) for b in range(a + 1, n)
+                       if b not in state.adj[a]]
+            if missing:
+                state.add_edge(*data.draw(st.sampled_from(missing)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_strategy(1, 20), st.data())
+def test_mask_kernel_matches_per_neighbour_loops(ne, data):
+    n, edges = ne
+    g = Graph(n, edges)
+    code = data.draw(st.sets(st.integers(0, n - 1)))
+    closed = []
+    for v in range(n):
+        m = 1 << v
+        for w in g.adj[v]:
+            m |= 1 << w
+        closed.append(m)
+    assert closed_neighborhood_masks(g) == closed
+    code_mask = 0
+    for c in code:
+        code_mask |= 1 << c
+    sig = []
+    for v in range(n):
+        s = code_mask & 1 << v
+        for w in g.adj[v]:
+            if code_mask >> w & 1:
+                s |= 1 << w
+        sig.append(s)
+    assert SignatureTable(g.adj, code).sig == sig
+    assert SignatureTable(MutableGraph(g).adj, code).sig == sig
 
 
 def test_construction_runs_without_a_full_bridge_search(monkeypatch):
