@@ -123,18 +123,17 @@ def is_xy_identifying(
 
 class SignatureTable:
     """Code signatures of every vertex, kept current as the graph gains
-    edges or the code gains or loses vertices.
+    edges or the code loses vertices.
 
     Holds sig[x], the bitmask of N[x] & C, and the vertices grouped by
     signature. The code identifies the graph exactly when every group is a
     single vertex and no signature is empty (`identifies`). Restoring an
-    edge uv changes only sig[u] and sig[v], and adding or dropping a code
-    vertex c changes only the signatures in N[c], so each update costs O(1)
-    or O(deg c) lookups instead of a regroup of all n vertices.
+    edge uv changes only sig[u] and sig[v], and dropping a code vertex c
+    changes only the signatures in N[c], so each update costs O(1) or
+    O(deg c) lookups instead of a regroup of all n vertices.
 
     adj is the adjacency of the graph. It is read when the table is built
-    and by `add` and `try_drop`, which need it to hold the edges restored
-    so far.
+    and by `try_drop`, which needs it to hold the edges restored so far.
     """
 
     def __init__(self, adj: Sequence[Iterable[int]], code: Iterable[int]):
@@ -180,14 +179,6 @@ class SignatureTable:
                     (x, z) if x < z else (z, x) for z in groups[sig[x]] if z != x
                 )
         return tuple(sorted(fresh))
-
-    def add(self, c: int) -> None:
-        """Put c into the code (c not in it yet): every signature in N[c]
-        gains c, and no other signature changes."""
-        bit = 1 << c
-        for x in (c, *self.adj[c]):
-            self._move(x, self.sig[x] | bit)
-        self.code_mask |= bit
 
     def try_drop(self, c: int) -> bool:
         """Remove c from the code if the code still identifies without it;

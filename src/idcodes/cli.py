@@ -251,7 +251,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows: list[tuple[str, ...]] = []
     worst = EXIT_OK
     for f in files:
-        g = load_graph(str(f))
+        try:
+            g = load_graph(str(f))
+        except GraphFormatError as e:
+            rows.append((f.name,) + ("-",) * 8 + (f"error:{type(e).__name__}",))
+            worst = EXIT_BOUND_MISSED
+            continue
         size = bound_num = bound_den = slack = None
         status = "ok"
         try:

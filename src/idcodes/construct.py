@@ -8,7 +8,7 @@ exceptional family members (certified_bound gives every form). Every
 branch is verified before it is accepted. A case of the induction that
 yields no code raises GuaranteeError naming the case, and a code that
 misses the bound raises BoundMissedError: no generic search stands in for
-either. The one rescue is a capped search for a tree whose greedy code
+either. The one rescue is a capped search for a tree whose pruned code
 is over the bound.
 
 The construction follows the paper's induction as an iterative descent
@@ -37,7 +37,8 @@ never as deep as the cycle rank.
 Trace labels (CaseStep.label):
     Delta2Path / Delta2Cycle  code of a path / cycle, possibly with the
                               removed edge restored as a chord
-    TreeBase                  tree handled directly (exact or greedy)
+    TreeBase                  tree handled directly (exact minimum, or all
+                              vertices pruned to a minimal code)
     FamilyHit                 catalog member matched, its code transferred
     ClaimA                    every vertex is in the closed neighbourhood
                               of the removed edge; all but two vertices
@@ -48,7 +49,7 @@ Trace labels (CaseStep.label):
     GStar                     hub code around the removed edge (boundary
                               plus small far components)
     ComponentAssembly         a large far component coded by recursion
-    ExactFallback             capped search replaced a tree's greedy code
+    ExactFallback             capped search replaced a tree's pruned code
     CorollaryPatch            damage accounting for one restored non-bridge
                               edge in the triangle-deletion pipeline
 """
@@ -112,7 +113,7 @@ STEP_COMPONENT_ASSEMBLY = "ComponentAssembly"
 STEP_EXACT_FALLBACK = "ExactFallback"
 STEP_COROLLARY_PATCH = "CorollaryPatch"
 
-CERTIFICATE_VERSION = "idcodes-certificate v1"
+CERTIFICATE_VERSION = "idcodes-certificate v2"
 
 # Trees and paths plus a chord up to this order get an exact minimum code.
 _EXACT_MAX_N = 16
@@ -263,43 +264,6 @@ def _fmt_pairs(pairs: tuple[tuple[int, int], ...]) -> str:
     return ",".join(f"({a},{b})" for a, b in pairs) or "none"
 
 
-def _greedy_complete(g: Graph, base: set[int]) -> set[int]:
-    """Extend base to an identifying code, smallest resolver first.
-
-    Each round resolves the lowest undominated vertex, or else the
-    lexicographically first unseparated pair, with the smallest vertex
-    that does it. Both are read off a SignatureTable, which each added
-    vertex updates in O(deg) moves: the undominated vertices are the group
-    of the empty signature, and the first pair is the smallest pair of the
-    two lowest members of a group.
-    """
-    code = set(base)
-    table = SignatureTable(g.adj, code)
-    while True:
-        bare = table.groups.get(0)
-        if bare:
-            resolver = g.closed_neighborhood(min(bare)) - code
-        else:
-            firsts = [
-                tuple(sorted(group)[:2])
-                for group in table.groups.values()
-                if len(group) > 1
-            ]
-            if not firsts:
-                return code
-            a, b = min(firsts)
-            resolver = (
-                g.closed_neighborhood(a) ^ g.closed_neighborhood(b)
-            ) - code
-        if not resolver:
-            raise GuaranteeError(
-                "greedy completion stuck; graph not identifiable"
-            )
-        c = min(resolver)
-        code.add(c)
-        table.add(c)
-
-
 def _prune(g: Graph, code: set[int]) -> set[int]:
     """Drop removable vertices in ascending order; result is minimal.
 
@@ -326,26 +290,30 @@ def _two_regular(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
 
 
 def _tree_code(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
-    """Non-catalog tree with maximum degree >= 3."""
+    """Non-catalog tree with maximum degree >= 3.
+
+    Up to _EXACT_MAX_N vertices the code is a minimum one. Above that, the
+    whole vertex set identifies the tree (n >= 3 leaves no closed twins),
+    and _prune cuts it to a minimal code; a capped search replaces a
+    minimal code that is over the bound.
+    """
     if g.n <= _EXACT_MAX_N:
         res = gamma_id_exact(g)
         steps.append(
             CaseStep(STEP_TREE_BASE, f"d{depth}: tree of {g.n}, exact minimum")
         )
         return set(res.code)
-    low = {v for v in range(g.n) if g.degree(v) <= 2}
-    code = _prune(g, _greedy_complete(g, low))
+    code = _prune(g, set(range(g.n)))
     steps.append(
         CaseStep(
             STEP_TREE_BASE,
-            f"d{depth}: tree of {g.n}, greedy low-degree code pruned to {len(code)}",
+            f"d{depth}: tree of {g.n}, all vertices pruned to {len(code)}",
         )
     )
-    delta = g.max_degree()
-    if delta * len(code) > (delta - 1) * g.n:
-        cap = ((delta - 1) * g.n) // delta
+    num, den = certified_bound(g)
+    if den * len(code) > num:
         try:
-            rescue = identifying_code_at_most(g, cap, _RESCUE_BUDGET)
+            rescue = identifying_code_at_most(g, num // den, _RESCUE_BUDGET)
         except SearchBudgetError:
             rescue = None
         if rescue is not None:
@@ -693,11 +661,11 @@ def _repair(
     """
     u, v = e
     delta = g.max_degree()
-    budget = (delta - 1) * g.n  # g is never a family member here
+    num, den = certified_bound(g)  # g is never a family member here
     quick = [(u,), (v,), *((u, y) for y in sorted(g.adj[v] - {u}))]
     for extra in quick:
         cand = set(c1) | set(extra)
-        if delta * len(cand) <= budget and is_identifying(g, cand):
+        if den * len(cand) <= num and is_identifying(g, cand):
             steps.append(
                 CaseStep(
                     STEP_CLAIM_B,
@@ -911,24 +879,42 @@ def triangle_deletion_set(g: Graph) -> tuple[tuple[int, int], ...]:
 
 def min_triangle_deletion_size(g: Graph, cap: int) -> int | None:
     """Smallest number of edge deletions (at most cap) that remove every
-    triangle, by brute force over edges lying on triangles; None if more
-    than cap are needed."""
-    tri_edges = [
-        (u, v) for u, v in g.edges if g.adj[u] & g.adj[v]
-    ]
-    for k in range(0, cap + 1):
-        for combo in combinations(tri_edges, k):
-            adj = [set(s) for s in g.adj]
-            for u, v in combo:
-                adj[u].discard(v)
-                adj[v].discard(u)
-            if all(
-                not (adj[u] & adj[v])
-                for u in range(g.n)
-                for v in adj[u]
-                if u < v
-            ):
-                return k
+    triangle; None if more than cap are needed.
+
+    Some edge of any remaining triangle must go, so a search that branches
+    on the three edges of the first triangle it finds, with the depth
+    deepened from 0 to cap, visits at most 3^k leaves at depth k.
+    """
+    adj = [set(s) for s in g.adj]
+
+    def triangle() -> tuple[int, int, int] | None:
+        for u, v in g.edges:
+            if v in adj[u]:
+                common = adj[u] & adj[v]
+                if common:
+                    return u, v, min(common)
+        return None
+
+    def clears(k: int) -> bool:
+        tri = triangle()
+        if tri is None:
+            return True
+        if k == 0:
+            return False
+        a, b, c = tri
+        for x, y in ((a, b), (a, c), (b, c)):
+            adj[x].discard(y)
+            adj[y].discard(x)
+            done = clears(k - 1)
+            adj[x].add(y)
+            adj[y].add(x)
+            if done:
+                return True
+        return False
+
+    for k in range(cap + 1):
+        if clears(k):
+            return k
     return None
 
 

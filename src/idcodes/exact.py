@@ -442,34 +442,25 @@ def gamma_id_closed_form(g: Graph) -> int:
 
     Paths: 1 for n=1, floor(n/2)+1 for n>=3 (n=2 has closed twins). Cycles:
     3 for n in {4, 5}, n/2 for even n>=6, (n+3)/2 for odd n>=7 (n=3 has
-    closed twins). Raises ValueError for any other graph.
+    closed twins). These are the sizes of the optimal patterns
+    path_identifying_code and cycle_identifying_code, which raise
+    NotIdentifiableError for P2 and C3. Raises ValueError for any other
+    graph.
     """
     shape = linear_order(g)
     if shape is None:
         raise ValueError("closed form exists only for paths and cycles")
-    kind, _ = shape
-    n = g.n
-    if kind == "path":
-        if n == 1:
-            return 1
-        if n == 2:
-            raise NotIdentifiableError((0, 1))
-        return n // 2 + 1
-    if n == 3:
-        raise NotIdentifiableError((0, 1))
-    if n in (4, 5):
-        return 3
-    if n % 2 == 0:
-        return n // 2
-    return (n + 3) // 2
+    if shape[0] == "path":
+        return len(path_identifying_code(g.n))
+    return len(cycle_identifying_code(g.n))
 
 
 def path_identifying_code(n: int) -> tuple[int, ...]:
     """An optimal identifying code of the path 0-1-...-(n-1).
 
-    Size matches gamma_id_closed_form. Even vertices for odd n; for even
-    n >= 6 one extra vertex near the far end replaces the pattern's slack;
-    n=4 needs three consecutive vertices.
+    Size floor(n/2)+1 for n >= 3, which gamma_id_closed_form reports. Even
+    vertices for odd n; for even n >= 6 one extra vertex near the far end
+    replaces the pattern's slack; n=4 needs three consecutive vertices.
     """
     if n == 1:
         return (0,)

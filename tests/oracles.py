@@ -65,6 +65,23 @@ def has_triangle(n: int, edges) -> bool:
     return any(adj[u] & adj[v] for u, v in edges)
 
 
+def min_triangle_deletion_size(n: int, edges, cap: int):
+    """Fewest edge deletions (at most cap) that leave no triangle, by trying
+    every set of triangle edges in order of size; None if more than cap
+    are needed."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    tri_edges = [(u, v) for u, v in edges if adj[u] & adj[v]]
+    for k in range(cap + 1):
+        for combo in combinations(tri_edges, k):
+            rest = [e for e in edges if e not in combo]
+            if not has_triangle(n, rest):
+                return k
+    return None
+
+
 def closed_twins(n: int, edges):
     closed = neighborhoods(n, edges)
     return sorted(

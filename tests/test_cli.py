@@ -80,7 +80,7 @@ def test_construct_certificate_file(tmp_path, capsys):
     out = tmp_path / "c6.cert"
     assert main(["construct", gp, "--out", str(out)]) == 0
     text = out.read_text()
-    assert text.startswith("idcodes-certificate v1\n")
+    assert text.startswith("idcodes-certificate v2\n")
     assert "code-size 3" in text
     assert "verified yes" in text
 
@@ -196,6 +196,19 @@ def test_report_error_row(tmp_path, capsys):
         ("split.graph", "error:NotConnectedError"),
     ]
     assert rows[1][4:8] == ["-", "-", "-", "-"]
+
+
+def test_report_malformed_file_row(tmp_path, capsys):
+    # A file that does not parse gets its own row, with no n, m or delta,
+    # and the rest of the batch is still reported.
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "bad.graph").write_text("4 3\n0 1\n1 x\n2 3\n")
+    (d / "p4.graph").write_text(serialize_graph(path_graph(4)))
+    assert main(["report", str(d)]) == 2
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[0] == ["bad.graph", *["-"] * 8, "error:GraphFormatError"]
+    assert (rows[1][0], rows[1][-1]) == ("p4.graph", "ok")
 
 
 def test_report_value_error_rows(tmp_path, capsys):

@@ -8,6 +8,8 @@ import re
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from idcodes import (
@@ -45,9 +47,10 @@ from idcodes.construct import (
     STEP_DELTA2_CYCLE,
     STEP_DELTA2_PATH,
     STEP_FAMILY_HIT,
-    _greedy_complete,
+    _catalog_match,
     _hub_code,
     _repair,
+    _tree_code,
 )
 
 KNOWN_LABELS = {
@@ -180,7 +183,7 @@ def test_certificates_are_deterministic():
     a = serialize_certificate(construct_triangle_free(g))
     b = serialize_certificate(construct_triangle_free(Graph(g.n, list(g.edges))))
     assert a == b
-    assert a.startswith("idcodes-certificate v1\n")
+    assert a.startswith("idcodes-certificate v2\n")
     assert "verified yes" in a
 
 
@@ -233,6 +236,58 @@ def test_min_triangle_deletion_size():
     k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert min_triangle_deletion_size(k4, 4) == 2
     assert min_triangle_deletion_size(k4, 1) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] < e[1]),
+                max_size=16,
+            ),
+        )
+    ),
+    st.integers(0, 4),
+)
+def test_min_triangle_deletion_size_matches_brute_force(ne, cap):
+    n, edges = ne
+    edges = sorted(edges)
+    assert min_triangle_deletion_size(
+        Graph(n, edges), cap
+    ) == oracles.min_triangle_deletion_size(n, edges, cap)
+
+
+def book_chain(books: int, pages: int) -> Graph:
+    """books copies of an edge uv with pages common neighbours, a pendant
+    on u and one on v; each book's v-pendant is joined to the next book's
+    u-pendant. Every triangle of a book holds its uv."""
+    size = pages + 4
+    edges = []
+    for i in range(books):
+        u, v, pu, pv = range(i * size, i * size + 4)
+        edges += [(u, v), (u, pu), (v, pv)]
+        edges += [(x, w) for w in range(pv + 1, pv + 1 + pages) for x in (u, v)]
+        if i:
+            edges.append((pu - size + 3, pu))
+    return Graph(books * size, edges)
+
+
+def test_near_construct_on_a_chain_of_books_within_a_second():
+    g = book_chain(4, 16)
+    assert g.n == 80
+    t0 = time.perf_counter()
+    cert = construct_near_triangle_free(g)
+    elapsed = time.perf_counter() - t0
+    check_certificate(g, cert)
+    assert (
+        CaseStep(STEP_COROLLARY_PATCH, "deleted 4 edges (brute-force minimum 4)")
+        in cert.trace
+    )
+    assert min_triangle_deletion_size(g, 3) is None
+    assert elapsed < 1.0
 
 
 def net() -> Graph:
@@ -339,11 +394,12 @@ def test_near_construct_explicit_deletions():
 
 
 # The wheel with hub 10 on the rim 0-9: the greedy deletion takes every
-# other spoke, five edges, past the brute-force range of the summary step.
+# other spoke, five edges, past the four for which the summary step
+# records the minimum.
 WHEEL10 = Graph(
     11, [(i, (i + 1) % 10) for i in range(10)] + [(i, 10) for i in range(10)]
 )
-WHEEL10_SHA256 = "f3bb05c78903734d5d92e8196fc470b6f50b7151cbe8e6edf31d5e5ed000ed5b"
+WHEEL10_SHA256 = "5b274e99daa00700b0fbb69b8b6cc67d88daf139b6235f28e4de90bbbe2dc3f9"
 
 
 def test_near_construct_with_more_than_four_deletions():
@@ -374,11 +430,6 @@ def test_per_edge_damage_above_four_raises(monkeypatch):
         construct_near_triangle_free(g, deletions=[(0, 1)])
 
 
-def test_greedy_completion_on_closed_twins_raises():
-    with pytest.raises(GuaranteeError, match="greedy completion stuck"):
-        _greedy_complete(Graph(2, [(0, 1)]), set())
-
-
 # A relabelling of the base R10.3 of the deduplication sweep: restoring
 # (1, 8) leaves 1 and 8 unseparated, and a far component is a P4 whose ends
 # see no boundary vertex, so the repair cuts off its far half, codes the
@@ -388,7 +439,7 @@ R10_3 = Graph(
     [(0, 3), (0, 4), (0, 8), (1, 7), (1, 8), (2, 7), (2, 9), (4, 5), (4, 6),
      (6, 7), (6, 8), (8, 9)],
 )
-R10_3_SHA256 = "b0e9178a5afa5bb55405fcb6bb1b35d2cc6dbde3c9fe298541a93c56a9d458dc"
+R10_3_SHA256 = "a61270df02e7c3e7c0f98596367535607ef3f21a2ce5a1fcc7aadbda10e4c2fd"
 
 
 def test_split_path_component_is_rejoined():
@@ -408,7 +459,7 @@ P4_SWAP = Graph(
     [(0, 3), (0, 7), (1, 7), (1, 9), (2, 8), (3, 5), (3, 8), (4, 6), (4, 8),
      (5, 6), (5, 7), (6, 9)],
 )
-P4_SWAP_SHA256 = "dcc230109b6b71d054526aa518cdf70c72a8c9c7609c1f824ddd5efe292f3434"
+P4_SWAP_SHA256 = "5bb32137bbb882d9a00296e5d0355f70761fe66388dbece4159ef83d57c11f32"
 
 
 def test_split_path_component_swaps_its_first_vertex():
@@ -429,7 +480,7 @@ STAR4_MERGE = Graph(
      (4, 7), (5, 6), (5, 7), (8, 9), (8, 10), (8, 11), (8, 12)],
 )
 STAR4_MERGE_SHA256 = (
-    "4f6927b4a6720d1b8273779200155e6c6058a023046b54f67333a924da7e27ac"
+    "f5ad91070d7706f38eda6b06fc299e7687f037708b4d0a8b428cdca990f2d781"
 )
 
 
@@ -446,8 +497,8 @@ def test_star_component_merged_at_delta_four():
 
 
 # Four catalog trees glued by edges between vertices of degree at most 2:
-# the greedy tree code has 39 vertices against a cap of 38, so the capped
-# exact search of _tree_code runs.
+# the whole vertex set prunes to 39 vertices against a cap of 38, so the
+# capped exact search of _tree_code runs.
 GLUED_TREE = Graph(
     58,
     [(0, 1), (0, 4), (0, 7), (1, 2), (1, 3), (2, 10), (2, 13), (3, 16),
@@ -460,7 +511,7 @@ GLUED_TREE = Graph(
      (49, 50), (49, 51), (52, 53), (52, 54), (55, 56), (55, 57)],
 )
 GLUED_TREE_SHA256 = (
-    "999de7294071c1c1806bccd8b3e256e845ab2a84395a0930d2c2fbbf7dd24230"
+    "374e90b64f32238fae7b5c1382e05864f922378c53fc2bd8695bcd00c0d27627"
 )
 
 
@@ -480,7 +531,7 @@ def test_glued_tree_capped_search_within_a_minute():
 
 
 def test_glued_tree_rescue_out_of_budget_reports_the_greedy_code(monkeypatch):
-    # A capped search cut off by its budget leaves the greedy code, which
+    # A capped search cut off by its budget leaves the pruned code, which
     # misses the bound: the theorem surfaces as BoundMissedError.
     monkeypatch.setattr(idcodes.construct, "_RESCUE_BUDGET", 1)
     with pytest.raises(BoundMissedError) as ei:
@@ -488,6 +539,62 @@ def test_glued_tree_rescue_out_of_budget_reports_the_greedy_code(monkeypatch):
     assert len(ei.value.code) == 39
     assert (ei.value.bound_num, ei.value.bound_den) == (116, 3)
     assert is_identifying(GLUED_TREE, ei.value.code)
+
+
+# Five catalog trees (T0, T0, T8, T4, T0) glued by edges between vertices
+# of degree at most 2, then relabelled at random. Its whole vertex set
+# prunes to 24 vertices, within the cap of 25, so no capped search runs.
+GLUED_TREE_38 = Graph(
+    38,
+    [(0, 1), (0, 14), (0, 27), (2, 19), (3, 15), (4, 22), (5, 23), (5, 25),
+     (6, 31), (7, 15), (8, 11), (8, 13), (8, 32), (9, 23), (9, 28), (10, 22),
+     (10, 32), (12, 20), (12, 23), (12, 34), (13, 28), (14, 16), (15, 17),
+     (16, 17), (16, 36), (17, 22), (18, 34), (19, 26), (19, 28), (20, 21),
+     (20, 35), (24, 37), (25, 37), (29, 37), (30, 34), (31, 33), (31, 36)],
+)
+
+
+def test_glued_tree_pruned_within_the_bound_needs_no_search():
+    cert = construct_triangle_free(GLUED_TREE_38)
+    check_certificate(GLUED_TREE_38, cert)
+    assert cert.trace == (
+        CaseStep("TreeBase", "d0: tree of 38, all vertices pruned to 24"),
+    )
+
+
+@st.composite
+def prufer_trees(draw, min_n=17, max_n=60):
+    """A tree decoded from a drawn Pruefer sequence."""
+    n = draw(st.integers(min_n, max_n))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(n) if degree[v] == 1))
+    return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(prufer_trees())
+def test_tree_code_is_a_minimal_identifying_code(g):
+    assume(g.max_degree() >= 3 and _catalog_match(g) is None)
+    steps: list[CaseStep] = []
+    code = _tree_code(g, steps, 0)
+    assert oracles.is_id_code(g.n, g.edges, code)
+    num, den = certified_bound(g)
+    assert den * len(code) <= num
+    # The capped search returns some code within the cap, not always a
+    # minimal one; every other tree code is the pruned whole vertex set.
+    if all(s.label != "ExactFallback" for s in steps):
+        assert not any(
+            oracles.is_id_code(g.n, g.edges, code - {c}) for c in code
+        )
 
 
 def test_catalog_member_is_matched_once(monkeypatch):
