@@ -29,8 +29,10 @@ whose signatures come from the same mask kernel as the closed
 neighbourhoods, is kept throughout, and its code identifies the current
 graph: all signatures are distinct and non-empty. Restoring uv changes
 only the signatures of u and v, so the pairs it breaks (the ClaimB step)
-are two table lookups. When there are any, a structural repair builds a
-Graph of the current level, and the table is rebuilt from its code. Repairs that code a subgraph call the
+are two table lookups. When there are any, a quick patch of one or two
+vertices around the edge is decided from those pairs alone; when none
+fits, a structural repair builds a Graph of the current level. The table
+is then rebuilt from the new code. Repairs that code a subgraph call the
 construction again, so Python recursion is only as deep as repairs nest,
 never as deep as the cycle rank.
 
@@ -43,7 +45,7 @@ Trace labels (CaseStep.label):
     ClaimA                    every vertex is in the closed neighbourhood
                               of the removed edge; all but two vertices
     ClaimB                    classification of the pairs broken by the
-                              restored edge; possibly a small patch
+                              restored edge; possibly a quick patch
     ClaimC                    an exceptional far component merged back
                               before recursing
     GStar                     hub code around the removed edge (boundary
@@ -87,9 +89,12 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    _bits,
+    _mask_of,
     boundary_decomposition,
     BoundaryDecomposition,
     MutableGraph,
+    closed_neighborhood_masks,
     delete,
     find_closed_twins,
     graph_hash,
@@ -99,7 +104,7 @@ from .graphs import (
     pick_cycle_edge,
     triangle_witness,
 )
-from .refine import greedy_xy_identifying
+from .refine import _complete, greedy_xy_identifying
 
 STEP_DELTA2_PATH = "Delta2Path"
 STEP_DELTA2_CYCLE = "Delta2Cycle"
@@ -113,7 +118,7 @@ STEP_COMPONENT_ASSEMBLY = "ComponentAssembly"
 STEP_EXACT_FALLBACK = "ExactFallback"
 STEP_COROLLARY_PATCH = "CorollaryPatch"
 
-CERTIFICATE_VERSION = "idcodes-certificate v2"
+CERTIFICATE_VERSION = "idcodes-certificate v3"
 
 # Trees and paths plus a chord up to this order get an exact minimum code.
 _EXACT_MAX_N = 16
@@ -200,7 +205,7 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def certified_bound(
-    g: Graph, family: FamilyId | None = None, t: int | None = None
+    g: Graph | MutableGraph, family: FamilyId | None = None, t: int | None = None
 ) -> tuple[int, int]:
     """The size bound a certificate of g carries, as (num, den): a code C
     meets it when den * |C| <= num. delta is the maximum degree of g.
@@ -368,22 +373,18 @@ def _chorded_two_regular(
             )
         )
         return set(res.code)
-    base = {order[i] for i in path_identifying_code(n)}
-    if is_identifying(g, base):
+    # Greedy completion of the path pattern. A vertex that completes it
+    # alone settles every violation, so the greedy's first pick is the
+    # lowest such vertex; a completion that adds more is rejected.
+    base = _mask_of(order[i] for i in path_identifying_code(n))
+    masks = closed_neighborhood_masks(g)
+    code = _complete(masks, list(range(n)), (1 << n) - 1, base, True)
+    if code is not None and code.bit_count() - base.bit_count() <= 1:
+        extra = "" if code == base else ", one vertex added"
         steps.append(
-            CaseStep(STEP_DELTA2_PATH, f"d{depth}: path of {n} plus chord")
+            CaseStep(STEP_DELTA2_PATH, f"d{depth}: path of {n} plus chord{extra}")
         )
-        return base
-    for w in sorted(set(range(n)) - base):
-        cand = base | {w}
-        if is_identifying(g, cand):
-            steps.append(
-                CaseStep(
-                    STEP_DELTA2_PATH,
-                    f"d{depth}: path of {n} plus chord, one vertex added",
-                )
-            )
-            return cand
+        return set(_bits(code))
     raise GuaranteeError(
         f"d{depth}: no path code of {n} plus chord with at most one vertex added"
     )
@@ -645,34 +646,42 @@ def _assemble(
     return code
 
 
-def _repair(
-    g: Graph,
-    e: tuple[int, int],
-    c1: frozenset[int],
-    steps: list[CaseStep],
-    depth: int,
-) -> set[int]:
-    """The recursion's code fails on g with e restored; fix it.
-
-    A small addition around the restored edge comes first: it reuses the
-    recursion's work and usually suffices. Otherwise the paper's case
-    split picks one template: ClaimA when no vertex is far from the edge,
-    ClaimC when a large far component is a catalog member, G* else.
-    """
+def _quick_patch(
+    state: MutableGraph, e: tuple[int, int], code: set[int],
+    broken: tuple[tuple[int, int], ...], steps: list[CaseStep], depth: int,
+) -> set[int] | None:
+    """code plus the first of u, v, or u and a neighbour of v, within the
+    bound, that fixes code once e = uv is restored; None when none does.
+    The broken pairs are code's only violations, and added vertices merge
+    no signatures, so a patch fixes code exactly when it meets
+    N[x] ^ N[y] for every broken pair x, y."""
     u, v = e
-    delta = g.max_degree()
-    num, den = certified_bound(g)  # g is never a family member here
-    quick = [(u,), (v,), *((u, y) for y in sorted(g.adj[v] - {u}))]
-    for extra in quick:
-        cand = set(c1) | set(extra)
-        if den * len(cand) <= num and is_identifying(g, cand):
+    adj = state.adj
+    num, den = certified_bound(state)  # never a family member here
+    splits = [(adj[x] | {x}) ^ (adj[y] | {y}) for x, y in broken]
+    for extra in [(u,), (v,), *((u, y) for y in sorted(adj[v] - {u}))]:
+        cand = code | set(extra)
+        fixes = all(not s.isdisjoint(extra) for s in splits)
+        if fixes and den * len(cand) <= num:
             steps.append(
                 CaseStep(
                     STEP_CLAIM_B,
-                    f"d{depth}: patched with {sorted(set(extra) - c1)}",
+                    f"d{depth}: patched with {sorted(set(extra) - code)}",
                 )
             )
             return cand
+    return None
+
+
+def _repair(
+    g: Graph, e: tuple[int, int], steps: list[CaseStep], depth: int
+) -> set[int]:
+    """The recursion's code fails on g with e restored, and no quick patch
+    fixes it: the paper's case split picks one template. ClaimA when no
+    vertex is far from the edge, ClaimC when a large far component is a
+    catalog member, G* else."""
+    u, v = e
+    delta = g.max_degree()
     bd = boundary_decomposition(g, u, v)
     if not bd.far:
         return _whole_boundary_code(g, bd, steps, depth)
@@ -729,7 +738,8 @@ def _build(
             )
         )
         if broken:
-            code = _repair(state.graph(), (u, v), frozenset(code), steps, level)
+            patched = _quick_patch(state, (u, v), code, broken, steps, level)
+            code = patched or _repair(state.graph(), (u, v), steps, level)
             table = _checked_table(state, code, level)
     return frozenset(code)
 
@@ -924,7 +934,8 @@ def construct_near_triangle_free(
 ) -> Certificate:
     """A certified identifying code for a connected identifiable graph with
     few triangles: delete a triangle-hitting edge set, build a code of the
-    triangle-free remainder, then repair the damage of restoring each edge.
+    triangle-free remainder, then restore each edge and complete that code
+    greedily on the vertices the restored edges damage.
 
     The certificate bound is delta*|C| <= (delta-1)*n + 4*t*delta + 1 with
     t the number of deleted edges. Requires maximum degree >= 3 (the bound
@@ -969,7 +980,7 @@ def construct_near_triangle_free(
         steps.append(
             CaseStep(
                 STEP_COROLLARY_PATCH,
-                f"deleted {t} edges (brute-force minimum {mt})",
+                f"deleted {t} edges (minimum {mt})",
             )
         )
     elif t == 0:
@@ -995,15 +1006,20 @@ def construct_near_triangle_free(
                 f"restored ({e[0]},{e[1]}), new vertices {fresh}",
             )
         )
-    code = set(base)
+    code = base
     if damaged:
-        patch = greedy_xy_identifying(g, sorted(damaged), range(g.n))
-        code |= set(patch)
+        # base leaves only pairs of damaged vertices unseparated in g, and
+        # g has no closed twins, so completing base on them identifies g.
+        masks = closed_neighborhood_masks(g)
+        full = _complete(masks, sorted(damaged), (1 << g.n) - 1, _mask_of(base), True)
+        if full is None:
+            raise GuaranteeError("greedy completion stuck on the damaged vertices")
+        code = set(_bits(full))
         steps.append(
             CaseStep(
                 STEP_COROLLARY_PATCH,
                 f"greedy code on {len(damaged)} damaged vertices added "
-                f"{len(set(patch) - base)}",
+                f"{len(code - base)}",
             )
         )
     return _certificate(g, code, None, t, steps)

@@ -40,13 +40,8 @@ one the node branches on. Were the dominator later, dropping the earlier
 set would let equal-sized sets between the two pack first, and could drop
 the set a node branches on, so only earlier dominators count.
 
-Greedy completion, which sets the first incumbent, keeps the partition of X
-by code signature: the mask U of undominated X-vertices and the masks of
-the signature classes with two or more members. It adds the candidate w
-that settles the most violations, the lowest on a tie, then clears N[w]
-from U and splits every class by N[w]. Read off the partition, w settles
-|N[w] & U| + sum over classes C of k * (|C| - k) violations, where
-k = |N[w] & C|.
+Greedy completion, which sets the first incumbent, is refine's max-settle
+refinement of the partition of X by code signature (refine._complete).
 """
 
 from __future__ import annotations
@@ -64,11 +59,13 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _bits,
     _groups,
     _pairs,
     closed_neighborhood_masks,
     linear_order,
 )
+from .refine import _classes, _complete
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -95,15 +92,6 @@ class _FoundEnough(Exception):
     pass
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _Search:
     """One branch-and-bound run over a fixed (X, Y) instance.
 
@@ -111,11 +99,8 @@ class _Search:
     order, less those an earlier violation dominates (see _violations):
     the first set is still the first open violation, the one the node
     branches on. The bound packs disjoint sets and then tries one
-    half-integral step (see _node). Greedy completion works on the
-    partition of X by code signature: `undom` is the bitmask of X-vertices
-    with the empty signature, and `groups` holds the bitmask of every
-    signature class with two or more members. Adding w to the code splits
-    each class by N[w].
+    half-integral step (see _node). Greedy completion is refine's, with
+    undominated targets counted.
     """
 
     def __init__(self, masks: list[int], xs: list[int], allowed: int):
@@ -128,50 +113,9 @@ class _Search:
         self.best_mask: int | None = None
         self.stop_first = False
 
-    # -- signature partition ---------------------------------------------
-
-    def _classes(self, code: int) -> dict[int, int]:
-        """The signature classes of X under code, as masks keyed by signature."""
-        masks = self.masks
-        classes: dict[int, int] = {}
-        for x in self.xs:
-            sig = masks[x] & code
-            classes[sig] = classes.get(sig, 0) | 1 << x
-        return classes
-
-    def _partition(self, code: int) -> tuple[int, list[int]]:
-        """(undominated mask, multi-member signature classes) of X under code."""
-        classes = self._classes(code)
-        return classes.get(0, 0), [c for c in classes.values() if c & (c - 1)]
-
     def greedy_code(self, start: int) -> int | None:
-        """Complete `start` to a feasible code greedily, or None if stuck.
-
-        Each step adds the candidate that settles the most violations, the
-        lowest on a tie. A violation nobody can settle stays so as vertices
-        are added, so the run is stuck exactly when no candidate settles any
-        violation that is left.
-        """
-        masks = self.masks
-        undom, groups = self._partition(start)
-        code = start
-        while undom or groups:
-            sizes = [c.bit_count() for c in groups]
-            best, pick = 0, -1
-            for w in _bits(self.allowed & ~code):
-                m = masks[w]
-                score = (m & undom).bit_count()
-                for c, size in zip(groups, sizes):
-                    k = (m & c).bit_count()
-                    score += k * (size - k)
-                if score > best:
-                    best, pick = score, w
-            if not best:
-                return None
-            code |= 1 << pick
-            undom &= ~masks[pick]
-            groups = _split(groups, masks[pick])
-        return code
+        """Complete `start` to a feasible code greedily, or None if stuck."""
+        return _complete(self.masks, self.xs, self.allowed, start, True)
 
     def _violations(self, code: int) -> list[int]:
         """The resolver set, within the candidates, of every violation of
@@ -184,7 +128,7 @@ class _Search:
         listed from the candidates of a, so the left-out ones cost
         nothing."""
         masks, allowed = self.masks, self.allowed
-        classes = self._classes(code)
+        classes = _classes(masks, self.xs, code)
         rs = [masks[x] & allowed for x in _bits(classes.get(0, 0))]
         # The pairs (a, b) in lexicographic order: for each a ascending,
         # the later members b of its class that lie in N[c] for some
@@ -309,19 +253,6 @@ class _Search:
         except _FoundEnough:
             return self.best_mask, True
         return self.best_mask, True
-
-
-def _split(groups: list[int], m: int) -> list[int]:
-    """Split each class by the mask m, keeping parts with two or more members."""
-    out = []
-    for c in groups:
-        inside = c & m
-        if inside & (inside - 1):
-            out.append(inside)
-        outside = c ^ inside
-        if outside & (outside - 1):
-            out.append(outside)
-    return out
 
 
 def _feasibility_witness(

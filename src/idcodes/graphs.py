@@ -36,6 +36,16 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _bits(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Graph:
     """An immutable simple undirected graph on vertices 0..n-1.
 
@@ -464,6 +474,11 @@ def pick_cycle_edge(g: Graph | MutableGraph) -> Edge:
     search, not a pass over the whole graph. In the worst case, an edge on
     only one long cycle, the search still explores its whole 2-edge-connected
     component, so a pick can cost as much as a full bridge search.
+
+    The degree-sum rule is load-bearing: a picker that took the non-tree
+    edges of a DFS spanning tree picked an edge with both ends of degree 2
+    in a level of maximum degree 3 on random_triangle_free(10, 12, 19),
+    whose G* hub, a 4-vertex path or cycle, then missed its bound.
     """
     state = g if isinstance(g, MutableGraph) else MutableGraph(g)
     return state._pick_cycle_edge()

@@ -1,10 +1,17 @@
-"""Greedy (X, Y)-codes by partition refinement.
+"""Greedy (X, Y)-codes by partition refinement, the proof of the
+generalised Bondy theorem: X starts as one block of the partition by code
+signature, and each pick splits blocks by its closed neighbourhood. Any
+pick that splits a block will do, so |X| - 1 picks separate X; then at
+most one vertex is undominated, and one more pick identifies X.
 
-The target set X starts as one block; every chosen candidate splits at
-least one block (vertices inside vs outside its closed neighbourhood).
-|X| - 1 splits suffice to reach singletons, which bounds the separating
-code; at most one vertex of a fully separated X can still be undominated,
-so one more candidate bounds the identifying variant by |X|.
+`_complete` is the package's one greedy completion: these codes, the
+exact search's first incumbent, and the construction's path-plus-chord
+and damaged-vertex patches. It keeps U, the undominated X-vertices (none
+when domination does not count), and the signature classes with two or
+more members, and adds the candidate w that settles the most violations,
+the lowest on a tie: |N[w] & U| + sum over classes C of k * (|C| - k),
+with k = |N[w] & C|. Each pick splits a class or, failing that,
+dominates all of U, so the bounds above hold from any start.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Iterable
 
 from .checks import _as_mask, _target_list
 from .errors import GuaranteeError, NotSeparableError, NotYIdentifiableError
-from .graphs import Graph, _groups, _mask_of, closed_neighborhood_masks
+from .graphs import Graph, _bits, _groups, closed_neighborhood_masks
 
 
 @dataclass(frozen=True)
@@ -39,26 +46,81 @@ def partition_by_code(
     return Partition(tuple(sorted(tuple(p) for p in parts)))
 
 
-def _separating_steps(xs: list[int], y_mask: int, masks: list[int]) -> list[int]:
-    """Chronological separator choices; raises on an inseparable pair.
+def _classes(masks: list[int], xs: list[int], code: int) -> dict[int, int]:
+    """The signature classes of X under code, as masks keyed by signature."""
+    classes: dict[int, int] = {}
+    for x in xs:
+        sig = masks[x] & code
+        classes[sig] = classes.get(sig, 0) | 1 << x
+    return classes
 
-    Selection rule: take the lexicographically smallest non-singleton block,
-    then the smallest candidate separating its two smallest members.
+
+def _complete(
+    masks: list[int], xs: list[int], allowed: int, start: int, dominate: bool
+) -> int | None:
+    """Complete the code mask `start` greedily with candidates from
+    `allowed` until it separates X, and dominates X too when `dominate`;
+    None when stuck.
+
+    A violation nobody can settle stays so as vertices are added, so the
+    run is stuck exactly when no candidate settles any violation that is
+    left.
     """
-    code_mask = 0
-    chosen: list[int] = []
-    while True:
-        groups = _groups(xs, (masks[v] & code_mask for v in xs)).values()
-        blocks = [p for p in groups if len(p) > 1]
-        if not blocks:
-            return chosen
-        u1, u2 = min(blocks)[:2]
-        cands = (masks[u1] ^ masks[u2]) & y_mask
-        if cands == 0:
-            raise NotSeparableError((u1, u2))
-        w = (cands & -cands).bit_length() - 1
-        chosen.append(w)
-        code_mask |= 1 << w
+    classes = _classes(masks, xs, start)
+    undom = classes.get(0, 0) if dominate else 0
+    groups = [c for c in classes.values() if c & (c - 1)]
+    code = start
+    while undom or groups:
+        sizes = [c.bit_count() for c in groups]
+        best, pick = 0, -1
+        for w in _bits(allowed & ~code):
+            m = masks[w]
+            score = (m & undom).bit_count()
+            for c, size in zip(groups, sizes):
+                k = (m & c).bit_count()
+                score += k * (size - k)
+            if score > best:
+                best, pick = score, w
+        if not best:
+            return None
+        code |= 1 << pick
+        undom &= ~masks[pick]
+        groups = _split(groups, masks[pick])
+    return code
+
+
+def _split(groups: list[int], m: int) -> list[int]:
+    """Split each class by the mask m, keeping parts with two or more members."""
+    out = []
+    for c in groups:
+        inside = c & m
+        if inside & (inside - 1):
+            out.append(inside)
+        outside = c ^ inside
+        if outside & (outside - 1):
+            out.append(outside)
+    return out
+
+
+def _refined(
+    g: Graph, x: Iterable[int], y: Iterable[int], dominate: bool
+) -> tuple[int, ...]:
+    """The greedy code from the empty start, after the feasibility check
+    that raises with a witness, checked against its size bound."""
+    xs = _target_list(g, x)
+    y_mask = _as_mask(y, g.n, "candidate")
+    masks = closed_neighborhood_masks(g)
+    sigs = _groups(xs, (masks[v] & y_mask for v in xs))
+    pairs = [(p[0], p[1]) for p in sigs.values() if len(p) > 1]
+    if pairs:
+        raise NotSeparableError(min(pairs))
+    if dominate and 0 in sigs:
+        raise NotYIdentifiableError(sigs[0][0], "no candidate dominates the witness")
+    code = _complete(masks, xs, y_mask, 0, dominate)
+    limit = len(xs) if dominate else max(0, len(xs) - 1)
+    if code is None or code.bit_count() > limit:
+        raise GuaranteeError(f"refinement broke its size bound for |X| = {len(xs)}")
+    return tuple(_bits(code))
 
 
 def greedy_separating(
@@ -66,17 +128,11 @@ def greedy_separating(
 ) -> tuple[int, ...]:
     """A Y-subset separating all pairs of X, of size at most |X| - 1.
 
-    Raises NotSeparableError with a witness pair when X is not Y-separable,
-    and VertexRangeError for a vertex of X or Y outside the graph.
+    Raises NotSeparableError with the lexicographically smallest witness
+    pair when X is not Y-separable, and VertexRangeError for a vertex of X
+    or Y outside the graph.
     """
-    xs = _target_list(g, x)
-    y_mask = _as_mask(y, g.n, "candidate")
-    chosen = _separating_steps(xs, y_mask, closed_neighborhood_masks(g))
-    if len(chosen) > max(0, len(xs) - 1):
-        raise GuaranteeError(
-            f"refinement took {len(chosen)} picks for |X| = {len(xs)}"
-        )
-    return tuple(sorted(chosen))
+    return _refined(g, x, y, False)
 
 
 def greedy_xy_identifying(
@@ -84,28 +140,9 @@ def greedy_xy_identifying(
 ) -> tuple[int, ...]:
     """A Y-subset identifying X (separating and dominating), size <= |X|.
 
-    After full separation the signatures are pairwise distinct, so at most
-    one X-vertex has the empty signature; one more candidate covers it.
-    Raises NotSeparableError / NotYIdentifiableError with witnesses, and
+    Raises NotSeparableError as greedy_separating does; else, when Y
+    separates X, at most one X-vertex has no candidate in its closed
+    neighbourhood, and NotYIdentifiableError names it. Raises
     VertexRangeError for a vertex of X or Y outside the graph.
     """
-    xs = _target_list(g, x)
-    y_mask = _as_mask(y, g.n, "candidate")
-    masks = closed_neighborhood_masks(g)
-    chosen = _separating_steps(xs, y_mask, masks)
-    code_mask = _mask_of(chosen)
-    bare = [v for v in xs if masks[v] & code_mask == 0]
-    if len(bare) > 1:
-        raise GuaranteeError(f"undominated vertices {bare} after separation")
-    if bare:
-        cands = masks[bare[0]] & y_mask
-        if cands == 0:
-            raise NotYIdentifiableError(
-                bare[0], "no candidate dominates the witness"
-            )
-        chosen.append((cands & -cands).bit_length() - 1)
-    if len(chosen) > len(xs):
-        raise GuaranteeError(
-            f"identifying refinement took {len(chosen)} picks for |X| = {len(xs)}"
-        )
-    return tuple(sorted(chosen))
+    return _refined(g, x, y, True)

@@ -180,3 +180,16 @@ def connected_triangle_free_graphs(n: int):
         yield from extend(i + 1, missing)
 
     yield from extend(0, n - 1)
+
+
+def first_completion(n: int, edges, base):
+    """The reference rule for a path plus a chord: base when it is an
+    identifying code, else base plus the lowest single vertex that makes
+    it one, else None."""
+    base = set(base)
+    if is_id_code(n, edges, base):
+        return base
+    for w in sorted(set(range(n)) - base):
+        if is_id_code(n, edges, base | {w}):
+            return base | {w}
+    return None

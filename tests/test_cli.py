@@ -13,7 +13,10 @@ import idcodes
 import idcodes.cli
 from idcodes import (
     BoundMissedError,
+    ExactResult,
     Graph,
+    GuaranteeError,
+    SearchBudgetError,
     load_graph,
     parse_graph,
     serialize_graph,
@@ -54,6 +57,14 @@ def test_verify_violations_and_exit_one(tmp_path, capsys):
     assert "unseparated 0 1" in out
 
 
+def test_verify_code_file_with_a_non_integer_token(tmp_path, capsys):
+    gp = write_graph(tmp_path, "p5.graph", path_graph(5))
+    cp = tmp_path / "c.code"
+    cp.write_text("0 2 x4\n")
+    assert main(["verify", gp, "--code", str(cp)]) == 3
+    assert "not a vertex id: 'x4'" in capsys.readouterr().err
+
+
 def test_verify_code_out_of_range(tmp_path, capsys):
     gp = write_graph(tmp_path, "p3.graph", path_graph(3))
     cp = tmp_path / "c.code"
@@ -80,7 +91,7 @@ def test_construct_certificate_file(tmp_path, capsys):
     out = tmp_path / "c6.cert"
     assert main(["construct", gp, "--out", str(out)]) == 0
     text = out.read_text()
-    assert text.startswith("idcodes-certificate v2\n")
+    assert text.startswith("idcodes-certificate v3\n")
     assert "code-size 3" in text
     assert "verified yes" in text
 
@@ -133,6 +144,19 @@ def test_family_stdout_and_directory(tmp_path, capsys):
         )
         assert code == 0
         capsys.readouterr()
+
+
+def test_family_slow_confirms_the_catalog_gamma(capsys):
+    assert main(["family", "T3", "--slow"]) == 0
+    assert "T3\t10\t9\t7\t" in capsys.readouterr().out
+
+
+def test_family_slow_mismatch_exits_internal(monkeypatch, capsys):
+    monkeypatch.setattr(
+        idcodes.cli, "gamma_id_exact", lambda g: ExactResult(6, (), 0, True)
+    )
+    assert main(["family", "T3", "--slow"]) == 70
+    assert "T3: catalog gamma 7 != exact 6" in capsys.readouterr().err
 
 
 def test_family_unknown_tag():
@@ -240,6 +264,26 @@ def test_report_bound_missed_row(tmp_path, capsys, monkeypatch):
     row = capsys.readouterr().out.splitlines()[1].split()
     # code_size, bound_num, bound_den, slack (2*6 - 9), gamma, status
     assert row[4:] == ["6", "9", "2", "3", "4", "bound-missed"]
+
+
+@pytest.mark.parametrize(
+    "error, exit_code",
+    [
+        (BoundMissedError((0, 1, 2), 9, 2, "forced"), 2),
+        (SearchBudgetError("forced"), 5),
+        (GuaranteeError("forced"), 70),
+    ],
+)
+def test_outcome_class_sets_the_exit_code(
+    tmp_path, capsys, monkeypatch, error, exit_code
+):
+    def raising(g):
+        raise error
+
+    monkeypatch.setattr(idcodes.cli, "construct_triangle_free", raising)
+    gp = write_graph(tmp_path, "c6.graph", cycle_graph(6))
+    assert main(["construct", gp]) == exit_code
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_fallback_option_is_gone(tmp_path, capsys):

@@ -33,6 +33,7 @@ from idcodes import (
     FamilyId,
     make_family,
     min_triangle_deletion_size,
+    path_identifying_code,
     random_triangle_free,
     serialize_certificate,
     triangle_deletion_set,
@@ -48,6 +49,7 @@ from idcodes.construct import (
     STEP_DELTA2_PATH,
     STEP_FAMILY_HIT,
     _catalog_match,
+    _chorded_two_regular,
     _hub_code,
     _repair,
     _tree_code,
@@ -183,7 +185,7 @@ def test_certificates_are_deterministic():
     a = serialize_certificate(construct_triangle_free(g))
     b = serialize_certificate(construct_triangle_free(Graph(g.n, list(g.edges))))
     assert a == b
-    assert a.startswith("idcodes-certificate v2\n")
+    assert a.startswith("idcodes-certificate v3\n")
     assert "verified yes" in a
 
 
@@ -283,7 +285,7 @@ def test_near_construct_on_a_chain_of_books_within_a_second():
     elapsed = time.perf_counter() - t0
     check_certificate(g, cert)
     assert (
-        CaseStep(STEP_COROLLARY_PATCH, "deleted 4 edges (brute-force minimum 4)")
+        CaseStep(STEP_COROLLARY_PATCH, "deleted 4 edges (minimum 4)")
         in cert.trace
     )
     assert min_triangle_deletion_size(g, 3) is None
@@ -339,8 +341,8 @@ def test_near_construct_certificate():
     assert cert.input_hash == graph_hash(g)
     patch_steps = [s for s in cert.trace if s.label == STEP_COROLLARY_PATCH]
     assert patch_steps
-    # The deletion summary reports the brute-force minimum for small t.
-    assert any("brute-force minimum" in s.detail for s in patch_steps)
+    # The deletion summary reports the minimum for small t.
+    assert any("(minimum " in s.detail for s in patch_steps)
 
 
 def test_near_construct_per_edge_damage_at_most_four():
@@ -399,7 +401,7 @@ def test_near_construct_explicit_deletions():
 WHEEL10 = Graph(
     11, [(i, (i + 1) % 10) for i in range(10)] + [(i, 10) for i in range(10)]
 )
-WHEEL10_SHA256 = "5b274e99daa00700b0fbb69b8b6cc67d88daf139b6235f28e4de90bbbe2dc3f9"
+WHEEL10_SHA256 = "16ef8ddb87d4170ffa2c053b487c3433c070efb6c2592382a317ae37d6491f8a"
 
 
 def test_near_construct_with_more_than_four_deletions():
@@ -439,7 +441,7 @@ R10_3 = Graph(
     [(0, 3), (0, 4), (0, 8), (1, 7), (1, 8), (2, 7), (2, 9), (4, 5), (4, 6),
      (6, 7), (6, 8), (8, 9)],
 )
-R10_3_SHA256 = "a61270df02e7c3e7c0f98596367535607ef3f21a2ce5a1fcc7aadbda10e4c2fd"
+R10_3_SHA256 = "f6980e683646ce59789cf9e353c9c8019af9d210ca8afe65efe92b7758d4211a"
 
 
 def test_split_path_component_is_rejoined():
@@ -459,7 +461,7 @@ P4_SWAP = Graph(
     [(0, 3), (0, 7), (1, 7), (1, 9), (2, 8), (3, 5), (3, 8), (4, 6), (4, 8),
      (5, 6), (5, 7), (6, 9)],
 )
-P4_SWAP_SHA256 = "5bb32137bbb882d9a00296e5d0355f70761fe66388dbece4159ef83d57c11f32"
+P4_SWAP_SHA256 = "9e8d64fb501bf78f2317895d54b80038f1dfe125127ad373210091998c3eeb67"
 
 
 def test_split_path_component_swaps_its_first_vertex():
@@ -480,7 +482,7 @@ STAR4_MERGE = Graph(
      (4, 7), (5, 6), (5, 7), (8, 9), (8, 10), (8, 11), (8, 12)],
 )
 STAR4_MERGE_SHA256 = (
-    "f5ad91070d7706f38eda6b06fc299e7687f037708b4d0a8b428cdca990f2d781"
+    "c834ff7359d12fa84af810bd937ed1d09556b582b20b29a4f48b39fd4bffd399"
 )
 
 
@@ -511,7 +513,7 @@ GLUED_TREE = Graph(
      (49, 50), (49, 51), (52, 53), (52, 54), (55, 56), (55, 57)],
 )
 GLUED_TREE_SHA256 = (
-    "374e90b64f32238fae7b5c1382e05864f922378c53fc2bd8695bcd00c0d27627"
+    "33abed206aff0432c8de10d99df19bd32db60298da5556015391e86e0a725ebc"
 )
 
 
@@ -638,14 +640,14 @@ def test_near_construct_checks_the_remainder_once(monkeypatch):
 
 def _repair_raises(monkeypatch, g: Graph, e: tuple[int, int], match: str) -> None:
     """Repair g around e with every code of g itself failing the check, so
-    that no quick patch fits and the case's own template is rejected;
-    subgraphs coded on the way are checked as usual."""
+    that the case's own template is rejected; subgraphs coded on the way
+    are checked as usual."""
     real = idcodes.construct.is_identifying
     monkeypatch.setattr(
         idcodes.construct, "is_identifying", lambda h, c: h is not g and real(h, c)
     )
     with pytest.raises(GuaranteeError, match=match):
-        _repair(g, e, frozenset(), [], 0)
+        _repair(g, e, [], 0)
 
 
 def test_claim_a_case_raises_when_its_template_fails(monkeypatch):
@@ -709,7 +711,7 @@ def test_g_star_case_raises_when_its_union_fails(monkeypatch):
 def test_hub_without_a_template_raises(monkeypatch):
     monkeypatch.setattr(idcodes.construct, "is_identifying", lambda h, c: False)
     with pytest.raises(GuaranteeError, match=r"no hub template .* around \(0,1\)"):
-        _repair(HUB_AND_PATH, (0, 1), frozenset(), [], 0)
+        _repair(HUB_AND_PATH, (0, 1), [], 0)
 
 
 def test_hub_groups_that_the_decomposition_never_forms_raise():
@@ -732,10 +734,48 @@ def test_level_code_that_does_not_identify_raises(monkeypatch):
 
 
 def test_long_path_plus_chord_without_a_code_raises(monkeypatch):
-    monkeypatch.setattr(idcodes.construct, "is_identifying", lambda h, c: False)
+    # A completion of the path pattern that adds more than one vertex (here
+    # every candidate) is rejected.
+    monkeypatch.setattr(
+        idcodes.construct, "_complete", lambda m, xs, y, start, d: y
+    )
     g = Graph(20, [(i, i + 1) for i in range(19)] + [(0, 5)])
     with pytest.raises(GuaranteeError, match="no path code of 20 plus chord"):
         construct_triangle_free(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_path_plus_chord_matches_the_first_completing_vertex(data):
+    # The greedy completion of the path pattern against the reference scan
+    # that tries each single vertex in ascending order.
+    n = data.draw(st.integers(17, 40))
+    a = data.draw(st.integers(0, n - 4))
+    b = data.draw(st.integers(a + 3, n - 1 if a else n - 2))
+    perm = data.draw(st.permutations(range(n)))
+    edges = [(perm[i], perm[i + 1]) for i in range(n - 1)]
+    chord = (perm[a], perm[b])
+    g = Graph(n, edges + [chord])
+    order = tuple(perm)
+    base = {order[i] for i in path_identifying_code(n)}
+    expected = oracles.first_completion(n, g.edges, base)
+    steps: list[CaseStep] = []
+    if expected is None:
+        with pytest.raises(GuaranteeError, match="no path code"):
+            _chorded_two_regular(g, ("path", order), chord, steps, 0)
+        return
+    code = _chorded_two_regular(g, ("path", order), chord, steps, 0)
+    assert code == expected
+    added = ", one vertex added" if code != base else ""
+    assert steps == [
+        CaseStep(STEP_DELTA2_PATH, f"d0: path of {n} plus chord{added}")
+    ]
+
+
+def test_near_construct_with_a_stuck_completion_raises(monkeypatch):
+    monkeypatch.setattr(idcodes.construct, "_complete", lambda *args: None)
+    with pytest.raises(GuaranteeError, match="stuck on the damaged vertices"):
+        construct_near_triangle_free(net())
 
 
 def test_bound_miss_raises_directly(monkeypatch):

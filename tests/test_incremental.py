@@ -1,11 +1,14 @@
 """The iterative construction and its signature table.
 
 Certificates are pinned by digest, so a change to any certificate byte
-shows here. The sha256 values below were recorded for certificate v2,
-whose trees above the exact size are coded by pruning the whole vertex
-set; every certificate with no such tree step is byte-identical to the v1
-certificate of the recursive construction that the iterative descent
-replaced. The signature table, the incremental prune, the cycle-edge
+shows here. The sha256 values below were recorded for certificate v3,
+whose near-triangle-free patch completes the base code on the damaged
+vertices; every pinned certificate is byte-identical to its v2 text apart
+from the version line and the CorollaryPatch summary, which no longer says
+"brute-force". v2 coded trees above the exact size by pruning the whole
+vertex set; every certificate with no such tree step is byte-identical to
+the v1 certificate of the recursive construction that the iterative
+descent replaced. The signature table, the incremental prune, the cycle-edge
 picker with its stamped cycle test, and the mask kernel are checked
 against plain reference versions with hypothesis.
 """
@@ -99,27 +102,27 @@ PINNED = {
     "sparse": (
         _sparse,
         construct_triangle_free,
-        "6f857be397dafccf22f3b20e0d33b7a226c1e4258fbb16e14c865b0a6bb3913f",
+        "f0a623655726a29680f8b2c1a27e0ea74100a098261a5bb61596eb9c7957f1ae",
     ),
     "dense": (
         _dense,
         construct_triangle_free,
-        "de4b91392d1d324caa21c08640cd9b3b324ac9bd647cdd5c7378d8b59f0c1ad0",
+        "9e97c1f25f6689a0cf60c458376cf74108bc6d670e9956caf889dfaceed3185b",
     ),
     "repairs": (
         _repairs,
         construct_triangle_free,
-        "64c2bb88a4d82671503d1765b745bfb10a03e6d29eab3f56672e4f87be629873",
+        "a983751f4a4ea93c55c3706191260b4f9d4719212b44f123aacff16aec13f86d",
     ),
     "small": (
         _small,
         construct_triangle_free,
-        "6f72309441c7feaf8309f9e52f2267eedc54db695a9dd6e0d2672b24f580d9e6",
+        "e4f560224fe31cf66191c109b9006b10936de9a39cb8616b0d9ba84d0a94b6e8",
     ),
     "near": (
         _near,
         construct_near_triangle_free,
-        "19c109d642bd68edb8ac7bfb1909ad812702a83a8d057f8c2f27ed7589be3f18",
+        "925a0f3ecbf115c0bed129bd41e1c0e9469c2cfc8c799fdc65cc0cfe761b0310",
     ),
 }
 

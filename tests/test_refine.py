@@ -5,11 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import idcodes.refine
 import oracles
 from idcodes import (
     Graph,
+    GuaranteeError,
     NotSeparableError,
+    NotYIdentifiableError,
     VertexRangeError,
     greedy_separating,
     greedy_xy_identifying,
@@ -17,6 +22,8 @@ from idcodes import (
     min_xy_identifying_exact,
     partition_by_code,
 )
+from idcodes.graphs import closed_neighborhood_masks
+from idcodes.refine import _complete
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
@@ -146,3 +153,81 @@ def test_out_of_range_vertices_are_rejected():
         partition_by_code(p4, [0, 9], [1])
     with pytest.raises(VertexRangeError, match="code vertex -2"):
         partition_by_code(p4, [0, 1], [-2])
+
+
+def test_undominated_target_is_the_witness():
+    # Y = {0} separates 0 from 3 on the path 0-1-2-3, but dominates only 0.
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert greedy_separating(p4, (0, 3), (0,)) == (0,)
+    with pytest.raises(NotYIdentifiableError) as ei:
+        greedy_xy_identifying(p4, (0, 3), (0,))
+    assert ei.value.witness == 3
+
+
+def test_broken_size_guarantee_raises(monkeypatch):
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    monkeypatch.setattr(idcodes.refine, "_complete", lambda *args: None)
+    with pytest.raises(GuaranteeError, match="size bound for"):
+        greedy_separating(p4, range(4), range(4))
+    monkeypatch.setattr(idcodes.refine, "_complete", lambda *args: 0b1111)
+    with pytest.raises(GuaranteeError, match=r"size bound for \|X\| = 3"):
+        greedy_xy_identifying(p4, (0, 1, 2), range(4))
+
+
+@st.composite
+def completions(draw):
+    """A graph, targets X, candidates Y, a start code inside Y, and whether
+    undominated targets count."""
+    n = draw(st.integers(1, 12))
+    g = random_graph(n, draw(st.integers(0, 3 * n)), draw(st.integers(0, 10**9)))
+    vertices = st.sets(st.integers(0, n - 1))
+    xs = sorted(draw(vertices))
+    ys = draw(st.one_of(st.just(set(range(n))), vertices))
+    start = draw(st.sets(st.sampled_from(sorted(ys)))) if ys else set()
+    return g, xs, ys, start, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(completions())
+def test_completion_identifies_exactly_when_y_can(inst):
+    g, xs, ys, start, dominate = inst
+    closed = oracles.neighborhoods(g.n, g.edges)
+    full = [frozenset(closed[x] & ys) for x in xs]
+    feasible = len(set(full)) == len(xs) and (not dominate or all(full))
+    masks = closed_neighborhood_masks(g)
+    y_mask = sum(1 << y for y in ys)
+    start_mask = sum(1 << s for s in start)
+    out = _complete(masks, xs, y_mask, start_mask, dominate)
+    assert (out is None) == (not feasible)
+    if out is None:
+        return
+    code = {v for v in range(g.n) if out >> v & 1}
+    assert start <= code <= ys
+    sigs = [frozenset(closed[x] & code) for x in xs]
+    assert len(set(sigs)) == len(xs)
+    if dominate:
+        assert all(sigs)
+    # Each pick splits a signature class or, failing that, dominates every
+    # undominated target, so X's |X| classes (plus domination) bound the
+    # picks from any start.
+    added = len(code) - len(start)
+    assert added <= (len(xs) if dominate else max(0, len(xs) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(completions())
+def test_not_separable_witness_is_the_smallest_pair(inst):
+    g, xs, ys, _, _ = inst
+    closed = oracles.neighborhoods(g.n, g.edges)
+    inseparable = [
+        (a, b)
+        for i, a in enumerate(xs)
+        for b in xs[i + 1:]
+        if not (closed[a] ^ closed[b]) & ys
+    ]
+    if not inseparable:
+        assert len(greedy_separating(g, xs, ys)) <= max(0, len(xs) - 1)
+        return
+    with pytest.raises(NotSeparableError) as ei:
+        greedy_separating(g, xs, ys)
+    assert ei.value.pair == min(inseparable)
