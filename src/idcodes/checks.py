@@ -5,6 +5,12 @@ code vertex lies in exactly one of the two closed neighbourhoods. C is an
 identifying code when every vertex is dominated and every pair separated;
 the (X, Y) variant restricts the vertices to identify to X (the code, drawn
 from Y, must dominate X and separate all pairs inside X).
+
+This module is the one gate for vertex-set inputs: `_instance` range-checks
+(g, X, Y) for the checkers here, `refine` and `exact`, and `_infeasibility`
+is the one feasibility rule. Some subset of Y identifies X exactly when Y
+does (the generalised Bondy theorem), so Y alone decides, and names a
+witness when it fails.
 """
 
 from __future__ import annotations
@@ -12,14 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import VertexRangeError
+from .errors import NotIdentifiableError, VertexRangeError
 from .graphs import (
-    Graph,
-    VertexSet,
-    _groups,
-    _mask_of,
-    _pairs,
-    closed_neighborhood_masks,
+    Graph, VertexSet, _bits, _groups, _mask_of, _pairs, closed_neighborhood_masks
 )
 
 UNDOMINATED = "undominated"
@@ -52,38 +53,78 @@ def _as_mask(vertices: Iterable[int], n: int, what: str) -> int:
     return mask
 
 
+def _instance(
+    g: Graph,
+    x: Iterable[int] | None,
+    y: Iterable[int] | None,
+    what: str = "candidate",
+) -> tuple[list[int], list[int], int]:
+    """(closed-neighbourhood masks, sorted X, mask of Y), X and Y defaulting
+    to V; a vertex outside g is a VertexRangeError, called `what` in Y."""
+    if x is None:
+        xs = list(range(g.n))
+    else:
+        xs = sorted(set(x))
+        _as_mask(xs, g.n, "target")
+    allowed = (1 << g.n) - 1 if y is None else _as_mask(y, g.n, what)
+    return closed_neighborhood_masks(g), xs, allowed
+
+
+def _infeasibility(
+    masks: list[int], xs: list[int], allowed: int, dominate: bool = True
+) -> Violation | None:
+    """Why no subset of the candidates identifies X (only separates X when
+    not `dominate`), or None when the candidates themselves do: the
+    lexicographically smallest pair no candidate separates, else the lowest
+    target no candidate dominates."""
+    groups = _groups(xs, (masks[v] & allowed for v in xs))
+    pairs = [(p[0], p[1]) for p in groups.values() if len(p) > 1]
+    if pairs:
+        return Violation(UNSEPARATED, min(pairs))
+    if dominate and 0 in groups:
+        return Violation(UNDOMINATED, (groups[0][0],))
+    return None
+
+
+def _identifiable(g: Graph) -> tuple[list[int], list[int], int]:
+    """The instance X = Y = V of g, raising NotIdentifiableError with the
+    smallest closed twin pair when g has one."""
+    masks, xs, allowed = _instance(g, None, None)
+    why = _infeasibility(masks, xs, allowed)
+    if why is not None:
+        raise NotIdentifiableError(why.vertices)
+    return masks, xs, allowed
+
+
+def _signatures(
+    g: Graph, code: Iterable[int], x: Iterable[int] | None = None
+) -> tuple[list[int], list[int]]:
+    """The targets, sorted, and the signature of each under the code."""
+    masks, xs, code_mask = _instance(g, x, code, "code")
+    return xs, [masks[v] & code_mask for v in xs]
+
+
+def _identifies(sigs: list[int]) -> bool:
+    return 0 not in sigs and len(set(sigs)) == len(sigs)
+
+
 def code_neighborhood(g: Graph, code: Iterable[int], v: int) -> VertexSet:
     """N[v] restricted to the code: the signature of v under the code."""
-    return g.closed_neighborhood(v) & frozenset(code)
-
-
-def _signatures(g: Graph, code: Iterable[int], xs: list[int]) -> list[int]:
-    code_mask = _as_mask(code, g.n, "code")
-    masks = closed_neighborhood_masks(g)
-    return [masks[x] & code_mask for x in xs]
-
-
-def _target_list(g: Graph, x: Iterable[int] | None) -> list[int]:
-    if x is None:
-        return list(range(g.n))
-    xs = sorted(set(x))
-    _as_mask(xs, g.n, "target")
-    return xs
+    _, (sig,) = _signatures(g, code, (v,))
+    return frozenset(_bits(sig))
 
 
 def is_dominating(g: Graph, code: Iterable[int], x: Iterable[int] | None = None) -> bool:
     """True when every target vertex has a code vertex in its closed
     neighbourhood. Target defaults to all of V."""
-    xs = _target_list(g, x)
-    return all(sig != 0 for sig in _signatures(g, code, xs))
+    return 0 not in _signatures(g, code, x)[1]
 
 
 def unseparated_pairs(
     g: Graph, code: Iterable[int], x: Iterable[int] | None = None
 ) -> tuple[tuple[int, int], ...]:
     """All target pairs with identical signatures, sorted lexicographically."""
-    xs = _target_list(g, x)
-    return _pairs(_groups(xs, _signatures(g, code, xs)).values())
+    return _pairs(_groups(*_signatures(g, code, x)).values())
 
 
 def violations(
@@ -91,8 +132,7 @@ def violations(
 ) -> tuple[Violation, ...]:
     """Every failure of the code on the target set, undominated vertices
     first, each group in ascending order."""
-    xs = _target_list(g, x)
-    groups = _groups(xs, _signatures(g, code, xs))
+    groups = _groups(*_signatures(g, code, x))
     out = [Violation(UNDOMINATED, (v,)) for v in groups.get(0, ())]
     out.extend(Violation(UNSEPARATED, pair) for pair in _pairs(groups.values()))
     return tuple(out)
@@ -100,8 +140,7 @@ def violations(
 
 def is_identifying(g: Graph, code: Iterable[int]) -> bool:
     """True when the code is a full identifying code of g."""
-    sigs = _signatures(g, code, list(range(g.n)))
-    return 0 not in sigs and len(set(sigs)) == len(sigs)
+    return _identifies(_signatures(g, code)[1])
 
 
 def is_xy_identifying(
@@ -112,13 +151,13 @@ def is_xy_identifying(
     The code must be a subset of Y; anything else is a caller bug, reported
     as ValueError rather than a plain False.
     """
-    code_set = sorted(set(code))
-    y_set = set(y)
-    _as_mask(y_set, g.n, "candidate")
-    stray = [c for c in code_set if c not in y_set]
+    masks, xs, allowed = _instance(g, x, y)
+    code_set = set(code)
+    stray = sorted(code_set - set(_bits(allowed)))
     if stray:
         raise ValueError(f"code vertices {stray} are not in the candidate set Y")
-    return len(violations(g, code_set, x)) == 0
+    code_mask = _mask_of(code_set)
+    return _identifies([masks[v] & code_mask for v in xs])
 
 
 class SignatureTable:

@@ -29,6 +29,7 @@ from pathlib import Path
 
 from .checks import violations
 from .construct import (
+    bound_check,
     certified_bound,
     construct_near_triangle_free,
     construct_triangle_free,
@@ -42,7 +43,6 @@ from .errors import (
     IdCodeError,
     NotIdentifiableError,
     SearchBudgetError,
-    VertexRangeError,
 )
 from .exact import gamma_id_exact
 from .families import (
@@ -108,36 +108,29 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _check_code_range(g: Graph, code: tuple[int, ...]) -> None:
-    bad = [c for c in code if c < 0 or c >= g.n]
-    if bad:
-        raise VertexRangeError(
-            f"code vertices out of range 0..{g.n - 1}: {bad}"
-        )
-
-
-def _bound_line(g: Graph, size: int, delta_override: int | None) -> str:
+def _bound_line(g: Graph, code: tuple[int, ...], delta_override: int | None) -> str:
     """The bound that construct or near-construct would certify for g, or
-    the plain degree form at an explicit delta, applied to a code size."""
+    `bound_check`'s degree form at an explicit delta, applied to the code."""
     if delta_override is not None:
-        num, den = (delta_override - 1) * g.n, delta_override
+        rep = bound_check(g, code, delta=delta_override)
+        num, den = rep.bound_num, rep.bound_den
     elif triangle_witness(g) is None:
         num, den = certified_bound(g, in_f_delta(g, max(g.max_degree(), 3)))
     else:
         num, den = certified_bound(g, t=len(triangle_deletion_set(g)))
-    slack = den * size - num
+    slack = den * len(code) - num
     word = "holds" if slack <= 0 else "FAILS"
-    return f"bound {den}*{size} <= {num}: {word} (slack {slack})"
+    return f"bound {den}*{len(code)} <= {num}: {word} (slack {slack})"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     code = _read_code_file(args.code)
-    _check_code_range(g, code)
     viols = violations(g, code)
+    bound = _bound_line(g, code, args.delta)
     for v in viols:
         print(v)
-    print(_bound_line(g, len(code), args.delta))
+    print(bound)
     if viols:
         print(f"not identifying: {len(viols)} violations")
         return EXIT_NOT_IDENTIFYING

@@ -62,14 +62,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .checks import SignatureTable, is_identifying
+from .checks import SignatureTable, _as_mask, _identifiable, _instance, is_identifying
 from .errors import (
     BoundMissedError,
     EdgeError,
     GuaranteeError,
     InvalidDeletionSetError,
     NotConnectedError,
-    NotIdentifiableError,
     NotTriangleFreeError,
     SearchBudgetError,
 )
@@ -94,9 +93,7 @@ from .graphs import (
     boundary_decomposition,
     BoundaryDecomposition,
     MutableGraph,
-    closed_neighborhood_masks,
     delete,
-    find_closed_twins,
     graph_hash,
     induced_subgraph,
     is_connected,
@@ -176,10 +173,13 @@ def bound_check(
     """Check delta * |code| <= (delta - 1) * n + extra_num in exact integers.
 
     slack is the left side minus the right side (<= 0 means the bound holds).
-    delta defaults to the maximum degree of g.
+    delta defaults to the maximum degree of g. Raises VertexRangeError for a
+    code vertex outside g and ValueError for a delta below 1.
     """
     d = g.max_degree() if delta is None else delta
-    size = len(set(code))
+    if d < 1:
+        raise ValueError(f"bound needs a degree of at least 1, got {d}")
+    size = _as_mask(code, g.n, "code").bit_count()
     num = (d - 1) * g.n + extra_num
     slack = d * size - num
     return BoundReport(g.n, d, size, extra_num, num, d, slack, slack <= 0)
@@ -377,8 +377,8 @@ def _chorded_two_regular(
     # alone settles every violation, so the greedy's first pick is the
     # lowest such vertex; a completion that adds more is rejected.
     base = _mask_of(order[i] for i in path_identifying_code(n))
-    masks = closed_neighborhood_masks(g)
-    code = _complete(masks, list(range(n)), (1 << n) - 1, base, True)
+    masks, xs, allowed = _instance(g, None, None)
+    code = _complete(masks, xs, allowed, base, True)
     if code is not None and code.bit_count() - base.bit_count() <= 1:
         extra = "" if code == base else ", one vertex added"
         steps.append(
@@ -950,9 +950,7 @@ def construct_near_triangle_free(
         raise ValueError(
             f"the patch pipeline needs maximum degree >= 3, got {delta}"
         )
-    twins = find_closed_twins(g)
-    if twins:
-        raise NotIdentifiableError(twins[0])
+    masks = _identifiable(g)[0]
     if deletions is None:
         edge_set = triangle_deletion_set(g)
     else:
@@ -1010,7 +1008,6 @@ def construct_near_triangle_free(
     if damaged:
         # base leaves only pairs of damaged vertices unseparated in g, and
         # g has no closed twins, so completing base on them identifies g.
-        masks = closed_neighborhood_masks(g)
         full = _complete(masks, sorted(damaged), (1 << g.n) - 1, _mask_of(base), True)
         if full is None:
             raise GuaranteeError("greedy completion stuck on the damaged vertices")

@@ -42,6 +42,9 @@ the set a node branches on, so only earlier dominators count.
 
 Greedy completion, which sets the first incumbent, is refine's max-settle
 refinement of the partition of X by code signature (refine._complete).
+Instances come from checks' gate (checks._instance), so an infeasible one
+raises the witness refine raises, and a chord is admitted by the rule for
+any added edge (graphs._admissible_addition).
 """
 
 from __future__ import annotations
@@ -49,22 +52,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .checks import _as_mask, _target_list, is_identifying
+from .checks import (
+    UNDOMINATED,
+    _as_mask,
+    _identifiable,
+    _infeasibility,
+    _instance,
+    is_identifying,
+)
 from .errors import (
-    EdgeAdditionError,
     GuaranteeError,
     NotIdentifiableError,
     NotYIdentifiableError,
     SearchBudgetError,
 )
-from .graphs import (
-    Graph,
-    _bits,
-    _groups,
-    _pairs,
-    closed_neighborhood_masks,
-    linear_order,
-)
+from .graphs import Graph, _admissible_addition, _bits, linear_order
 from .refine import _classes, _complete
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -255,40 +257,6 @@ class _Search:
         return self.best_mask, True
 
 
-def _feasibility_witness(
-    masks: list[int], xs: list[int], allowed: int
-) -> tuple[str, int | tuple[int, int]] | None:
-    """Why even the full candidate set fails, or None when it works."""
-    sigs = {}
-    for x in xs:
-        sig = masks[x] & allowed
-        if sig == 0:
-            return ("undominated", x)
-        if sig in sigs:
-            return ("unseparated", (sigs[sig], x))
-        sigs[sig] = x
-    return None
-
-
-def _prepare(
-    g: Graph, x: Iterable[int] | None, y: Iterable[int] | None
-) -> tuple[list[int], list[int], int]:
-    masks = closed_neighborhood_masks(g)
-    xs = _target_list(g, x)
-    allowed = _as_mask(range(g.n) if y is None else y, g.n, "candidate")
-    return masks, xs, allowed
-
-
-def _prepare_identifiable(g: Graph) -> tuple[list[int], list[int], int]:
-    """_prepare for X = Y = V, raising NotIdentifiableError with the smallest
-    closed twin pair when g has one."""
-    masks, xs, allowed = _prepare(g, None, None)
-    twins = _pairs(_groups(xs, masks).values())
-    if twins:
-        raise NotIdentifiableError(twins[0])
-    return masks, xs, allowed
-
-
 def _minimum(
     masks: list[int], xs: list[int], allowed: int, required: int, node_budget: int
 ) -> ExactResult:
@@ -311,7 +279,7 @@ def gamma_id_exact(
     A blown node budget yields ExactResult(optimal=False) holding the best
     verified code found.
     """
-    masks, xs, allowed = _prepare_identifiable(g)
+    masks, xs, allowed = _identifiable(g)
     return _minimum(masks, xs, allowed, 0, node_budget)
 
 
@@ -323,19 +291,22 @@ def min_xy_identifying_exact(
 ) -> ExactResult:
     """Minimum code drawn from Y that identifies X.
 
-    Raises NotYIdentifiableError (with a witness vertex or pair) when Y
-    cannot identify X at all.
+    Raises NotYIdentifiableError when Y cannot identify X at all, with the
+    witness refine's greedy codes raise: the lexicographically smallest
+    pair no candidate separates, else the lowest target no candidate
+    dominates. Raises VertexRangeError for a vertex of X or Y outside the
+    graph.
     """
-    masks, xs, allowed = _prepare(g, x, y)
-    why = _feasibility_witness(masks, xs, allowed)
+    masks, xs, allowed = _instance(g, x, y)
+    why = _infeasibility(masks, xs, allowed)
     if why is not None:
-        kind, witness = why
-        reason = (
-            "no candidate dominates the witness"
-            if kind == "undominated"
-            else "no candidate separates the witness pair"
+        if why.kind == UNDOMINATED:
+            raise NotYIdentifiableError(
+                why.vertices[0], "no candidate dominates the witness"
+            )
+        raise NotYIdentifiableError(
+            why.vertices, "no candidate separates the witness pair"
         )
-        raise NotYIdentifiableError(witness, reason)
     return _minimum(masks, xs, allowed, 0, node_budget)
 
 
@@ -345,7 +316,7 @@ def min_identifying_containing(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExactResult:
     """Minimum identifying code forced to contain the given vertices."""
-    masks, xs, allowed = _prepare_identifiable(g)
+    masks, xs, allowed = _identifiable(g)
     required_mask = _as_mask(required, g.n, "required")
     return _minimum(masks, xs, allowed, required_mask, node_budget)
 
@@ -358,7 +329,7 @@ def identifying_code_at_most(
     Raises SearchBudgetError when the budget runs out undecided, and
     NotIdentifiableError when the graph has closed twins.
     """
-    masks, xs, allowed = _prepare_identifiable(g)
+    masks, xs, allowed = _identifiable(g)
     search = _Search(masks, xs, allowed)
     best, done = search.run(0, node_budget, cap=cap, stop_first=True)
     if best is None and not done:
@@ -419,21 +390,6 @@ def cycle_identifying_code(n: int) -> tuple[int, ...]:
     return tuple(sorted(set(range(0, n, 2)) | {1}))
 
 
-def _validate_chord(n: int, chord: tuple[int, int]) -> int:
-    a, b = chord
-    if not (0 <= a < n and 0 <= b < n) or a == b:
-        raise EdgeAdditionError("range", f"chord {chord} invalid for n={n}")
-    j = (b - a) % n
-    dist = min(j, n - j)
-    if dist == 1:
-        raise EdgeAdditionError("exists", f"chord {chord} is a cycle edge")
-    if dist == 2:
-        raise EdgeAdditionError(
-            "triangle", f"chord {chord} closes a triangle on the cycle"
-        )
-    return j
-
-
 def odd_cycle_plus_chord_code(n: int, chord: tuple[int, int]) -> tuple[int, ...]:
     """An identifying code of size (n+1)/2 for an odd cycle plus one chord.
 
@@ -445,8 +401,10 @@ def odd_cycle_plus_chord_code(n: int, chord: tuple[int, int]) -> tuple[int, ...]
     """
     if n < 7 or n % 2 == 0:
         raise ValueError(f"need an odd cycle on >= 7 vertices, got n={n}")
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    _admissible_addition(Graph(n, edges), chord)
     a, b = chord
-    j = _validate_chord(n, chord)
+    j = (b - a) % n
     if j % 2 == 1:
         back = lambda x: (x + a) % n  # noqa: E731  rotation only
     else:
@@ -456,9 +414,7 @@ def odd_cycle_plus_chord_code(n: int, chord: tuple[int, int]) -> tuple[int, ...]
     pattern.update(range(1, j - 1, 2))
     pattern.update(range(j + 2, n - 1, 2))
     code = tuple(sorted(back(x) for x in pattern))
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges.append((a, b))
-    g = Graph(n, edges)
+    g = Graph(n, edges + [(a, b)])
     if not is_identifying(g, code):
         raise GuaranteeError(
             f"chorded odd cycle pattern failed for n={n}, chord={chord}"

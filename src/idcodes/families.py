@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 from .checks import is_identifying
 from .errors import (
-    EdgeAdditionError,
     GuaranteeError,
     UnknownFamilyError,
     UnsupportedCodeFormError,
 )
-from .graphs import Graph
+from .graphs import Graph, _admissible_addition
 from .isomorph import find_isomorphism
 
 
@@ -282,23 +281,6 @@ def tree_code_all_low_degree(
             "has two adjacent members"
         )
     return make_family(family).code
-
-
-def _admissible_addition(g: Graph, e: tuple[int, int]) -> None:
-    u, v = e
-    if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
-        raise EdgeAdditionError("range", f"edge {e} invalid for n={g.n}")
-    if g.has_edge(u, v):
-        raise EdgeAdditionError("exists", f"edge {e} already present")
-    if g.adj[u] & g.adj[v]:
-        w = min(g.adj[u] & g.adj[v])
-        raise EdgeAdditionError(
-            "triangle", f"edge {e} closes a triangle with vertex {w}"
-        )
-    if g.degree(u) >= 3 or g.degree(v) >= 3:
-        raise EdgeAdditionError(
-            "degree", f"edge {e} would push a degree past 3"
-        )
 
 
 def tree_plus_edge_code(family: FamilyId, e: tuple[int, int]) -> tuple[int, ...]:

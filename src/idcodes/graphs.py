@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
+    EdgeAdditionError,
     EdgeError,
     GraphFormatError,
     NoCycleEdgeError,
@@ -328,6 +329,24 @@ def find_closed_twins(g: Graph) -> tuple[tuple[int, int], ...]:
 def find_open_twins(g: Graph) -> tuple[tuple[int, int], ...]:
     """All pairs u < v with N(u) = N(v), sorted."""
     return _pairs(_groups(range(g.n), map(_mask_of, g.adj)).values())
+
+
+def _admissible_addition(g: Graph, e: tuple[int, int]) -> None:
+    """Raise EdgeAdditionError, with reason "range", "exists", "triangle" or
+    "degree" in that order, unless g + e is simple, triangle-free and of
+    maximum degree 3 at most."""
+    u, v = e
+    if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
+        raise EdgeAdditionError("range", f"edge {e} invalid for n={g.n}")
+    if g.has_edge(u, v):
+        raise EdgeAdditionError("exists", f"edge {e} already present")
+    if g.adj[u] & g.adj[v]:
+        w = min(g.adj[u] & g.adj[v])
+        raise EdgeAdditionError(
+            "triangle", f"edge {e} closes a triangle with vertex {w}"
+        )
+    if g.degree(u) >= 3 or g.degree(v) >= 3:
+        raise EdgeAdditionError("degree", f"edge {e} would push a degree past 3")
 
 
 def triangle_witness(g: Graph) -> tuple[int, int, int] | None:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .checks import _as_mask, _target_list
+from .checks import UNSEPARATED, _infeasibility, _instance, _signatures
 from .errors import GuaranteeError, NotSeparableError, NotYIdentifiableError
-from .graphs import Graph, _bits, _groups, closed_neighborhood_masks
+from .graphs import Graph, _bits, _groups
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,7 @@ def partition_by_code(
     g: Graph, x: Iterable[int], code: Iterable[int]
 ) -> Partition:
     """Partition of X into classes of equal code signature."""
-    xs = _target_list(g, x)
-    masks = closed_neighborhood_masks(g)
-    code_mask = _as_mask(code, g.n, "code")
-    parts = _groups(xs, (masks[v] & code_mask for v in xs)).values()
+    parts = _groups(*_signatures(g, code, x)).values()
     return Partition(tuple(sorted(tuple(p) for p in parts)))
 
 
@@ -105,17 +102,16 @@ def _split(groups: list[int], m: int) -> list[int]:
 def _refined(
     g: Graph, x: Iterable[int], y: Iterable[int], dominate: bool
 ) -> tuple[int, ...]:
-    """The greedy code from the empty start, after the feasibility check
-    that raises with a witness, checked against its size bound."""
-    xs = _target_list(g, x)
-    y_mask = _as_mask(y, g.n, "candidate")
-    masks = closed_neighborhood_masks(g)
-    sigs = _groups(xs, (masks[v] & y_mask for v in xs))
-    pairs = [(p[0], p[1]) for p in sigs.values() if len(p) > 1]
-    if pairs:
-        raise NotSeparableError(min(pairs))
-    if dominate and 0 in sigs:
-        raise NotYIdentifiableError(sigs[0][0], "no candidate dominates the witness")
+    """The greedy code from the empty start, after the gate's feasibility
+    check that raises with its witness, checked against its size bound."""
+    masks, xs, y_mask = _instance(g, x, y)
+    why = _infeasibility(masks, xs, y_mask, dominate)
+    if why is not None:
+        if why.kind == UNSEPARATED:
+            raise NotSeparableError(why.vertices)
+        raise NotYIdentifiableError(
+            why.vertices[0], "no candidate dominates the witness"
+        )
     code = _complete(masks, xs, y_mask, 0, dominate)
     limit = len(xs) if dominate else max(0, len(xs) - 1)
     if code is None or code.bit_count() > limit:

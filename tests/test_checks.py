@@ -11,10 +11,16 @@ from idcodes import (
     Graph,
     VertexRangeError,
     Violation,
+    bound_check,
     code_neighborhood,
+    greedy_separating,
+    greedy_xy_identifying,
     is_dominating,
     is_identifying,
     is_xy_identifying,
+    min_identifying_containing,
+    min_xy_identifying_exact,
+    partition_by_code,
     unseparated_pairs,
     violations,
 )
@@ -118,3 +124,51 @@ def test_is_xy_identifying_matches_bruteforce():
         assert is_xy_identifying(g, xs, ys, code) == oracles.is_xy_code(
             n, g.edges, xs, ys, code
         )
+
+
+P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "call, vertex",
+    [
+        (lambda: violations(P4, (0, 99)), 99),
+        (lambda: violations(P4, (0, 1), x=(0, -1)), -1),
+        (lambda: unseparated_pairs(P4, (0, 99)), 99),
+        (lambda: unseparated_pairs(P4, (0, 1), x=(4,)), 4),
+        (lambda: is_dominating(P4, (0, 99)), 99),
+        (lambda: is_dominating(P4, (1, 2), x=(7,)), 7),
+        (lambda: is_identifying(P4, (0, 99)), 99),
+        (lambda: is_xy_identifying(P4, (0, 99), (0, 1), (0,)), 99),
+        (lambda: is_xy_identifying(P4, (0, 1), (0, 1, 99), (0,)), 99),
+        (lambda: code_neighborhood(P4, (0, 99), 1), 99),
+        (lambda: code_neighborhood(P4, (0, 1), 9), 9),
+        (lambda: partition_by_code(P4, (0, 99), (1,)), 99),
+        (lambda: partition_by_code(P4, (0, 1), (-2,)), -2),
+        (lambda: greedy_separating(P4, (0, 99), (0,)), 99),
+        (lambda: greedy_separating(P4, (0, 1), (0, 99)), 99),
+        (lambda: greedy_xy_identifying(P4, (99,), (0,)), 99),
+        (lambda: greedy_xy_identifying(P4, (0, 1), (-1, 0)), -1),
+        (lambda: min_xy_identifying_exact(P4, (0, 99), (0, 1)), 99),
+        (lambda: min_xy_identifying_exact(P4, (0, 1), (0, 99)), 99),
+        (lambda: min_identifying_containing(P4, (0, 99)), 99),
+        (lambda: bound_check(P4, (0, 99)), 99),
+    ],
+    ids=[
+        "violations-code", "violations-x", "unseparated_pairs-code",
+        "unseparated_pairs-x", "is_dominating-code", "is_dominating-x",
+        "is_identifying", "is_xy_identifying-x", "is_xy_identifying-y",
+        "code_neighborhood-code", "code_neighborhood-v",
+        "partition_by_code-x", "partition_by_code-code",
+        "greedy_separating-x", "greedy_separating-y",
+        "greedy_xy_identifying-x", "greedy_xy_identifying-y",
+        "min_xy_identifying_exact-x", "min_xy_identifying_exact-y",
+        "min_identifying_containing", "bound_check",
+    ],
+)
+def test_out_of_range_vertices_are_rejected_everywhere(call, vertex):
+    # Every public function taking a code, X, Y or a required set rejects a
+    # vertex outside 0..n-1 by name, never by an IndexError, a wrong answer
+    # or a negative index read as vertex n - 1.
+    with pytest.raises(VertexRangeError, match=rf"vertex {vertex} out of range"):
+        call()

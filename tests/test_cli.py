@@ -402,3 +402,24 @@ def test_missing_deletions_file_exits_parse(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["near-construct", gp, str(missing)]) == 3
     assert f"cannot read edge file {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["0", "-2"])
+def test_verify_rejects_a_degree_below_one(tmp_path, capsys, delta):
+    gp = write_graph(tmp_path, "p3.graph", path_graph(3))
+    cp = tmp_path / "c.code"
+    cp.write_text("0 1\n")
+    assert main(["verify", gp, "--code", str(cp), "--delta", delta]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bound needs a degree of at least 1, got {delta}\n"
+
+
+def test_verify_out_of_range_message_comes_from_checks(tmp_path, capsys):
+    gp = write_graph(tmp_path, "p3.graph", path_graph(3))
+    cp = tmp_path / "c.code"
+    cp.write_text("0 9\n")
+    assert main(["verify", gp, "--code", str(cp)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: code vertex 9 out of range for n=3\n"

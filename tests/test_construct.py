@@ -213,6 +213,15 @@ def test_bound_check_reports():
     assert rep.bound_num == 7
 
 
+def test_bound_check_rejects_a_degree_below_one():
+    # Out-of-range code vertices are covered by the sweep in test_checks.py.
+    for delta in (0, -2):
+        with pytest.raises(ValueError, match=f"at least 1, got {delta}"):
+            bound_check(path(3), (0, 1), delta=delta)
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        bound_check(Graph(2, []), (0, 1))
+
+
 # --- triangle deletion ------------------------------------------------------
 
 

@@ -228,7 +228,7 @@ def test_entry_points_build_the_masks_once(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(idcodes.graphs, "closed_neighborhood_masks", counting)
-    monkeypatch.setattr(idcodes.exact, "closed_neighborhood_masks", counting)
+    monkeypatch.setattr(idcodes.checks, "closed_neighborhood_masks", counting)
     # Closed twins {1, 2} and {0, 5}: the witness is the smallest pair, not
     # the first repeat a scan in vertex order meets.
     twins = Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (0, 4), (0, 5), (4, 5)])
@@ -256,3 +256,26 @@ def test_out_of_range_vertices_are_rejected():
         min_xy_identifying_exact(p4, [0, 1], [-1, 0, 1])
     with pytest.raises(VertexRangeError, match="required vertex 5"):
         min_identifying_containing(path(5), [4, 5])
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_chord_outcomes_on_every_pair(n):
+    # Equal or out-of-range ends are "range", a cycle edge "exists", a chord
+    # across one vertex "triangle"; every other chord gets a verified code
+    # of size (n + 1) / 2.
+    outcome = {0: "range", 1: "exists", 2: "triangle"}
+    chords = [(a, b) for a in range(n) for b in range(n)] + [(0, n), (-1, 3)]
+    for a, b in chords:
+        if 0 <= a < n and 0 <= b < n:
+            dist = min((b - a) % n, (a - b) % n)
+        else:
+            dist = 0
+        if dist in outcome:
+            with pytest.raises(EdgeAdditionError) as ei:
+                odd_cycle_plus_chord_code(n, (a, b))
+            assert ei.value.reason == outcome[dist]
+            continue
+        code = odd_cycle_plus_chord_code(n, (a, b))
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(a, b)])
+        assert is_identifying(g, code)
+        assert len(code) == (n + 1) // 2

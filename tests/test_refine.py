@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idcodes.refine
@@ -231,3 +231,32 @@ def test_not_separable_witness_is_the_smallest_pair(inst):
     with pytest.raises(NotSeparableError) as ei:
         greedy_separating(g, xs, ys)
     assert ei.value.pair == min(inseparable)
+
+
+def _witness(run, g, xs, ys):
+    """What run(g, xs, ys) names when it fails, or None when it succeeds."""
+    try:
+        run(g, xs, ys)
+    except NotSeparableError as e:
+        return e.pair
+    except NotYIdentifiableError as e:
+        return e.witness
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(completions())
+# Y = {0} separates neither 2 from 3 nor dominates 1: both entry points
+# name the pair first.
+@example((Graph(5, [(0, 2), (0, 3), (1, 4)]), [1, 2, 3], {0}, set(), True))
+def test_xy_entry_points_agree(inst):
+    g, xs, ys, _, _ = inst
+    greedy = _witness(greedy_xy_identifying, g, xs, ys)
+    exact = _witness(min_xy_identifying_exact, g, xs, ys)
+    assert (greedy is None) == is_xy_identifying(g, xs, ys, ys)
+    assert exact == greedy
+    separating = _witness(greedy_separating, g, xs, ys)
+    if isinstance(greedy, tuple):
+        assert separating == greedy
+    else:
+        assert separating is None
