@@ -187,7 +187,10 @@ def _fixed_entry(kind: str) -> CatalogEntry:
 
 # The fifteen fixed members, built once; entries are immutable.
 _FIXED_ENTRIES = {fid.kind: _fixed_entry(fid.kind) for fid in all_family_ids()}
-_FIXED_SHAPES = frozenset((e.graph.n, e.graph.m) for e in _FIXED_ENTRIES.values())
+# The fixed members by (order, size), each list in catalog order.
+_FIXED_BY_SHAPE: dict[tuple[int, int], list[CatalogEntry]] = {}
+for _entry in _FIXED_ENTRIES.values():
+    _FIXED_BY_SHAPE.setdefault((_entry.graph.n, _entry.graph.m), []).append(_entry)
 
 
 def make_family(family: FamilyId) -> CatalogEntry:
@@ -216,7 +219,7 @@ def fits_catalog(n: int, m: int, delta: int) -> bool:
     """
     if delta >= 4:
         return n == delta + 1 and m == delta
-    return (n, m) in _FIXED_SHAPES
+    return (n, m) in _FIXED_BY_SHAPE
 
 
 def match_family(g: Graph, delta: int) -> tuple[FamilyId, dict[int, int]] | None:
@@ -241,9 +244,7 @@ def match_family(g: Graph, delta: int) -> tuple[FamilyId, dict[int, int]] | None
         if mapping is None:
             raise GuaranteeError(f"star degree sequence without a star map: {g}")
         return (entry.family, mapping)
-    for entry in _FIXED_ENTRIES.values():
-        if entry.graph.n != g.n or entry.graph.m != g.m:
-            continue
+    for entry in _FIXED_BY_SHAPE[g.n, g.m]:
         mapping = find_isomorphism(entry.graph, g)
         if mapping is not None:
             return (entry.family, mapping)

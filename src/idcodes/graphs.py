@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     EdgeAdditionError,
@@ -19,6 +19,9 @@ from .errors import (
     NoCycleEdgeError,
     VertexRangeError,
 )
+
+if TYPE_CHECKING:
+    from .isomorph import _Profile
 
 VertexSet = frozenset[int]
 
@@ -56,12 +59,12 @@ class Graph:
         adj: per-vertex adjacency as a tuple of frozensets.
     """
 
-    __slots__ = ("n", "edges", "adj", "_colors")
+    __slots__ = ("n", "edges", "adj", "_iso")
 
     n: int
     edges: tuple[Edge, ...]
     adj: tuple[VertexSet, ...]
-    _colors: tuple[int, ...] | None
+    _iso: _Profile | None
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -86,8 +89,10 @@ class Graph:
         object.__setattr__(
             self, "adj", tuple(frozenset(s) for s in nbrs)
         )
-        # Stable colouring, filled in by isomorph.refine_colors on first use.
-        object.__setattr__(self, "_colors", None)
+        # Isomorphism profile (stable colouring, colour classes, search
+        # order, neighbour masks), filled in by isomorph.refine_colors on
+        # first use. The graph is immutable, so the profile never goes stale.
+        object.__setattr__(self, "_iso", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")

@@ -9,11 +9,40 @@ degree ranks and stops once the colouring is discrete. Colours and maps
 are the same as those of the plain round-by-round refinement and the
 pair-by-pair search; highly regular inputs, which refinement cannot split,
 can still make the search exponential.
+
+Each Graph carries one isomorphism profile, computed once: a single
+refinement gives its colours, colour classes and histogram, and its search
+order (as a match source) and neighbour masks (as a target) are built on
+first use. Matching one graph against many, as deduplication does, then
+repeats no set-up. A Graph is immutable, so its profile cannot go stale.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, _groups, _mask_of
+from .graphs import Graph, _mask_of
+
+
+class _Profile:
+    """What the isomorphism test reads of one graph, computed at most once.
+
+    Refinement fills in the colours, the colour classes (ascending members,
+    indexed by colour) and the histogram (colour, class size) at once. The
+    search order, which the graph needs as a match source, and the neighbour
+    masks, which it needs as a target, are filled in on first use.
+    """
+
+    __slots__ = ("colors", "classes", "histogram", "order", "masks")
+
+    def __init__(self, g: Graph):
+        colors = _refine(g)
+        classes: list[list[int]] = [[] for _ in range(len(set(colors)))]
+        for v, c in enumerate(colors):
+            classes[c].append(v)
+        self.colors = colors
+        self.classes = classes
+        self.histogram = tuple(enumerate(map(len, classes)))
+        self.order: list[int] | None = None
+        self.masks: list[int] | None = None
 
 
 def refine_colors(g: Graph) -> tuple[int, ...]:
@@ -21,11 +50,12 @@ def refine_colors(g: Graph) -> tuple[int, ...]:
 
     Colour ids are assigned canonically (sorted key order) each round, so
     the multiset of final colours is equal for isomorphic graphs. The
-    colouring is computed once per Graph object and kept on it.
+    colouring is computed once per Graph object and kept on it, in the
+    graph's isomorphism profile.
     """
-    if g._colors is None:
-        object.__setattr__(g, "_colors", _refine(g))
-    return g._colors
+    if g._iso is None:
+        object.__setattr__(g, "_iso", _Profile(g))
+    return g._iso.colors
 
 
 def _refine(g: Graph) -> tuple[int, ...]:
@@ -60,11 +90,17 @@ def _refine(g: Graph) -> tuple[int, ...]:
 
 def invariant_key(g: Graph) -> tuple:
     """A cheap isomorphism invariant: order, size, colour histogram."""
-    colors = refine_colors(g)
-    hist: dict[int, int] = {}
-    for c in colors:
-        hist[c] = hist.get(c, 0) + 1
-    return (g.n, g.m, tuple(sorted(hist.items())))
+    refine_colors(g)
+    return (g.n, g.m, g._iso.histogram)
+
+
+def _search_order(g: Graph, iso: _Profile) -> list[int]:
+    """g's vertices as a match source: rarest colour class first, then high
+    degree first, to fail fast. A target with g's histogram has g's class
+    sizes, so the order depends on g alone."""
+    size = list(map(len, iso.classes))
+    colors, adj = iso.colors, g.adj
+    return sorted(range(g.n), key=lambda v: (size[colors[v]], -len(adj[v]), v))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
@@ -75,18 +111,21 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if g.n != h.n or g.m != h.m:
         return None
-    cg = refine_colors(g)
-    ch = refine_colors(h)
-    if sorted(cg) != sorted(ch):
+    # refine_colors fills in each graph's profile on first use.
+    refine_colors(g)
+    refine_colors(h)
+    pg, ph = g._iso, h._iso
+    # Equal histograms hold exactly when the sorted colourings are equal.
+    if pg.histogram != ph.histogram:
         return None
-    by_color = _groups(range(h.n), ch)
+    order = pg.order
+    if order is None:
+        order = pg.order = _search_order(g, pg)
+    hmask = ph.masks
+    if hmask is None:
+        hmask = ph.masks = list(map(_mask_of, h.adj))
+    colors_g, classes_h = pg.colors, ph.classes
     adj = g.adj
-    # Rarest colour class first, high degree first: fail fast.
-    order = sorted(
-        range(g.n), key=lambda v: (len(by_color[cg[v]]), -len(adj[v]), v)
-    )
-    candidates = [by_color[cg[v]] for v in order]
-    hmask = list(map(_mask_of, h.adj))
     # used: the images so far, as a mask (taken holds the same set, for a
     # membership test that costs no big-integer shift on large graphs).
     # expected[v]: the images of v's mapped neighbours. A free candidate w
@@ -99,7 +138,7 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     i = 0
     while i < g.n:
         v = order[i]
-        cands = candidates[i]
+        cands = classes_h[colors_g[v]]
         want = expected[v]
         j = next_try[i]
         while j < len(cands):

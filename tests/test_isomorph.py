@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from idcodes import (
@@ -15,6 +20,7 @@ from idcodes import (
 )
 import idcodes.isomorph
 from idcodes.isomorph import invariant_key, refine_colors
+from test_isomorph_kernel import _cubic, _naive_find
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
@@ -73,25 +79,165 @@ def test_refine_colors_distinguishes_by_role():
     assert sorted(refine_colors(g)) == sorted(refine_colors(h))
 
 
-def test_colouring_is_computed_once_per_graph(monkeypatch):
-    bases = [random_graph(9, 12, seed) for seed in range(3)]
-    graphs = bases + [permuted(g, 7) for g in bases]
-    pairs = [(g, h) for g in graphs for h in graphs]
-    # Colours and mappings of fresh copies, which have never been refined.
-    def copy(g):
-        return Graph(g.n, g.edges)
+def _copy(g: Graph) -> Graph:
+    """A fresh copy, which has never been refined."""
+    return Graph(g.n, g.edges)
 
-    colors = [refine_colors(copy(g)) for g in graphs]
-    mappings = [find_isomorphism(copy(g), copy(h)) for g, h in pairs]
-    refined = []
-    refine = idcodes.isomorph._refine
+
+def _dedup(graphs: list[Graph]) -> list[tuple[Graph, Graph, dict | None]]:
+    """Deduplicate as the benchmark does: bucket each graph by
+    invariant_key, then match each bucket representative against it with
+    find_isomorphism until one maps. Returns every (source, target, map)."""
+    buckets: dict[tuple, list[Graph]] = {}
+    calls = []
+    for g in graphs:
+        reps = buckets.setdefault(invariant_key(g), [])
+        for rep in reps:
+            mapping = find_isomorphism(rep, g)
+            calls.append((rep, g, mapping))
+            if mapping is not None:
+                break
+        else:
+            reps.append(g)
+    return calls
+
+
+def test_colouring_is_computed_once_per_graph(monkeypatch):
+    # C6 and two triangles share every invariant, so their bucket holds
+    # two representatives and a copy of either meets both.
+    c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    bases = [random_graph(9, 12, seed) for seed in range(3)]
+    bases += [c6, two_triangles]
+    graphs = bases + [permuted(g, seed) for g in bases for seed in (7, 8, 9)]
+    random.Random(15).shuffle(graphs)
+    colors = [refine_colors(_copy(g)) for g in graphs]
+    refined, ordered = [], []
+    iso = idcodes.isomorph
+    refine, search_order = iso._refine, iso._search_order
     monkeypatch.setattr(
-        idcodes.isomorph, "_refine", lambda g: refined.append(id(g)) or refine(g)
-    )
-    for _ in range(2):
-        assert [find_isomorphism(g, h) for g, h in pairs] == mappings
-        assert [refine_colors(g) for g in graphs] == colors
+        iso, "_refine", lambda g: refined.append(id(g)) or refine(g))
+    monkeypatch.setattr(
+        iso, "_search_order",
+        lambda g, p: ordered.append(id(g)) or search_order(g, p))
+    calls = _dedup(graphs) + _dedup(graphs)
+    assert [refine_colors(g) for g in graphs] == colors
+    monkeypatch.undo()
     assert sorted(refined) == sorted(id(g) for g in graphs)
+    sources = {id(g) for g, _, _ in calls}
+    assert sorted(ordered) == sorted(sources)
+    # Every source met at least three targets in each run.
+    assert len(sources) == len(bases)
+    assert min(Counter(id(g) for g, _, _ in calls).values()) >= 6
+    for g, h, mapping in calls:
+        assert mapping == find_isomorphism(_copy(g), _copy(h))
+    # Every graph but the first of its class maps, in each run, and
+    # graphs with one key that are not isomorphic do not.
+    misses = sum(m is None for _, _, m in calls)
+    assert len(calls) - misses == 2 * (len(graphs) - len(bases))
+    assert misses > 0
+
+
+def test_degenerate_inputs_keep_their_keys_and_maps():
+    empty, single, edgeless = Graph(0, []), Graph(1, []), Graph(3, [])
+    split = Graph(7, [(0, 1), (1, 2), (4, 5)])
+    split_relabelled = Graph(7, [(6, 3), (3, 0), (2, 5)])
+    c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert invariant_key(empty) == (0, 0, ())
+    assert invariant_key(single) == (1, 0, ((0, 1),))
+    assert invariant_key(edgeless) == (3, 0, ((0, 3),))
+    assert invariant_key(split) == invariant_key(split_relabelled) == (
+        7, 3, ((0, 2), (1, 2), (2, 2), (3, 1)))
+    assert invariant_key(c6) == invariant_key(two_triangles) == (
+        6, 6, ((0, 6),))
+    assert find_isomorphism(empty, Graph(0, [])) == {}
+    assert find_isomorphism(single, Graph(1, [])) == {0: 0}
+    assert find_isomorphism(edgeless, Graph(3, [])) == {0: 0, 1: 1, 2: 2}
+    assert find_isomorphism(empty, single) is None
+    assert find_isomorphism(split, split_relabelled) == {
+        0: 0, 1: 3, 2: 6, 3: 1, 4: 2, 5: 5, 6: 4}
+    assert find_isomorphism(split_relabelled, split) == {
+        0: 0, 1: 3, 2: 4, 3: 1, 4: 6, 5: 5, 6: 2}
+    assert find_isomorphism(c6, two_triangles) is None
+    assert find_isomorphism(two_triangles, c6) is None
+    assert find_isomorphism(c6, c6) == {v: v for v in range(6)}
+
+
+def test_search_starts_from_the_rarest_colour_class():
+    # Two degree classes, of sizes 2 and 4. Mapping the pair of degree-3
+    # vertices first finds this map; ordering by degree alone finds another.
+    g = Graph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3),
+                  (2, 4), (3, 4), (3, 5), (4, 5)])
+    h = Graph(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5),
+                  (2, 3), (2, 5), (3, 4), (3, 5)])
+    assert find_isomorphism(g, h) == {0: 2, 1: 3, 2: 4, 3: 0, 4: 1, 5: 5}
+
+
+@st.composite
+def _warm_cases(draw):
+    """A graph, a relabelled copy and a few other graphs of its order."""
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+
+    def graph():
+        return Graph(n, [p for p in pairs if draw(st.booleans())])
+
+    g = graph()
+    others = [graph() for _ in range(draw(st.integers(1, 3)))]
+    others.append(permuted(g, draw(st.integers(0, 10**9))))
+    return g, permuted(g, draw(st.integers(0, 10**9))), others
+
+
+@settings(max_examples=200, deadline=None)
+@given(_warm_cases())
+def test_warm_profile_maps_like_a_cold_one(case):
+    g, h, others = case
+    for other in others:
+        find_isomorphism(g, other)
+        find_isomorphism(other, g)
+    find_isomorphism(h, g)
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None
+    assert mapping == find_isomorphism(_copy(g), _copy(h)) == _naive_find(g, h)
+
+
+def test_verdicts_and_maps_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261019)
+    graphs = []
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng.randrange(10**9))
+        graphs += [g, permuted(g, rng.randrange(10**9))]
+    # Cubic graphs: refinement leaves each one colour class.
+    graphs += [_cubic(rng.choice((8, 10)), rng.randrange(10**9))
+               for _ in range(16)]
+    buckets: dict[tuple, list[Graph]] = {}
+    for g in graphs:
+        buckets.setdefault(invariant_key(g), []).append(g)
+    pairs = [p for b in buckets.values() for p in combinations(b, 2)]
+    pairs += [(graphs[i], graphs[i + 2]) for i in range(0, 158, 2)]
+
+    def to_nx(g: Graph):
+        out = nx.Graph()
+        out.add_nodes_from(range(g.n))
+        out.add_edges_from(g.edges)
+        return out
+
+    same_key_apart = 0
+    for g, h in pairs:
+        mapping = find_isomorphism(g, h)
+        assert nx.is_isomorphic(to_nx(g), to_nx(h)) == (mapping is not None)
+        assert is_isomorphic(g, h) == (mapping is not None)
+        if mapping is None:
+            same_key_apart += invariant_key(g) == invariant_key(h)
+            continue
+        assert sorted(mapping) == sorted(mapping.values()) == list(range(g.n))
+        assert sorted(
+            tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges
+        ) == list(h.edges)
+    assert same_key_apart >= 20
 
 
 def test_nonisomorphic_verdict_matches_bruteforce():
