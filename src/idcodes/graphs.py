@@ -59,18 +59,19 @@ class Graph:
         adj: per-vertex adjacency as a tuple of frozensets.
     """
 
-    __slots__ = ("n", "edges", "adj", "_iso")
+    __slots__ = ("n", "edges", "adj", "_max_degree", "_iso")
 
     n: int
     edges: tuple[Edge, ...]
     adj: tuple[VertexSet, ...]
+    _max_degree: int
     _iso: _Profile | None
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise VertexRangeError(f"vertex count must be >= 0, got {n}")
-        seen: set[Edge] = set()
         nbrs: list[set[int]] = [set() for _ in range(n)]
+        pairs: list[Edge] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexRangeError(
@@ -78,17 +79,19 @@ class Graph:
                 )
             if u == v:
                 raise EdgeError(f"loop at vertex {u}")
-            e = _norm_edge(u, v)
-            if e in seen:
+            e = (u, v) if u < v else (v, u)
+            nu = nbrs[u]
+            if v in nu:
                 raise EdgeError(f"duplicate edge {e}")
-            seen.add(e)
-            nbrs[u].add(v)
+            nu.add(v)
             nbrs[v].add(u)
+            pairs.append(e)
+        pairs.sort()
+        adj = tuple(map(frozenset, nbrs))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        object.__setattr__(
-            self, "adj", tuple(frozenset(s) for s in nbrs)
-        )
+        object.__setattr__(self, "edges", tuple(pairs))
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "_max_degree", max(map(len, adj), default=0))
         # Isomorphism profile (stable colouring, colour classes, search
         # order, neighbour masks), filled in by isomorph.refine_colors on
         # first use. The graph is immutable, so the profile never goes stale.
@@ -106,7 +109,7 @@ class Graph:
 
     def max_degree(self) -> int:
         """Largest vertex degree; 0 for an edgeless graph."""
-        return max((len(a) for a in self.adj), default=0)
+        return self._max_degree
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

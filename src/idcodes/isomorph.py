@@ -4,17 +4,32 @@ Colour refinement supplies an isomorphism-invariant vertex partition; a
 backtracking search seeded by those colour classes finds an explicit
 mapping. The search runs on an explicit stack, so its depth is not bounded
 by Python's recursion limit, and it tests each candidate against all mapped
-vertices at once by comparing bitmasks of images. Refinement starts from
-degree ranks and stops once the colouring is discrete. Colours and maps
-are the same as those of the plain round-by-round refinement and the
-pair-by-pair search; highly regular inputs, which refinement cannot split,
-can still make the search exponential.
+vertices at once by comparing bitmasks of images. Colours and maps are the
+same as those of the plain round-by-round refinement and the pair-by-pair
+search; highly regular inputs, which refinement cannot split, can still make
+the search exponential.
+
+Refinement starts from the degree classes and splits classes in place, in
+the manner of partition refinement (Cardon and Crochemore 1982; McKay and
+Piperno 2014). The classes are kept as ascending lists, in colour order. A
+round keys each member of a class by its sorted neighbour colours, and a
+class whose members' keys differ is replaced, where it stands, by its parts
+in ascending key order. The plain kernel's keys start with the old colour,
+so these are the classes its relabel of all keys in sorted order gives.
+While refining, a class is named by its start, the number of vertices in
+the classes before it, which ranks classes as their positions do; a split
+then renames only the members of its later parts. After the first round
+only a class with a member next to a renamed vertex is keyed again: any
+other sees the keys it saw last round, which were equal. Refinement stops
+once a round splits nothing or the colouring is discrete, and the final
+colours are positions.
 
 Each Graph carries one isomorphism profile, computed once: a single
-refinement gives its colours, colour classes and histogram, and its search
-order (as a match source) and neighbour masks (as a target) are built on
-first use. Matching one graph against many, as deduplication does, then
-repeats no set-up. A Graph is immutable, so its profile cannot go stale.
+refinement gives its colours and colour classes together, and with them
+the histogram; its search order (as a match source) and neighbour masks
+(as a target) are built on first use. Matching one graph against many, as
+deduplication does, then repeats no set-up. A Graph is immutable, so its
+profile cannot go stale.
 """
 
 from __future__ import annotations
@@ -25,8 +40,9 @@ from .graphs import Graph, _mask_of
 class _Profile:
     """What the isomorphism test reads of one graph, computed at most once.
 
-    Refinement fills in the colours, the colour classes (ascending members,
-    indexed by colour) and the histogram (colour, class size) at once. The
+    Refinement returns the colours and the colour classes (ascending
+    members, indexed by colour) together, having split the classes in
+    place; the histogram (colour, class size) is read off the classes. The
     search order, which the graph needs as a match source, and the neighbour
     masks, which it needs as a target, are filled in on first use.
     """
@@ -34,13 +50,8 @@ class _Profile:
     __slots__ = ("colors", "classes", "histogram", "order", "masks")
 
     def __init__(self, g: Graph):
-        colors = _refine(g)
-        classes: list[list[int]] = [[] for _ in range(len(set(colors)))]
-        for v, c in enumerate(colors):
-            classes[c].append(v)
-        self.colors = colors
-        self.classes = classes
-        self.histogram = tuple(enumerate(map(len, classes)))
+        self.colors, self.classes = _refine(g)
+        self.histogram = tuple(enumerate(map(len, self.classes)))
         self.order: list[int] | None = None
         self.masks: list[int] | None = None
 
@@ -48,44 +59,75 @@ class _Profile:
 def refine_colors(g: Graph) -> tuple[int, ...]:
     """Stable colouring by iterated neighbour-colour multisets.
 
-    Colour ids are assigned canonically (sorted key order) each round, so
-    the multiset of final colours is equal for isomorphic graphs. The
-    colouring is computed once per Graph object and kept on it, in the
-    graph's isomorphism profile.
+    Colour ids are assigned canonically (a split class's parts take its
+    place in sorted key order, and a colour is a class's position), so the
+    multiset of final colours is equal for isomorphic graphs. The colouring
+    is computed once per Graph object and kept on it, in the graph's
+    isomorphism profile.
     """
     if g._iso is None:
         object.__setattr__(g, "_iso", _Profile(g))
     return g._iso.colors
 
 
-def _refine(g: Graph) -> tuple[int, ...]:
-    adj = g.adj
-    # Round 1 keys every vertex by its degree alone.
+def _refine(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """g's stable colouring and its colour classes (ascending members,
+    indexed by colour), found by splitting the classes in place."""
+    n, adj = g.n, g.adj
+    # Round 1 keys every vertex by its degree alone. cells[s] is the class
+    # that starts at s, and colors[v] the start of v's class.
     degrees = list(map(len, adj))
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    colors = list(map(rank.__getitem__, degrees))
-    distinct = len(rank)
-    while 1 < distinct < g.n:
-        size = [0] * distinct
-        for c in colors:
-            size[c] += 1
+    by_degree: dict[int, list[int]] = {}
+    for v, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(v)
+    cells: list[list[int] | None] = [None] * n
+    start: dict[int, int] = {}
+    s = 0
+    for d in sorted(by_degree):
+        start[d] = s
+        cells[s] = by_degree[d]
+        s += len(by_degree[d])
+    colors = list(map(start.__getitem__, degrees))
+    distinct = len(start)
+    # The next round keys every class that is not a singleton; a lone
+    # class, all of one degree, is stable already.
+    pending = [c for c in by_degree.values() if len(c) > 1] if distinct > 1 else []
+    while pending and distinct < n:
         color_of = colors.__getitem__
-        # A singleton class keeps its rank whatever its neighbours are.
-        keys = [
-            (c, tuple(sorted(map(color_of, a)))) if size[c] > 1 else (c, ())
-            for c, a in zip(colors, adj)
-        ]
-        classes = set(keys)
-        # Keys start with the old colour, so a round never merges classes;
-        # one that adds none is stable and, keys sorting by old colour
-        # first, renames nothing. Every round that goes on adds a class,
-        # so the loop ends within n rounds.
-        if len(classes) <= distinct:
-            break
-        relabel = {k: i for i, k in enumerate(sorted(classes))}
-        colors = list(map(relabel.__getitem__, keys))
-        distinct = len(relabel)
-    return tuple(colors)
+        splits = []
+        for cell in pending:
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                parts.setdefault(tuple(sorted(map(color_of, adj[v]))), []).append(v)
+            if len(parts) > 1:
+                splits.append((colors[cell[0]], [parts[k] for k in sorted(parts)]))
+        # The parts of a split class take its place in ascending key order,
+        # where a relabel of all (old colour, key) pairs in sorted order
+        # would put them.
+        renamed: list[int] = []
+        for s, parts in splits:
+            cells[s] = parts[0]
+            for prev, part in zip(parts, parts[1:]):
+                s += len(prev)
+                cells[s] = part
+                for v in part:
+                    colors[v] = s
+                renamed += part
+            distinct += len(parts) - 1
+        # A class none of whose members has a renamed neighbour sees the
+        # same keys as in the round before, when they were all equal: it
+        # cannot split. A round with no split leaves none to re-key, and
+        # every other round adds a class, so the loop ends within n rounds.
+        touched = {colors[w] for v in renamed for w in adj[v]}
+        pending = [c for c in map(cells.__getitem__, touched) if len(c) > 1]
+    classes = list(filter(None, cells))
+    if distinct < n:
+        # Name each class by its position. (In a discrete colouring every
+        # class is a singleton, so its start is its position already.)
+        for i, cell in enumerate(classes):
+            for v in cell:
+                colors[v] = i
+    return tuple(colors), classes
 
 
 def invariant_key(g: Graph) -> tuple:

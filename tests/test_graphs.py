@@ -48,20 +48,33 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
 
 
 def test_graph_rejects_bad_input():
-    with pytest.raises(VertexRangeError):
+    with pytest.raises(VertexRangeError,
+                       match=r"^edge \(0, 3\) out of range for n=3$"):
         Graph(3, [(0, 3)])
-    with pytest.raises(VertexRangeError):
+    with pytest.raises(VertexRangeError,
+                       match=r"^edge \(-1, 2\) out of range for n=3$"):
+        Graph(3, [(-1, 2)])
+    with pytest.raises(VertexRangeError,
+                       match=r"^vertex count must be >= 0, got -1$"):
         Graph(-1, [])
-    with pytest.raises(EdgeError):
+    with pytest.raises(EdgeError, match=r"^loop at vertex 1$"):
         Graph(3, [(1, 1)])
-    with pytest.raises(EdgeError):
+    with pytest.raises(EdgeError, match=r"^duplicate edge \(0, 1\)$"):
         Graph(3, [(0, 1), (1, 0)])
+    # Each edge is checked for range before it is checked for a loop, and
+    # edges are checked in the order given.
+    with pytest.raises(VertexRangeError, match=r"^edge \(3, 3\)"):
+        Graph(3, [(3, 3)])
+    with pytest.raises(EdgeError, match=r"^loop at vertex 2$"):
+        Graph(3, [(0, 1), (2, 2), (1, 0)])
 
 
 def test_graph_accessors():
     g = cycle(4)
     assert g.n == 4 and g.m == 4
     assert g.degree(0) == 2 and g.max_degree() == 2
+    assert Graph(0, []).max_degree() == 0 and Graph(3, []).max_degree() == 0
+    assert Graph(5, [(2, v) for v in (0, 1, 3, 4)]).max_degree() == 4
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
     assert g.closed_neighborhood(0) == {0, 1, 3}

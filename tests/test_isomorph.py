@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,7 +20,7 @@ from idcodes import (
 )
 import idcodes.isomorph
 from idcodes.isomorph import invariant_key, refine_colors
-from test_isomorph_kernel import _cubic, _naive_find
+from test_isomorph_kernel import _cubic, _naive_find, _naive_refine, graphs
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
@@ -162,6 +162,45 @@ def test_degenerate_inputs_keep_their_keys_and_maps():
     assert find_isomorphism(c6, two_triangles) is None
     assert find_isomorphism(two_triangles, c6) is None
     assert find_isomorphism(c6, c6) == {v: v for v in range(6)}
+
+
+def _check_profile(g: Graph) -> None:
+    """The profile's colours are the naive kernel's, its classes list each
+    colour's vertices in ascending order, and its histogram counts them."""
+    colors = refine_colors(g)
+    profile = g._iso
+    assert colors == _naive_refine(g)
+    assert len(profile.classes) == len(set(colors))
+    assert profile.classes == [
+        [v for v in range(g.n) if colors[v] == c]
+        for c in range(len(profile.classes))
+    ]
+    assert profile.histogram == tuple(enumerate(map(len, profile.classes)))
+
+
+# Refinements that run for many rounds, so that most classes are skipped in
+# most rounds: a 40-vertex path splits one class per round, next to the
+# class split the round before, for 18 rounds; a caterpillar (one leg per
+# spine vertex, a second leg at one end) splits along its spine from both
+# ends for 10 rounds; in a spider with legs of 5, 6 and 7 edges the part a
+# split renames is not always the part whose neighbours split next.
+_PATH40 = Graph(40, [(i, i + 1) for i in range(39)])
+_CATERPILLAR = Graph(41, [(i, i + 1) for i in range(19)]
+                     + [(i, 20 + i) for i in range(20)] + [(0, 40)])
+_SPIDER = Graph(19, [(0, 1), (0, 6), (0, 12)] + [
+    (v, v + 1) for v in (*range(1, 5), *range(6, 11), *range(12, 18))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=14))
+@example(_PATH40)
+@example(_CATERPILLAR)
+@example(_SPIDER)
+def test_profile_classes_are_the_colour_classes(g):
+    _check_profile(g)
+    h = permuted(g, g.n)
+    _check_profile(h)
+    assert find_isomorphism(g, h) == _naive_find(g, h)
 
 
 def test_search_starts_from_the_rarest_colour_class():
