@@ -10,7 +10,9 @@ This module is the one gate for vertex-set inputs: `_instance` range-checks
 (g, X, Y) for the checkers here, `refine` and `exact`, and `_infeasibility`
 is the one feasibility rule. Some subset of Y identifies X exactly when Y
 does (the generalised Bondy theorem), so Y alone decides, and names a
-witness when it fails.
+witness when it fails. `_xy_instance` raises that witness for both `refine`
+and `exact`: a pair no candidate separates as NotSeparableError, a target
+no candidate dominates as its base class NotYIdentifiableError.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotIdentifiableError, VertexRangeError
-from .graphs import (
-    Graph, VertexSet, _bits, _groups, _mask_of, _pairs, closed_neighborhood_masks
+from .errors import (
+    NotIdentifiableError, NotSeparableError, NotYIdentifiableError, VertexRangeError
 )
+from .graphs import Graph, _bits, _groups, _mask_of, _pairs, closed_neighborhood_masks
 
 UNDOMINATED = "undominated"
 UNSEPARATED = "unseparated"
@@ -86,6 +88,21 @@ def _infeasibility(
     return None
 
 
+def _xy_instance(
+    g: Graph, x: Iterable[int], y: Iterable[int], dominate: bool = True
+) -> tuple[list[int], list[int], int]:
+    """The instance (g, X, Y), raising with `_infeasibility`'s witness when
+    no subset of Y identifies X (separates X when not `dominate`): a pair
+    as NotSeparableError, a lone target as NotYIdentifiableError."""
+    masks, xs, allowed = _instance(g, x, y)
+    why = _infeasibility(masks, xs, allowed, dominate)
+    if why is None:
+        return masks, xs, allowed
+    if why.kind == UNSEPARATED:
+        raise NotSeparableError(why.vertices)
+    raise NotYIdentifiableError(why.vertices[0], "no candidate dominates the witness")
+
+
 def _identifiable(g: Graph) -> tuple[list[int], list[int], int]:
     """The instance X = Y = V of g, raising NotIdentifiableError with the
     smallest closed twin pair when g has one."""
@@ -106,18 +123,6 @@ def _signatures(
 
 def _identifies(sigs: list[int]) -> bool:
     return 0 not in sigs and len(set(sigs)) == len(sigs)
-
-
-def code_neighborhood(g: Graph, code: Iterable[int], v: int) -> VertexSet:
-    """N[v] restricted to the code: the signature of v under the code."""
-    _, (sig,) = _signatures(g, code, (v,))
-    return frozenset(_bits(sig))
-
-
-def is_dominating(g: Graph, code: Iterable[int], x: Iterable[int] | None = None) -> bool:
-    """True when every target vertex has a code vertex in its closed
-    neighbourhood. Target defaults to all of V."""
-    return 0 not in _signatures(g, code, x)[1]
 
 
 def unseparated_pairs(

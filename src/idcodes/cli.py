@@ -29,7 +29,6 @@ from pathlib import Path
 
 from .checks import violations
 from .construct import (
-    bound_check,
     certified_bound,
     construct_near_triangle_free,
     construct_triangle_free,
@@ -108,12 +107,14 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _bound_line(g: Graph, code: tuple[int, ...], delta_override: int | None) -> str:
+def _bound_line(g: Graph, code: tuple[int, ...], delta: int | None) -> str:
     """The bound that construct or near-construct would certify for g, or
-    `bound_check`'s degree form at an explicit delta, applied to the code."""
-    if delta_override is not None:
-        rep = bound_check(g, code, delta=delta_override)
-        num, den = rep.bound_num, rep.bound_den
+    the plain degree form (delta - 1) * n over delta at an explicit delta,
+    applied to the code."""
+    if delta is not None:
+        if delta < 1:
+            raise ValueError(f"bound needs a degree of at least 1, got {delta}")
+        num, den = (delta - 1) * g.n, delta
     elif triangle_witness(g) is None:
         num, den = certified_bound(g, in_f_delta(g, max(g.max_degree(), 3)))
     else:

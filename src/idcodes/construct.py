@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .checks import SignatureTable, _as_mask, _identifiable, _instance, is_identifying
+from .checks import SignatureTable, _identifiable, _instance, is_identifying
 from .errors import (
     BoundMissedError,
     EdgeError,
@@ -151,38 +151,6 @@ class Certificate:
     family: FamilyId | None
     verified: bool
     trace: tuple[CaseStep, ...]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one exact integer bound check."""
-
-    n: int
-    delta: int
-    code_size: int
-    extra_num: int
-    bound_num: int
-    bound_den: int
-    slack: int
-    holds: bool
-
-
-def bound_check(
-    g: Graph, code: Iterable[int], extra_num: int = 0, delta: int | None = None
-) -> BoundReport:
-    """Check delta * |code| <= (delta - 1) * n + extra_num in exact integers.
-
-    slack is the left side minus the right side (<= 0 means the bound holds).
-    delta defaults to the maximum degree of g. Raises VertexRangeError for a
-    code vertex outside g and ValueError for a delta below 1.
-    """
-    d = g.max_degree() if delta is None else delta
-    if d < 1:
-        raise ValueError(f"bound needs a degree of at least 1, got {d}")
-    size = _as_mask(code, g.n, "code").bit_count()
-    num = (d - 1) * g.n + extra_num
-    slack = d * size - num
-    return BoundReport(g.n, d, size, extra_num, num, d, slack, slack <= 0)
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -414,16 +382,6 @@ def _whole_boundary_code(
     return code
 
 
-def _star_shape(sub: Graph) -> int | None:
-    """Centre vertex if sub is a star on >= 3 vertices, else None."""
-    if sub.n < 3 or sub.m != sub.n - 1:
-        return None
-    degs = [sub.degree(x) for x in range(sub.n)]
-    if max(degs) != sub.n - 1:
-        return None
-    return degs.index(sub.n - 1)
-
-
 def _merge_star_component(
     g: Graph,
     bd: BoundaryDecomposition,
@@ -502,20 +460,23 @@ def _merge_family_component(
     g: Graph,
     bd: BoundaryDecomposition,
     comp: tuple[int, ...],
-    sub: Graph,
+    hit: _Match,
     back: tuple[int, ...],
     steps: list[CaseStep],
     depth: int,
 ) -> set[int]:
     """An exceptional far component would break the per-part budget; absorb
-    part of it into the rest of the graph before recursing."""
-    center = _star_shape(sub)
-    if center is not None:
+    part of it into the rest of the graph before recursing. hit is the
+    component's catalog match, back its ids in g."""
+    family, to_sub = hit
+    if family.kind in ("STAR", "T0"):
+        # The catalog star's centre is vertex 0, T0's is vertex 1.
+        center = to_sub[0 if family.kind == "STAR" else 1]
         return _merge_star_component(g, bd, comp, back[center], steps, depth)
-    # Degree-3 catalog members (trees T1..T11, P4, C4, C7 shapes).
-    shape = linear_order(sub)
-    if shape is not None and shape[0] == "path" and sub.n == 4:
-        order = tuple(back[x] for x in shape[1])
+    if family.kind == "P4":
+        # The catalog path is 0-1-2-3; start at the lower-labelled end.
+        order = tuple(back[to_sub[x]] for x in range(4))
+        order = min(order, order[::-1])
         boundary = set(bd.boundary)
         if not (g.adj[order[0]] & boundary) and not (
             g.adj[order[3]] & boundary
@@ -687,8 +648,9 @@ def _repair(
         return _whole_boundary_code(g, bd, steps, depth)
     for comp in bd.large_components:
         sub, back = induced_subgraph(g, comp)
-        if match_family(sub, delta) is not None:
-            return _merge_family_component(g, bd, comp, sub, back, steps, depth)
+        hit = match_family(sub, delta)
+        if hit is not None:
+            return _merge_family_component(g, bd, comp, hit, back, steps, depth)
     return _assemble(g, bd, steps, depth)
 
 

@@ -63,32 +63,36 @@ class NotIdentifiableError(IdCodeError, ValueError):
         super().__init__(f"vertices {twins[0]} and {twins[1]} are closed twins")
 
 
-class NotSeparableError(IdCodeError, ValueError):
-    """No subset of the candidate set Y separates the target set X.
-
-    Attributes:
-        pair: a witness pair of X-vertices no Y-vertex separates.
-    """
-
-    def __init__(self, pair: tuple[int, int]):
-        self.pair = pair
-        super().__init__(
-            f"no candidate vertex separates {pair[0]} from {pair[1]}"
-        )
-
-
 class NotYIdentifiableError(IdCodeError, ValueError):
     """The candidate set Y cannot identify the target set X.
 
     Either some target vertex has no candidate in its closed neighbourhood,
-    or some target pair cannot be separated by any candidate. `witness` is
-    the vertex or pair in question.
+    or some target pair cannot be separated by any candidate, which raises
+    the subclass NotSeparableError. `witness` is the vertex or pair in
+    question.
     """
 
     def __init__(self, witness: int | tuple[int, int], reason: str):
         self.witness = witness
         self.reason = reason
         super().__init__(f"{reason} (witness {witness})")
+
+
+class NotSeparableError(NotYIdentifiableError):
+    """No subset of the candidate set Y separates the target set X.
+
+    Attributes:
+        pair: a witness pair of X-vertices no Y-vertex separates, also
+            the witness.
+    """
+
+    def __init__(self, pair: tuple[int, int]):
+        self.pair = self.witness = pair
+        self.reason = "no candidate separates the witness pair"
+        # Its own message, not the base class's "reason (witness ...)" form.
+        IdCodeError.__init__(
+            self, f"no candidate vertex separates {pair[0]} from {pair[1]}"
+        )
 
 
 class NoCycleEdgeError(IdCodeError, ValueError):

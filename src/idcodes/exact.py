@@ -42,9 +42,9 @@ the set a node branches on, so only earlier dominators count.
 
 Greedy completion, which sets the first incumbent, is refine's max-settle
 refinement of the partition of X by code signature (refine._complete).
-Instances come from checks' gate (checks._instance), so an infeasible one
-raises the witness refine raises, and a chord is admitted by the rule for
-any added edge (graphs._admissible_addition).
+Instances come from checks' gate (checks._xy_instance), so an infeasible
+one raises the exception and witness refine raises, and a chord is
+admitted by the rule for any added edge (graphs._admissible_addition).
 """
 
 from __future__ import annotations
@@ -52,20 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .checks import (
-    UNDOMINATED,
-    _as_mask,
-    _identifiable,
-    _infeasibility,
-    _instance,
-    is_identifying,
-)
-from .errors import (
-    GuaranteeError,
-    NotIdentifiableError,
-    NotYIdentifiableError,
-    SearchBudgetError,
-)
+from .checks import _as_mask, _identifiable, _xy_instance, is_identifying
+from .errors import GuaranteeError, NotIdentifiableError, SearchBudgetError
 from .graphs import Graph, _admissible_addition, _bits, linear_order
 from .refine import _classes, _complete
 
@@ -291,22 +279,14 @@ def min_xy_identifying_exact(
 ) -> ExactResult:
     """Minimum code drawn from Y that identifies X.
 
-    Raises NotYIdentifiableError when Y cannot identify X at all, with the
-    witness refine's greedy codes raise: the lexicographically smallest
-    pair no candidate separates, else the lowest target no candidate
-    dominates. Raises VertexRangeError for a vertex of X or Y outside the
+    Raises as greedy_xy_identifying does when Y cannot identify X at all:
+    NotSeparableError, a NotYIdentifiableError, naming the
+    lexicographically smallest pair no candidate separates, else
+    NotYIdentifiableError naming the lowest target no candidate dominates.
+    Raises VertexRangeError for a vertex of X or Y outside the
     graph.
     """
-    masks, xs, allowed = _instance(g, x, y)
-    why = _infeasibility(masks, xs, allowed)
-    if why is not None:
-        if why.kind == UNDOMINATED:
-            raise NotYIdentifiableError(
-                why.vertices[0], "no candidate dominates the witness"
-            )
-        raise NotYIdentifiableError(
-            why.vertices, "no candidate separates the witness pair"
-        )
+    masks, xs, allowed = _xy_instance(g, x, y)
     return _minimum(masks, xs, allowed, 0, node_budget)
 
 
@@ -415,10 +395,8 @@ def odd_cycle_plus_chord_code(n: int, chord: tuple[int, int]) -> tuple[int, ...]
     pattern.update(range(j + 2, n - 1, 2))
     code = tuple(sorted(back(x) for x in pattern))
     g = Graph(n, edges + [(a, b)])
-    if not is_identifying(g, code):
+    if len(code) > (n + 1) // 2 or not is_identifying(g, code):
         raise GuaranteeError(
             f"chorded odd cycle pattern failed for n={n}, chord={chord}"
         )
-    if len(code) > (n + 1) // 2:
-        raise GuaranteeError("chorded odd cycle pattern exceeded (n+1)/2")
     return code

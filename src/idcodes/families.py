@@ -257,33 +257,6 @@ def in_f_delta(g: Graph, delta: int) -> FamilyId | None:
     return None if hit is None else hit[0]
 
 
-def tree_code_all_low_degree(
-    family: FamilyId, independent: bool = False
-) -> tuple[int, ...]:
-    """The catalog's optimal code containing every vertex of degree <= 2.
-
-    T2 admits no such optimal code (it has more low-degree vertices than its
-    code size); with independent=True, T3 is excluded as well (its code must
-    contain two adjacent vertices).
-    """
-    if family.kind == "STAR" and family.delta == 3:
-        family = T0
-    if family.kind not in _TREE_KINDS:
-        raise UnsupportedCodeFormError(
-            f"{family} is not one of the catalog trees"
-        )
-    if family.kind == "T2":
-        raise UnsupportedCodeFormError(
-            "T2 has six vertices of degree <= 2 but code size 5"
-        )
-    if independent and family.kind == "T3":
-        raise UnsupportedCodeFormError(
-            "every optimal code of T3 containing its low-degree vertices "
-            "has two adjacent members"
-        )
-    return make_family(family).code
-
-
 def tree_plus_edge_code(family: FamilyId, e: tuple[int, int]) -> tuple[int, ...]:
     """An identifying code of T + e of size strictly below 2n/3, in the
     catalog labelling of the tree T.

@@ -2,7 +2,9 @@
 
 Vertices are always 0..n-1. Edges are unordered pairs stored as sorted
 tuples. Every function that returns a collection returns it in sorted order
-so downstream output is reproducible run to run.
+so downstream output is reproducible run to run. Neighbourhoods reach the
+checkers as bitmasks (`closed_neighborhood_masks`), and the only twins
+looked for are closed twins, N[u] = N[v], which no code can separate.
 """
 
 from __future__ import annotations
@@ -113,15 +115,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def closed_neighborhood(self, v: int) -> VertexSet:
-        """N[v] = N(v) together with v itself."""
-        if not (0 <= v < self.n):
-            raise VertexRangeError(f"vertex {v} out of range for n={self.n}")
-        return self.adj[v] | {v}
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -334,11 +327,6 @@ def find_closed_twins(g: Graph) -> tuple[tuple[int, int], ...]:
     return _pairs(_groups(range(g.n), closed_neighborhood_masks(g)).values())
 
 
-def find_open_twins(g: Graph) -> tuple[tuple[int, int], ...]:
-    """All pairs u < v with N(u) = N(v), sorted."""
-    return _pairs(_groups(range(g.n), map(_mask_of, g.adj)).values())
-
-
 def _admissible_addition(g: Graph, e: tuple[int, int]) -> None:
     """Raise EdgeAdditionError, with reason "range", "exists", "triangle" or
     "degree" in that order, unless g + e is simple, triangle-free and of
@@ -545,8 +533,8 @@ class BoundaryDecomposition:
 
     near_u / near_v are the other neighbours of u and v; boundary is their
     union, closed additionally holds u and v, far is everything else.
-    far_graph is the subgraph induced on far, with far_to_orig translating
-    its vertex ids back. The far components are classified by order.
+    The components of the subgraph induced on far are split by order into
+    isolated vertices, pairs and large components, each in original ids.
     """
 
     u: int
@@ -556,8 +544,6 @@ class BoundaryDecomposition:
     boundary: tuple[int, ...]
     closed: tuple[int, ...]
     far: tuple[int, ...]
-    far_graph: Graph
-    far_to_orig: tuple[int, ...]
     isolated: tuple[int, ...]
     pair_components: tuple[tuple[int, int], ...]
     large_components: tuple[tuple[int, ...], ...]
@@ -596,8 +582,6 @@ def boundary_decomposition(g: Graph, u: int, v: int) -> BoundaryDecomposition:
         boundary=tuple(boundary),
         closed=tuple(sorted(closed_set)),
         far=tuple(far),
-        far_graph=far_graph,
-        far_to_orig=far_verts,
         isolated=tuple(isolated),
         pair_components=tuple(pairs),
         large_components=tuple(large),

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .checks import UNSEPARATED, _infeasibility, _instance, _signatures
-from .errors import GuaranteeError, NotSeparableError, NotYIdentifiableError
+from .checks import _signatures, _xy_instance
+from .errors import GuaranteeError
 from .graphs import Graph, _bits, _groups
 
 
@@ -104,14 +104,7 @@ def _refined(
 ) -> tuple[int, ...]:
     """The greedy code from the empty start, after the gate's feasibility
     check that raises with its witness, checked against its size bound."""
-    masks, xs, y_mask = _instance(g, x, y)
-    why = _infeasibility(masks, xs, y_mask, dominate)
-    if why is not None:
-        if why.kind == UNSEPARATED:
-            raise NotSeparableError(why.vertices)
-        raise NotYIdentifiableError(
-            why.vertices[0], "no candidate dominates the witness"
-        )
+    masks, xs, y_mask = _xy_instance(g, x, y, dominate)
     code = _complete(masks, xs, y_mask, 0, dominate)
     limit = len(xs) if dominate else max(0, len(xs) - 1)
     if code is None or code.bit_count() > limit:

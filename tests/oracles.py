@@ -91,18 +91,6 @@ def closed_twins(n: int, edges):
     )
 
 
-def open_twins(n: int, edges):
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return sorted(
-        (u, v)
-        for u, v in combinations(range(n), 2)
-        if adj[u] == adj[v]
-    )
-
-
 def connected(n: int, edges) -> bool:
     if n == 0:
         return True

@@ -11,11 +11,9 @@ from idcodes import (
     Graph,
     VertexRangeError,
     Violation,
-    bound_check,
-    code_neighborhood,
     greedy_separating,
     greedy_xy_identifying,
-    is_dominating,
+    induced_subgraph,
     is_identifying,
     is_xy_identifying,
     min_identifying_containing,
@@ -58,15 +56,6 @@ def test_undominated_listed_before_unseparated():
     v = violations(g, (1,))
     kinds = [x.kind for x in v]
     assert kinds == sorted(kinds)  # "undominated" < "unseparated"
-
-
-def test_code_neighborhood_and_dominating():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert code_neighborhood(g, (0, 2), 1) == {0, 2}
-    assert code_neighborhood(g, (0,), 3) == set()
-    assert is_dominating(g, (1, 2))
-    assert not is_dominating(g, (0,))
-    assert is_dominating(g, (0,), x=(0, 1))
 
 
 def test_is_identifying_matches_bruteforce():
@@ -136,13 +125,9 @@ P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         (lambda: violations(P4, (0, 1), x=(0, -1)), -1),
         (lambda: unseparated_pairs(P4, (0, 99)), 99),
         (lambda: unseparated_pairs(P4, (0, 1), x=(4,)), 4),
-        (lambda: is_dominating(P4, (0, 99)), 99),
-        (lambda: is_dominating(P4, (1, 2), x=(7,)), 7),
         (lambda: is_identifying(P4, (0, 99)), 99),
         (lambda: is_xy_identifying(P4, (0, 99), (0, 1), (0,)), 99),
         (lambda: is_xy_identifying(P4, (0, 1), (0, 1, 99), (0,)), 99),
-        (lambda: code_neighborhood(P4, (0, 99), 1), 99),
-        (lambda: code_neighborhood(P4, (0, 1), 9), 9),
         (lambda: partition_by_code(P4, (0, 99), (1,)), 99),
         (lambda: partition_by_code(P4, (0, 1), (-2,)), -2),
         (lambda: greedy_separating(P4, (0, 99), (0,)), 99),
@@ -152,18 +137,17 @@ P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         (lambda: min_xy_identifying_exact(P4, (0, 99), (0, 1)), 99),
         (lambda: min_xy_identifying_exact(P4, (0, 1), (0, 99)), 99),
         (lambda: min_identifying_containing(P4, (0, 99)), 99),
-        (lambda: bound_check(P4, (0, 99)), 99),
+        (lambda: induced_subgraph(P4, (0, 4)), 4),
     ],
     ids=[
         "violations-code", "violations-x", "unseparated_pairs-code",
-        "unseparated_pairs-x", "is_dominating-code", "is_dominating-x",
+        "unseparated_pairs-x",
         "is_identifying", "is_xy_identifying-x", "is_xy_identifying-y",
-        "code_neighborhood-code", "code_neighborhood-v",
         "partition_by_code-x", "partition_by_code-code",
         "greedy_separating-x", "greedy_separating-y",
         "greedy_xy_identifying-x", "greedy_xy_identifying-y",
         "min_xy_identifying_exact-x", "min_xy_identifying_exact-y",
-        "min_identifying_containing", "bound_check",
+        "min_identifying_containing", "induced_subgraph",
     ],
 )
 def test_out_of_range_vertices_are_rejected_everywhere(call, vertex):

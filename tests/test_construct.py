@@ -22,7 +22,6 @@ from idcodes import (
     NotConnectedError,
     NotIdentifiableError,
     NotTriangleFreeError,
-    bound_check,
     certified_bound,
     construct_near_triangle_free,
     construct_triangle_free,
@@ -201,25 +200,6 @@ def test_serialized_certificate_shape():
     assert lines[6] == "code-size 3"
     assert lines[8] == "verified yes"
     assert text.endswith("\n")
-
-
-def test_bound_check_reports():
-    g = cycle(6)
-    rep = bound_check(g, (0, 2, 4))
-    assert rep.holds and rep.slack == 2 * 3 - (1 * 6 + 0)
-    rep = bound_check(g, (0, 2, 4), delta=3)
-    assert rep.bound_num == 12 and rep.slack == -3
-    rep = bound_check(g, (0, 2, 4), extra_num=1)
-    assert rep.bound_num == 7
-
-
-def test_bound_check_rejects_a_degree_below_one():
-    # Out-of-range code vertices are covered by the sweep in test_checks.py.
-    for delta in (0, -2):
-        with pytest.raises(ValueError, match=f"at least 1, got {delta}"):
-            bound_check(path(3), (0, 1), delta=delta)
-    with pytest.raises(ValueError, match="at least 1, got 0"):
-        bound_check(Graph(2, []), (0, 1))
 
 
 # --- triangle deletion ------------------------------------------------------

@@ -13,6 +13,7 @@ import oracles
 from idcodes import (
     EdgeAdditionError,
     Graph,
+    GuaranteeError,
     NotIdentifiableError,
     NotYIdentifiableError,
     SearchBudgetError,
@@ -193,6 +194,10 @@ def test_pattern_codes_verify_and_hit_the_minimum():
         path_identifying_code(2)
     with pytest.raises(NotIdentifiableError):
         cycle_identifying_code(3)
+    with pytest.raises(ValueError, match="path order must be >= 1, got 0"):
+        path_identifying_code(0)
+    with pytest.raises(ValueError, match="cycle order must be >= 3, got 2"):
+        cycle_identifying_code(2)
 
 
 def test_odd_cycle_plus_chord_code():
@@ -217,6 +222,12 @@ def test_odd_cycle_plus_chord_rejections():
     with pytest.raises(EdgeAdditionError) as ei:
         odd_cycle_plus_chord_code(9, (0, 2))
     assert ei.value.reason == "triangle"
+
+
+def test_odd_cycle_plus_chord_pattern_that_fails_raises(monkeypatch):
+    monkeypatch.setattr(idcodes.exact, "is_identifying", lambda g, c: False)
+    with pytest.raises(GuaranteeError, match="chorded odd cycle pattern failed"):
+        odd_cycle_plus_chord_code(9, (0, 3))
 
 
 def test_entry_points_build_the_masks_once(monkeypatch):

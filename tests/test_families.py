@@ -17,6 +17,7 @@ from idcodes import (
     EdgeAdditionError,
     FamilyId,
     Graph,
+    GuaranteeError,
     UnknownFamilyError,
     UnsupportedCodeFormError,
     all_family_ids,
@@ -28,7 +29,6 @@ from idcodes import (
     match_family,
     random_triangle_free,
     star,
-    tree_code_all_low_degree,
     tree_plus_edge_code,
     triangle_witness,
 )
@@ -106,6 +106,9 @@ def test_star_members():
         assert entry.gamma == d
         assert gamma_id_exact(entry.graph).size == d
     assert make_family(star(3)).family == T0
+    for fid in (FamilyId("STAR"), FamilyId("STAR", 2), FamilyId("T12")):
+        with pytest.raises(UnknownFamilyError):
+            make_family(fid)
 
 
 def test_make_standard():
@@ -114,8 +117,15 @@ def test_make_standard():
     assert make_standard("star", 4).max_degree() == 4
     kb = make_standard("complete_bipartite", 3, 3)
     assert kb.n == 6 and kb.m == 9
-    with pytest.raises(ValueError):
-        make_standard("hypercube", 3)
+    for kind, params, message in [
+        ("path", (0,), "path order must be >= 1"),
+        ("cycle", (2,), "cycle order must be >= 3"),
+        ("star", (0,), "star needs >= 1 leaves"),
+        ("complete_bipartite", (3, 0), "positive part sizes"),
+        ("hypercube", (3,), "unknown construction kind"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make_standard(kind, *params)
 
 
 def test_match_family_under_relabeling():
@@ -133,6 +143,7 @@ def test_match_family_under_relabeling():
 def test_match_family_rejects_lookalikes():
     p5 = make_standard("path", 5)
     assert match_family(p5, 3) is None
+    assert match_family(p5, 4) is None  # a star's order and size at delta 4
     c6 = make_standard("cycle", 6)
     assert match_family(c6, 3) is None
     # T1 with a leaf moved becomes a (1,2,3)-spider, not in the catalog.
@@ -143,6 +154,12 @@ def test_match_family_rejects_lookalikes():
         match_family(p5, 2)
 
 
+def test_star_degree_sequence_without_a_star_map_raises(monkeypatch):
+    monkeypatch.setattr(idcodes.families, "find_isomorphism", lambda a, b: None)
+    with pytest.raises(GuaranteeError, match="star degree sequence without"):
+        match_family(make_standard("star", 4), 4)
+
+
 def test_in_f_delta_is_relative_to_ambient_degree():
     c7 = make_standard("cycle", 7)
     assert in_f_delta(c7, 3) is not None
@@ -151,31 +168,6 @@ def test_in_f_delta_is_relative_to_ambient_degree():
     assert in_f_delta(s4, 4) is not None
     assert in_f_delta(s4, 5) is None
     assert in_f_delta(s4, 3) is None
-
-
-def test_low_degree_codes():
-    for fid in all_family_ids()[:12]:
-        if fid.kind == "T2":
-            with pytest.raises(UnsupportedCodeFormError):
-                tree_code_all_low_degree(fid)
-            continue
-        entry = make_family(fid)
-        code = tree_code_all_low_degree(fid)
-        low = {v for v in range(entry.graph.n) if entry.graph.degree(v) <= 2}
-        assert low <= set(code)
-        assert len(code) == entry.gamma
-        assert is_identifying(entry.graph, code)
-        if fid.kind == "T3":
-            with pytest.raises(UnsupportedCodeFormError):
-                tree_code_all_low_degree(fid, independent=True)
-        else:
-            indep = tree_code_all_low_degree(fid, independent=True)
-            assert not any(
-                entry.graph.has_edge(u, v)
-                for u, v in combinations(indep, 2)
-            )
-    with pytest.raises(UnsupportedCodeFormError):
-        tree_code_all_low_degree(FamilyId.parse("C4"))
 
 
 def test_tree_plus_edge_samples():
@@ -196,9 +188,10 @@ def test_tree_plus_edge_rejections():
     ]
     assert nonedges
     for e in nonedges:  # every addition closes a triangle at the centre
-        with pytest.raises(EdgeAdditionError) as ei:
-            tree_plus_edge_code(T0, e)
-        assert ei.value.reason == "triangle"
+        for tag in (T0, star(3)):
+            with pytest.raises(EdgeAdditionError) as ei:
+                tree_plus_edge_code(tag, e)
+            assert ei.value.reason == "triangle"
     t1 = FamilyId.parse("T1")
     with pytest.raises(EdgeAdditionError) as ei:
         tree_plus_edge_code(t1, (0, 1))
@@ -213,6 +206,12 @@ def test_tree_plus_edge_rejections():
         tree_plus_edge_code(FamilyId.parse("C7"), (0, 3))
 
 
+def test_tree_plus_edge_without_a_code_raises(monkeypatch):
+    monkeypatch.setattr(idcodes.families, "is_identifying", lambda g, c: False)
+    with pytest.raises(GuaranteeError, match="no code of size 4 within one swap"):
+        tree_plus_edge_code(FamilyId.parse("T1"), (2, 5))
+
+
 def test_random_triangle_free_properties():
     for seed in range(25):
         n = 5 + seed
@@ -222,8 +221,10 @@ def test_random_triangle_free_properties():
         assert triangle_witness(g) is None
         assert oracles.connected(g.n, g.edges)
         assert g.m <= target
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot keep n=5 vertices connected"):
         random_triangle_free(5, 3, seed=0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        random_triangle_free(0, 0, seed=0)
 
 
 def test_random_triangle_free_deterministic():

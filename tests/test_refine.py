@@ -96,7 +96,9 @@ def test_not_separable_witness():
     g = Graph(2, [(0, 1)])  # closed twins
     with pytest.raises(NotSeparableError) as ei:
         greedy_separating(g, (0, 1), (0, 1))
-    assert ei.value.pair == (0, 1)
+    assert ei.value.pair == ei.value.witness == (0, 1)
+    assert isinstance(ei.value, NotYIdentifiableError)
+    assert str(ei.value) == "no candidate vertex separates 0 from 1"
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(NotSeparableError):
         greedy_xy_identifying(star, (1, 2, 3), (0,))
@@ -237,8 +239,6 @@ def _witness(run, g, xs, ys):
     """What run(g, xs, ys) names when it fails, or None when it succeeds."""
     try:
         run(g, xs, ys)
-    except NotSeparableError as e:
-        return e.pair
     except NotYIdentifiableError as e:
         return e.witness
     return None
