@@ -96,8 +96,7 @@ def _read_code_file(path: str) -> tuple[int, ...]:
 
 
 def _read_deletions(path: str) -> tuple[tuple[int, int], ...]:
-    text = _read_text(path, "edge")
-    return tuple((min(u, v), max(u, v)) for _, u, v in _int_pairs(text))
+    return tuple((u, v) for _, u, v in _int_pairs(_read_text(path, "edge")))
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -270,12 +269,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except (IdCodeError, ValueError) as e:
             status = f"error:{type(e).__name__}"
             worst = EXIT_BOUND_MISSED
-        gamma: int | None = None
+        # gamma is shown only when the search proved its code a minimum.
+        gamma = "-"
         if g.n <= _REPORT_GAMMA_MAX_N or args.slow:
             try:
-                gamma = gamma_id_exact(g).size
-            except (NotIdentifiableError, SearchBudgetError):
-                gamma = None
+                res = gamma_id_exact(g)
+            except NotIdentifiableError:
+                pass
+            else:
+                if res.optimal:
+                    gamma = str(res.size)
         rows.append(
             (
                 f.name,
@@ -286,7 +289,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "-" if bound_num is None else str(bound_num),
                 "-" if bound_den is None else str(bound_den),
                 "-" if slack is None else str(slack),
-                "-" if gamma is None else str(gamma),
+                gamma,
                 status,
             )
         )
@@ -407,5 +410,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # pragma: no cover - runs in a subprocess
     raise SystemExit(main())

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Collection, Iterable
 
 from .checks import SignatureTable, _identifiable, _instance, is_identifying
 from .errors import (
@@ -382,78 +382,38 @@ def _whole_boundary_code(
     return code
 
 
-def _merge_star_component(
+def _part_code(
+    part: tuple[Graph, tuple[int, ...]], steps: list[CaseStep], depth: int
+) -> set[int]:
+    """A code of an induced part of g, given as induced_subgraph returns it,
+    found by the construction one level down and put in g's labels."""
+    sub, back = part
+    return {back[x] for x in _build(sub, _catalog_match(sub), steps, depth + 1)}
+
+
+def _cut_and_recurse(
     g: Graph,
-    bd: BoundaryDecomposition,
-    comp: tuple[int, ...],
-    center: int,
+    cut: Collection[int],
+    templates: Callable[[set[int]], list[set[int]]],
+    done: str,
     steps: list[CaseStep],
     depth: int,
-) -> set[int]:
-    """Remove an exceptional star component except one attachment leaf,
-    recurse, then put the star back using its centre and all but one of the
-    remaining leaves (degree-3 case: two-vertex variants).
-
-    The star has delta leaves, so its centre has no edge outside it and a
-    leaf attaches it; the rest of g stays connected around the edge.
-    """
-    delta = g.max_degree()
-    leaves = sorted(set(comp) - {center})
-    boundary = set(bd.boundary)
-    xd = min(l for l in leaves if g.adj[l] & boundary)
-    g2, o2n = delete(g, vertices=sorted(set(comp) - {xd}))
+) -> set[int] | None:
+    """The ClaimC step: cut the given vertices off g, code the rest by
+    recursion, and return the first of templates(rest's code) that
+    identifies g, tracing the rest's steps and then done. None when the
+    rest is disconnected or no template identifies g."""
+    part = induced_subgraph(g, [w for w in range(g.n) if w not in cut])
+    if not is_connected(part[0]):
+        return None
     sub_steps: list[CaseStep] = []
-    c2 = _build(g2, _catalog_match(g2), sub_steps, depth + 1)
-    n2o = {nn: oo for oo, nn in o2n.items()}
-    base = {n2o[x] for x in c2}
-    others = [l for l in leaves if l != xd]
-    cands: list[set[int]] = []
-    if delta >= 4:
-        for excl in others:
-            cands.append(base | {center} | (set(others) - {excl}))
-    else:
-        x1, x2 = others
-        cands = [base | {center, x1}, base | {center, x2}, base | {x1, x2}]
-    for cand in cands:
+    base = _part_code(part, sub_steps, depth)
+    for cand in templates(base):
         if is_identifying(g, cand):
             steps.extend(sub_steps)
-            steps.append(
-                CaseStep(
-                    STEP_CLAIM_C,
-                    f"d{depth}: star component rebuilt around leaf {xd}",
-                )
-            )
+            steps.append(CaseStep(STEP_CLAIM_C, f"d{depth}: {done}"))
             return cand
-    raise GuaranteeError(
-        f"d{depth}: no {STEP_CLAIM_C} star template around leaf {xd} identifies"
-    )
-
-
-def _merge_path4_component(
-    g: Graph,
-    comp_order: tuple[int, ...],
-    steps: list[CaseStep],
-    depth: int,
-) -> set[int]:
-    """Exceptional P4 component x1-x2-x3-x4 whose endpoints have no
-    boundary neighbour, and x2 has one: cut off its far half, recurse, and
-    re-attach two vertices. x1 hangs on x2, so the rest stays connected."""
-    x1, x2, x3, x4 = comp_order
-    gf, o2n = delete(g, vertices=[x3, x4])
-    sub_steps: list[CaseStep] = []
-    cf = _build(gf, _catalog_match(gf), sub_steps, depth + 1)
-    n2o = {nn: oo for oo, nn in o2n.items()}
-    base = {n2o[x] for x in cf}
-    if x2 in base:
-        cand = base | {x3}
-    else:
-        cand = (base - {x1}) | {x2, x3}
-    code = _case_code(g, cand, f"{STEP_CLAIM_C} path", depth)
-    steps.extend(sub_steps)
-    steps.append(
-        CaseStep(STEP_CLAIM_C, f"d{depth}: split path component rejoined")
-    )
-    return code
+    return None
 
 
 def _merge_family_component(
@@ -469,44 +429,68 @@ def _merge_family_component(
     part of it into the rest of the graph before recursing. hit is the
     component's catalog match, back its ids in g."""
     family, to_sub = hit
+    boundary = set(bd.boundary)
     if family.kind in ("STAR", "T0"):
+        # Cut the star but one attachment leaf xd and put it back with its
+        # centre and all but one of the other leaves (at degree 3, also
+        # without the centre). The star has delta leaves, so its centre
+        # has no edge outside it; the rest stays connected around the edge.
         # The catalog star's centre is vertex 0, T0's is vertex 1.
-        center = to_sub[0 if family.kind == "STAR" else 1]
-        return _merge_star_component(g, bd, comp, back[center], steps, depth)
+        center = back[to_sub[0 if family.kind == "STAR" else 1]]
+        leaves = sorted(set(comp) - {center})
+        xd = min(l for l in leaves if g.adj[l] & boundary)
+        others = [l for l in leaves if l != xd]
+        if g.max_degree() >= 4:
+            adds = [{center, *others} - {excl} for excl in others]
+        else:
+            x1, x2 = others
+            adds = [{center, x1}, {center, x2}, {x1, x2}]
+        code = _cut_and_recurse(
+            g, set(comp) - {xd}, lambda base: [base | a for a in adds],
+            f"star component rebuilt around leaf {xd}", steps, depth,
+        )
+        if code is None:
+            raise GuaranteeError(
+                f"d{depth}: no {STEP_CLAIM_C} star template around leaf {xd} "
+                "identifies"
+            )
+        return code
     if family.kind == "P4":
         # The catalog path is 0-1-2-3; start at the lower-labelled end.
         order = tuple(back[to_sub[x]] for x in range(4))
         order = min(order, order[::-1])
-        boundary = set(bd.boundary)
         if not (g.adj[order[0]] & boundary) and not (
             g.adj[order[3]] & boundary
         ):
-            oriented = order if g.adj[order[1]] & boundary else order[::-1]
-            return _merge_path4_component(g, oriented, steps, depth)
+            # x1-x2-x3-x4, whose ends see no boundary vertex and x2 does:
+            # cut off the far half and put back x3, with x2 in place of x1
+            # when the rest's code leaves x2 out. x1 hangs on x2, so the
+            # rest stays connected.
+            x1, x2, x3, x4 = order if g.adj[order[1]] & boundary else order[::-1]
+            code = _cut_and_recurse(
+                g, (x3, x4),
+                lambda base: [(base | {x3}) if x2 in base
+                              else (base - {x1}) | {x2, x3}],
+                "split path component rejoined", steps, depth,
+            )
+            if code is None:
+                raise GuaranteeError(
+                    f"d{depth}: the {STEP_CLAIM_C} path template does not identify"
+                )
+            return code
     # Remove an induced path on three vertices whose removal keeps the rest
     # connected, recurse, then add two of the three back. The rest holds
     # the edge's closed neighbourhood, so it has at least 4 vertices.
     comp_set = set(comp)
     for mid in sorted(comp_set):
         for a, b in combinations(sorted(g.adj[mid] & comp_set), 2):
-            g3, o2n = delete(g, vertices=[a, mid, b])
-            if not is_connected(g3):
-                continue
-            sub_steps: list[CaseStep] = []
-            c3 = _build(g3, _catalog_match(g3), sub_steps, depth + 1)
-            n2o = {nn: oo for oo, nn in o2n.items()}
-            base = {n2o[x] for x in c3}
-            for extra in ((a, b), (a, mid), (mid, b)):
-                cand = base | set(extra)
-                if is_identifying(g, cand):
-                    steps.extend(sub_steps)
-                    steps.append(
-                        CaseStep(
-                            STEP_CLAIM_C,
-                            f"d{depth}: component path {a}-{mid}-{b} absorbed",
-                        )
-                    )
-                    return cand
+            code = _cut_and_recurse(
+                g, (a, mid, b),
+                lambda base: [base | {a, b}, base | {a, mid}, base | {mid, b}],
+                f"component path {a}-{mid}-{b} absorbed", steps, depth,
+            )
+            if code is not None:
+                return code
     raise GuaranteeError(
         f"d{depth}: no {STEP_CLAIM_C} path of the far component {list(comp)} "
         "can be absorbed"
@@ -582,14 +566,12 @@ def _assemble(
     small = set(bd.isolated) | {x for p in bd.pair_components for x in p}
     hub_vs = sorted(set(bd.closed) | small)
     hub, back = induced_subgraph(g, hub_vs)
-    h_of = {o: i for i, o in enumerate(back)}
-    chub, how = _hub_code(hub, h_of[bd.u], h_of[bd.v], g.max_degree())
+    chub, how = _hub_code(hub, back.index(bd.u), back.index(bd.v), g.max_degree())
     total = {back[x] for x in chub}
     sub_steps: list[CaseStep] = []
     for comp in bd.large_components:
-        subg, backk = induced_subgraph(g, comp)
-        ck = _build(subg, _catalog_match(subg), sub_steps, depth + 1)
-        total |= {backk[x] for x in ck}
+        ck = _part_code(induced_subgraph(g, comp), sub_steps, depth)
+        total |= ck
         sub_steps.append(
             CaseStep(
                 STEP_COMPONENT_ASSEMBLY,
@@ -923,7 +905,7 @@ def construct_near_triangle_free(
         for e in edge_set:
             if e not in present:
                 raise EdgeError(f"deletion {e} is not an edge of the graph")
-    gt, _ = delete(g, edges=edge_set)
+    gt = delete(g, edges=edge_set)
     tri = triangle_witness(gt)
     if tri is not None:
         raise InvalidDeletionSetError(

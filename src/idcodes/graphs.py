@@ -22,7 +22,7 @@ from .errors import (
     VertexRangeError,
 )
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # pragma: no cover - read by type checkers only
     from .isomorph import _Profile
 
 VertexSet = frozenset[int]
@@ -379,21 +379,9 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
 
-def delete(
-    g: Graph,
-    vertices: Iterable[int] = (),
-    edges: Iterable[tuple[int, int]] = (),
-) -> tuple[Graph, dict[int, int]]:
-    """Remove vertices and/or edges; returns the new graph and the old-to-new
-    vertex id map (surviving vertices only, order preserved).
-
-    Deleting a vertex drops its incident edges. Asking to delete a missing
-    vertex or edge raises.
-    """
-    vs = set(vertices)
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
+def delete(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
+    """g without the given edges, on the same vertices. Asking to delete a
+    missing edge raises EdgeError."""
     present = set(g.edges)
     drop: set[Edge] = set()
     for u, v in edges:
@@ -401,14 +389,7 @@ def delete(
         if e not in present:
             raise EdgeError(f"edge {e} not in graph")
         drop.add(e)
-    keep = [v for v in range(g.n) if v not in vs]
-    old_to_new = {v: i for i, v in enumerate(keep)}
-    new_edges = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in g.edges
-        if u not in vs and v not in vs and (u, v) not in drop
-    ]
-    return Graph(len(keep), new_edges), old_to_new
+    return Graph(g.n, [e for e in g.edges if e not in drop])
 
 
 def induced_subgraph(
@@ -417,17 +398,18 @@ def induced_subgraph(
     """Induced subgraph on the given vertices.
 
     Returns the subgraph (relabelled 0..k-1 in sorted original order) and the
-    new-to-old id table.
+    new-to-old id table. Only the kept vertices' neighbourhoods are read.
     """
-    kept = set(vertices)
-    keep = sorted(kept)
-    for v in keep:
+    back = tuple(sorted(set(vertices)))
+    for v in back:
         if not (0 <= v < g.n):
             raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
-    drop = [v for v in range(g.n) if v not in kept]
-    sub, old_to_new = delete(g, vertices=drop)
-    del old_to_new  # identical to enumerate(keep)
-    return sub, tuple(keep)
+    new = {v: i for i, v in enumerate(back)}
+    edges = [
+        (i, j) for i, v in enumerate(back) for w in g.adj[v]
+        if (j := new.get(w, -1)) > i
+    ]
+    return Graph(len(back), edges), back
 
 
 def bridges(g: Graph | MutableGraph) -> tuple[Edge, ...]:
@@ -623,38 +605,30 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format written by serialize_graph.
 
     '#' starts a comment, blank lines are ignored. Errors carry 1-based line
-    numbers.
+    numbers; Graph checks each edge, and its error gets the edge's line.
     """
-    header: tuple[int, int] | None = None
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    for lineno, a, b in _int_pairs(text):
-        if header is None:
-            if a < 0 or b < 0:
-                raise GraphFormatError(
-                    f"header must be 'n m' with n, m >= 0, got {a} {b}", lineno
-                )
-            header = (a, b)
-            continue
-        n = header[0]
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphFormatError(
-                f"edge ({a}, {b}) out of range for n={n}", lineno
-            )
-        if a == b:
-            raise GraphFormatError(f"loop at vertex {a}", lineno)
-        e = _norm_edge(a, b)
-        if e in seen:
-            raise GraphFormatError(f"duplicate edge {e}", lineno)
-        seen.add(e)
-        edges.append(e)
+    rows = _int_pairs(text)
+    header = next(rows, None)
     if header is None:
         raise GraphFormatError("missing 'n m' header line")
-    if len(edges) != header[1]:
+    line, n, m = header
+    if n < 0 or m < 0:
         raise GraphFormatError(
-            f"header promises {header[1]} edges, found {len(edges)}"
+            f"header must be 'n m' with n, m >= 0, got {n} {m}", line
         )
-    return Graph(header[0], edges)
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal line
+        for line, a, b in rows:
+            yield a, b
+
+    try:
+        g = Graph(n, edges())
+    except (VertexRangeError, EdgeError) as e:
+        raise GraphFormatError(str(e), line) from None
+    if g.m != m:
+        raise GraphFormatError(f"header promises {m} edges, found {g.m}")
+    return g
 
 
 def load_graph(path: str) -> Graph:

@@ -123,6 +123,11 @@ def test_near_construct_with_deletions_file(tmp_path, capsys):
     out = tmp_path / "net.cert"
     assert main(["near-construct", gp, str(dp), "--out", str(out)]) == 0
     assert "CorollaryPatch" in out.read_text()
+    # The pipeline reads an edge in either order.
+    dp.write_text("1 0\n")
+    flipped = tmp_path / "flipped.cert"
+    assert main(["near-construct", gp, str(dp), "--out", str(flipped)]) == 0
+    assert flipped.read_text() == out.read_text()
 
 
 def test_family_stdout_and_directory(tmp_path, capsys):
@@ -264,6 +269,21 @@ def test_report_bound_missed_row(tmp_path, capsys, monkeypatch):
     row = capsys.readouterr().out.splitlines()[1].split()
     # code_size, bound_num, bound_den, slack (2*6 - 9), gamma, status
     assert row[4:] == ["6", "9", "2", "3", "4", "bound-missed"]
+
+
+def test_report_leaves_gamma_out_when_the_search_is_not_optimal(
+    tmp_path, capsys, monkeypatch
+):
+    # A search cut off by its budget returns its best code, not gamma.
+    monkeypatch.setattr(
+        idcodes.cli, "gamma_id_exact", lambda g: ExactResult(3, (0, 2, 4), 9, False)
+    )
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "p6.graph").write_text(serialize_graph(path_graph(6)))
+    assert main(["report", str(d), "--slow"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert (row[0], row[8], row[9]) == ("p6.graph", "-", "ok")
 
 
 @pytest.mark.parametrize(

@@ -116,15 +116,19 @@ def test_components_and_connectivity():
 
 
 def test_delete_vertices_and_edges():
+    # Vertices go through induced_subgraph, which relabels the survivors in
+    # order; delete removes edges only and keeps the labels.
     g = cycle(5)
-    h, old_to_new = delete(g, vertices=[2], edges=[(0, 1)])
+    sub, back = induced_subgraph(g, [4, 0, 3, 1])
+    h = delete(sub, edges=[(0, 1)])
     assert h.n == 4
-    assert old_to_new == {0: 0, 1: 1, 3: 2, 4: 3}
+    assert back == (0, 1, 3, 4)
     assert set(h.edges) == {(2, 3), (0, 3)}
+    assert delete(g, edges=[(1, 0)]) == Graph(5, [(1, 2), (2, 3), (3, 4), (0, 4)])
     with pytest.raises(EdgeError):
         delete(g, edges=[(0, 2)])
     with pytest.raises(VertexRangeError):
-        delete(g, vertices=[7])
+        induced_subgraph(g, [7])
 
 
 def test_induced_subgraph_adjacency():
@@ -159,8 +163,33 @@ def test_bridges_characterisation():
             continue
         bset = set(bridges(g))
         for e in g.edges:
-            h, _ = delete(g, edges=[e])
+            h = delete(g, edges=[e])
             assert (not is_connected(h)) == (e in bset)
+
+
+def test_subgraphs_and_connectivity_match_networkx():
+    # networkx shares no code with the package: a second oracle for the
+    # induced subgraph, components, connectivity and bridges.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261019)
+    for _ in range(150):
+        n = rng.randint(0, 14)
+        g = random_graph(n, rng.randint(0, 2 * n), rng.randrange(10**9))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        keep = rng.sample(range(n), rng.randint(0, n))
+        sub, back = induced_subgraph(g, keep)
+        assert back == tuple(sorted(keep))
+        assert sorted(
+            tuple(sorted((back[a], back[b]))) for a, b in sub.edges
+        ) == sorted(tuple(sorted(e)) for e in h.subgraph(keep).edges)
+        assert components(g) == tuple(
+            sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+        )
+        if n:
+            assert is_connected(g) == nx.is_connected(h)
+        assert bridges(g) == tuple(sorted(tuple(sorted(e)) for e in nx.bridges(h)))
 
 
 def test_pick_cycle_edge():

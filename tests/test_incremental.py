@@ -165,7 +165,7 @@ def graph_and_code(draw, max_n=14):
 def test_restore_reports_exactly_the_newly_unseparated_pairs(gc, data):
     g, code = gc
     e = data.draw(st.sampled_from(g.edges))
-    g1, _ = delete(g, edges=[e])
+    g1 = delete(g, edges=[e])
     table = SignatureTable(g1.adj, code)
     identifying = table.identifies()
     assert identifying == is_identifying(g1, code)
