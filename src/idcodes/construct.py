@@ -65,7 +65,6 @@ from typing import Callable, Collection, Iterable
 from .checks import SignatureTable, _identifiable, _instance, is_identifying
 from .errors import (
     BoundMissedError,
-    EdgeError,
     GuaranteeError,
     InvalidDeletionSetError,
     NotConnectedError,
@@ -558,24 +557,26 @@ def _hub_code(hub: Graph, hu: int, hv: int, delta: int) -> tuple[set[int], str]:
 def _assemble(
     g: Graph,
     bd: BoundaryDecomposition,
+    parts: list[tuple[Graph, tuple[int, ...]]],
     steps: list[CaseStep],
     depth: int,
 ) -> set[int]:
     """Hub-and-components assembly: code the hub with both edge ends forced
-    in, code each large far component recursively, take the union."""
+    in, code each large far component recursively, take the union. The
+    parts are the large far components as induced_subgraph built them."""
     small = set(bd.isolated) | {x for p in bd.pair_components for x in p}
     hub_vs = sorted(set(bd.closed) | small)
     hub, back = induced_subgraph(g, hub_vs)
     chub, how = _hub_code(hub, back.index(bd.u), back.index(bd.v), g.max_degree())
     total = {back[x] for x in chub}
     sub_steps: list[CaseStep] = []
-    for comp in bd.large_components:
-        ck = _part_code(induced_subgraph(g, comp), sub_steps, depth)
+    for part in parts:
+        ck = _part_code(part, sub_steps, depth)
         total |= ck
         sub_steps.append(
             CaseStep(
                 STEP_COMPONENT_ASSEMBLY,
-                f"d{depth}: far component of {len(comp)} coded with {len(ck)}",
+                f"d{depth}: far component of {part[0].n} coded with {len(ck)}",
             )
         )
     code = _case_code(g, total, STEP_G_STAR, depth)
@@ -628,12 +629,14 @@ def _repair(
     bd = boundary_decomposition(g, u, v)
     if not bd.far:
         return _whole_boundary_code(g, bd, steps, depth)
+    parts = []
     for comp in bd.large_components:
         sub, back = induced_subgraph(g, comp)
         hit = match_family(sub, delta)
         if hit is not None:
             return _merge_family_component(g, bd, comp, hit, back, steps, depth)
-    return _assemble(g, bd, steps, depth)
+        parts.append((sub, back))
+    return _assemble(g, bd, parts, steps, depth)
 
 
 def _catalog_match(g: Graph) -> _Match | None:
@@ -901,10 +904,6 @@ def construct_near_triangle_free(
         edge_set = tuple(
             sorted({(min(u, v), max(u, v)) for u, v in deletions})
         )
-        present = set(g.edges)
-        for e in edge_set:
-            if e not in present:
-                raise EdgeError(f"deletion {e} is not an edge of the graph")
     gt = delete(g, edges=edge_set)
     tri = triangle_witness(gt)
     if tri is not None:

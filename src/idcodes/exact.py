@@ -7,16 +7,47 @@ lexicographically first unseparated pair), trying each candidate resolver in
 ascending order with sibling exclusion, and prunes with a greedy packing of
 pairwise disjoint resolver sets (each one needs its own new code vertex).
 
-Each node gets from its parent the resolver sets of its violations, in
-branching order, so the first set is the one it branches on. The child that
-adds w keeps the sets that do not hold w: w resolves exactly the others,
-and adding a vertex never opens a violation. The packing takes the sets
-smallest first, by a stable sort so that ties keep branching order, and
-stops as soon as the bound prunes; a violation with no usable resolver cuts
-the node. Taking small sets first leaves room for more disjoint ones than
-branching order does. Any such packing is a valid bound, so a tighter one
-prunes only subtrees that hold no code smaller than the incumbent, and the
-search finds the same incumbents in the same order.
+A run lists the resolver sets of its root's violations once, in branching
+order: the root list. It leaves out every violation that an earlier one
+dominates, one whose resolver set holds the set of an earlier violation: a
+pair of undominated vertices with no common candidate, and a repeated set.
+Any vertex that resolves the earlier violation resolves the later one, so
+the later one is open only while the earlier one is, and the first open
+violation is never one left out. A violation is open exactly while the
+code misses its set, and adding a vertex never opens one, so a node's open
+violations are the root sets its code misses. The node branches on the
+first of them, which a cursor finds: it scans forward from the parent's
+cursor past the sets the code meets. A child's code meets the set its
+parent branched on, so its scan starts one set further on, and the scans
+along a path take one pass over the root list.
+
+For its bound a node carries a shorter list: the open root sets less every
+set that strictly holds a root set of at most two candidates, about half
+the root list on the benchmark's n = 19 graphs. The child that adds w
+keeps the carried sets that do not hold w. A dropped set S strictly holds
+a carried set T of at most two candidates (the set it holds, or a single
+candidate that one holds), so S is open only while T is, and the node is a
+leaf exactly when it carries no set. When no resolver of S is usable, none
+of T is, so a violation with no usable resolver cuts the same nodes. The
+packing takes the sets smallest first, by a stable sort so that ties keep
+branching order, and stops as soon as the bound prunes. After the mask of
+excluded siblings T is either smaller than S, and then packs or meets the
+packing before S comes, or equal to S, and packs what S would; in the
+half-integral step below T's part lies in S's, so T cuts where S would. So
+S never tightens the bound, and dropping it saves copying, masking and
+sorting it at every node. Where T equals S after the mask and comes after
+it, sets of the same size that lie between them in branching order may
+pack first, so the packing, and the node count, can differ from one over
+the whole list.
+
+Any packing of disjoint sets is a valid bound: it prunes only subtrees that
+hold no code smaller than the incumbent. The search tries the nodes in the
+same depth-first order whichever valid bound prunes it (the same branching
+violation, candidates ascending, sibling exclusion), so it returns the
+greedy code when that is optimal and otherwise the first minimum leaf in
+that order: a completed search's code does not depend on the bound, and
+only its node count does. Taking small sets first leaves room for more
+disjoint ones than branching order does.
 
 When the packing ends one vertex short of a cut, the node tries one
 half-integral step of the LP relaxation of the same hitting-set problem:
@@ -26,19 +57,6 @@ packed set is a fractional packing worth half a vertex more, and a
 completion is a whole number of vertices, so the node is cut. Three sets
 that pairwise meet with no vertex in all three, such as {3, 4}, {3, 9, 15}
 and {4, 9, 15}, are the typical case.
-
-The root list leaves out every violation that an earlier one dominates,
-one whose resolver set holds the set of an earlier violation: a pair of
-undominated vertices with no common candidate, and a repeated set. Any
-vertex that resolves the earlier violation resolves the later one, so the
-later one is open only while the earlier one is, and it never packs: it
-comes after the earlier one, which either packs or meets the packing, and
-holds it. Leaves, cuts, packings and half-integral steps stay the same
-(where a dropped set could be A or B, its dominator can), and the first open
-violation is never a dropped one, so the first set of the list is still the
-one the node branches on. Were the dominator later, dropping the earlier
-set would let equal-sized sets between the two pack first, and could drop
-the set a node branches on, so only earlier dominators count.
 
 Greedy completion, which sets the first incumbent, is refine's max-settle
 refinement of the partition of X by code signature (refine._complete).
@@ -85,12 +103,12 @@ class _FoundEnough(Exception):
 class _Search:
     """One branch-and-bound run over a fixed (X, Y) instance.
 
-    A search node holds the resolver sets of its violations, in branching
-    order, less those an earlier violation dominates (see _violations):
-    the first set is still the first open violation, the one the node
-    branches on. The bound packs disjoint sets and then tries one
-    half-integral step (see _node). Greedy completion is refine's, with
-    undominated targets counted.
+    A run keeps its root list (see _violations) in root. A search node
+    holds a cursor into it and the open sets of the carried list (see
+    _minimal): it branches on the first root set past the cursor that its
+    code misses, and bounds with the carried sets, packing disjoint ones
+    and then trying one half-integral step (see _node). Greedy completion
+    is refine's, with undominated targets counted.
     """
 
     def __init__(self, masks: list[int], xs: list[int], allowed: int):
@@ -102,6 +120,7 @@ class _Search:
         self.best_size = 0
         self.best_mask: int | None = None
         self.stop_first = False
+        self.root: list[int] = []
 
     def greedy_code(self, start: int) -> int | None:
         """Complete `start` to a feasible code greedily, or None if stuck."""
@@ -139,7 +158,19 @@ class _Search:
                 mates ^= low
         return list(dict.fromkeys(rs))
 
-    def _node(self, code: int, banned: int, rs: list[int]) -> None:
+    @staticmethod
+    def _minimal(rs: list[int]) -> list[int]:
+        """The carried list of a root list rs: rs, in order, less every set
+        that strictly holds a set of rs with at most two candidates. Such a
+        set is open only while the smaller one is and never tightens the
+        bound (see the module docstring)."""
+        out = rs
+        for t in rs:
+            if t.bit_count() <= 2:
+                out = [r for r in out if r & t != t or r == t]
+        return out
+
+    def _node(self, code: int, banned: int, rs: list[int], at: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _OutOfBudget
@@ -165,7 +196,6 @@ class _Search:
         # Lower bound: greedily pack pairwise disjoint resolver sets (each
         # needs its own new code vertex), smallest set first, ties in
         # branching order; stop once the bound prunes.
-        first = usable[0]
         usable.sort(key=int.bit_count)
         lb = 0
         used = 0
@@ -199,12 +229,19 @@ class _Search:
                     if not s & t:
                         return
                 seen.append(t)
-        # Branch on the first violation. A child keeps the violations its
-        # new vertex does not resolve, in the same order.
+        # Branch on the first open violation of the root list, the first
+        # set past the cursor that the code does not meet. Each child's
+        # code meets it, so the child's scan starts one further on. A child
+        # keeps the sets its new vertex does not resolve, in the same order.
+        root = self.root
+        while root[at] & code:
+            at += 1
+        first = root[at] & keep
+        at += 1
         while first:
             low = first & -first
             first ^= low
-            self._node(code | low, banned, [r for r in rs if not r & low])
+            self._node(code | low, banned, [r for r in rs if not r & low], at)
             banned |= low
 
     def run(
@@ -236,8 +273,9 @@ class _Search:
             greedy = self.greedy_code(required)
             if greedy is not None and greedy.bit_count() <= cap:
                 return greedy, True
+        self.root = self._violations(required)
         try:
-            self._node(required, 0, self._violations(required))
+            self._node(required, 0, self._minimal(self.root), 0)
         except _OutOfBudget:
             return self.best_mask, False
         except _FoundEnough:

@@ -381,13 +381,13 @@ def is_connected(g: Graph) -> bool:
 
 def delete(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     """g without the given edges, on the same vertices. Asking to delete a
-    missing edge raises EdgeError."""
+    missing edge raises EdgeError, naming the first such edge."""
     present = set(g.edges)
     drop: set[Edge] = set()
     for u, v in edges:
         e = _norm_edge(u, v)
         if e not in present:
-            raise EdgeError(f"edge {e} not in graph")
+            raise EdgeError(f"deletion {e} is not an edge of the graph")
         drop.add(e)
     return Graph(g.n, [e for e in g.edges if e not in drop])
 

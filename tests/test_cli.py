@@ -417,6 +417,15 @@ def test_bad_deletions_file_exits_parse(tmp_path, capsys, text, where):
     assert capsys.readouterr().err.startswith(f"error: {where} ")
 
 
+def test_deletion_of_a_non_edge_exits_domain(tmp_path, capsys):
+    gp = write_graph(tmp_path, "net.graph", TRIANGLE_NET)
+    dp = tmp_path / "dels.txt"
+    dp.write_text("0 1\n4 3\n")
+    assert main(["near-construct", gp, str(dp)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: deletion (3, 4) is not an edge of the graph\n"
+
+
 def test_missing_deletions_file_exits_parse(tmp_path, capsys):
     gp = write_graph(tmp_path, "net.graph", TRIANGLE_NET)
     missing = tmp_path / "missing.txt"

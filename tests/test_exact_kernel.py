@@ -11,7 +11,10 @@ tighter bound may only shrink the tree, never change a completed search's
 code. A hypothesis property compares _Search with a naive copy of the
 kernel that rebuilt its whole violation list at every node and packed in
 branching order, and another compares the root list with the plain
-filtered list of every pair of every signature class.
+filtered list of every pair of every signature class. A third checks the
+carried list against its plain rule, and an example of the first one
+branches on a root set the carried list leaves out, so the cursor over the
+root list, not the head of the carried list, picks the branch.
 """
 
 from __future__ import annotations
@@ -312,6 +315,17 @@ def _size(mask: int | None) -> float:
     False,
     1,
 )
+# The root's first open violation, vertex 0's set {0, 3, 4, 5, 6}, strictly
+# holds the root sets {4, 5} and {6}, so the carried list leaves it out and
+# the cursor picks it; branching on the first carried set, {4, 5}, instead
+# finds another code of the same size first.
+@example(
+    ([121, 22, 86, 73, 119, 49, 93], [0, 1, 2, 3, 4, 5, 6], 127),
+    frozenset(),
+    None,
+    False,
+    10**6,
+)
 def test_search_matches_naive_kernel(inst, start_set, cap, stop_first, budget):
     masks, xs, allowed = inst
     start = _mask(start_set) & allowed
@@ -356,6 +370,19 @@ def test_root_list_matches_the_filtered_pair_list(inst, code_set):
             rs.append((masks[a] ^ masks[b]) & allowed)
     expected = list(dict.fromkeys(rs))
     assert _Search(masks, xs, allowed)._violations(code) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.frozensets(st.integers(0, 12)))
+def test_carried_list_drops_exactly_the_supersets_of_small_sets(inst, code_set):
+    # The root list, in order, less every set that strictly holds a set of
+    # the root list with at most two candidates.
+    masks, xs, allowed = inst
+    code = _mask(code_set) & allowed
+    root = _Search(masks, xs, allowed)._violations(code)
+    small = [t for t in root if t.bit_count() <= 2]
+    expected = [r for r in root if not any(t & r == t != r for t in small)]
+    assert _Search._minimal(root) == expected
 
 
 def test_half_integral_step_cuts_the_triple_at_the_root():
