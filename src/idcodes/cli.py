@@ -13,7 +13,8 @@ Exit codes (outcome class only, never timing):
     0   success (verify: the code identifies; construct: certified)
     1   verify found violations
     2   bound missed, or a report row failed
-    3   unreadable input (parse error or missing file)
+    3   unreadable input (parse error, missing or non-ASCII file), or an
+        output file that cannot be written
     4   domain error (disconnected, triangles, twins, bad options, ...)
     5   search budget exhausted before an answer
     70  internal error (including a broken construction guarantee)
@@ -54,6 +55,7 @@ from .families import (
 from .graphs import (
     Graph,
     _int_pairs,
+    _read_text,
     load_graph,
     serialize_graph,
     triangle_witness,
@@ -74,13 +76,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102
         self.print_usage(sys.stderr)
         self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
-
-
-def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise GraphFormatError(f"cannot read {what} file {path}: {e}") from e
 
 
 def _read_code_file(path: str) -> tuple[int, ...]:

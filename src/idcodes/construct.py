@@ -756,8 +756,10 @@ def _chorded_code(
         and fits_catalog(state.n, state.m, 3)
     ):
         return None
+    # A hit is a catalog tree: delta 3 looks up the fixed members only, P4
+    # has maximum degree 2, and C4 and C7 have m = n.
     hit1 = match_family(state.graph(), 3)
-    if hit1 is None or not hit1[0].kind.startswith("T"):
+    if hit1 is None:
         return None
     fid, mapping = hit1
     inv = {w: c for c, w in mapping.items()}

@@ -108,11 +108,13 @@ class UnsupportedCodeFormError(IdCodeError, ValueError):
 
 
 class EdgeAdditionError(IdCodeError, ValueError):
-    """An edge addition is inadmissible (exists already, makes a triangle,
-    or pushes a degree past the allowed maximum).
+    """An edge addition is inadmissible (names a loop or a vertex outside
+    the graph, exists already, makes a triangle, or pushes a degree past
+    the allowed maximum).
 
     Attributes:
-        reason: one of "exists", "triangle", "degree", "loop", "range".
+        reason: one of "range" (a loop or an out-of-range end), "exists",
+            "triangle", "degree".
     """
 
     def __init__(self, reason: str, detail: str):

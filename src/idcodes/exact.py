@@ -119,12 +119,8 @@ class _Search:
         self.budget = DEFAULT_NODE_BUDGET
         self.best_size = 0
         self.best_mask: int | None = None
-        self.stop_first = False
+        self.cap: int | None = None
         self.root: list[int] = []
-
-    def greedy_code(self, start: int) -> int | None:
-        """Complete `start` to a feasible code greedily, or None if stuck."""
-        return _complete(self.masks, self.xs, self.allowed, start, True)
 
     def _violations(self, code: int) -> list[int]:
         """The resolver set, within the candidates, of every violation of
@@ -179,7 +175,7 @@ class _Search:
             if self.best_mask is None or size < self.best_size:
                 self.best_size = size
                 self.best_mask = code
-                if self.stop_first:
+                if self.cap is not None:
                     raise _FoundEnough
             return
         # A violation is open, so every completion adds one vertex at least:
@@ -249,17 +245,17 @@ class _Search:
         required: int,
         budget: int,
         cap: int | None = None,
-        stop_first: bool = False,
     ) -> tuple[int | None, bool]:
-        """Search below the cap (exclusive upper start) for a code that
-        holds required, which must lie within the candidates. Returns
-        (best_mask_or_None, completed_without_budget_exhaustion)."""
+        """Search for a minimum code that holds required, which must lie
+        within the candidates, or with a cap for the first code of at most
+        cap vertices. Returns (best_mask_or_None,
+        completed_without_budget_exhaustion)."""
         self.budget = budget
         self.nodes = 0
-        self.stop_first = stop_first
+        self.cap = cap
         self.best_mask = None
+        greedy = _complete(self.masks, self.xs, self.allowed, required, True)
         if cap is None:
-            greedy = self.greedy_code(required)
             if greedy is None:
                 raise GuaranteeError(
                     "greedy completion stuck on a feasible instance"
@@ -270,7 +266,6 @@ class _Search:
                 return self.best_mask, True
         else:
             self.best_size = cap + 1
-            greedy = self.greedy_code(required)
             if greedy is not None and greedy.bit_count() <= cap:
                 return greedy, True
         self.root = self._violations(required)
@@ -349,7 +344,7 @@ def identifying_code_at_most(
     """
     masks, xs, allowed = _identifiable(g)
     search = _Search(masks, xs, allowed)
-    best, done = search.run(0, node_budget, cap=cap, stop_first=True)
+    best, done = search.run(0, node_budget, cap=cap)
     if best is None and not done:
         raise SearchBudgetError(
             f"undecided after {search.nodes} nodes (cap {cap})"

@@ -5,8 +5,9 @@ These are exactly the connected triangle-free graphs whose minimum
 identifying code meets delta * gamma = (delta - 1) * n + 1; everything else
 in the class stays strictly below (delta - 1) * n / delta * delta. The
 catalog stores one concrete labelling of each member together with an
-optimal code in that labelling; isomorphism matching transfers codes onto
-arbitrary labellings.
+optimal code in that labelling; a vertex map onto an arbitrary labelling
+transfers the code. The map comes from isomorphism matching at delta 3 and
+from the degree sequence for the delta-star, the only member past it.
 """
 
 from __future__ import annotations
@@ -235,15 +236,15 @@ def match_family(g: Graph, delta: int) -> tuple[FamilyId, dict[int, int]] | None
     if not fits_catalog(g.n, g.m, delta):
         return None
     if delta >= 4:
-        # Only the star survives past delta 3.
-        degs = sorted(g.degree(v) for v in range(g.n))
-        if degs != [1] * delta + [delta]:
+        # Only the star survives past delta 3. With n = delta + 1 and
+        # m = delta, a vertex of degree delta meets every edge, so g is the
+        # star exactly when it has one. Its centre 0 maps there and the
+        # leaves 1..delta to the other vertices, ascending.
+        if g.max_degree() != delta:
             return None
-        entry = make_family(star(delta))
-        mapping = find_isomorphism(entry.graph, g)
-        if mapping is None:
-            raise GuaranteeError(f"star degree sequence without a star map: {g}")
-        return (entry.family, mapping)
+        centre = next(v for v in range(g.n) if g.degree(v) == delta)
+        order = [centre] + [v for v in range(g.n) if v != centre]
+        return (star(delta), dict(enumerate(order)))
     for entry in _FIXED_BY_SHAPE[g.n, g.m]:
         mapping = find_isomorphism(entry.graph, g)
         if mapping is not None:

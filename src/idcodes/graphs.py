@@ -134,9 +134,8 @@ class MutableGraph:
     """A working copy of a Graph whose edges are removed and restored in
     O(1), with the maximum degree kept current.
 
-    bridges reads it like a Graph, through n, adj and edges. edges keeps
-    the sorted order of the source graph while edges are only removed; a
-    restored edge goes to the end.
+    edges keeps the sorted order of the source graph while edges are only
+    removed; a restored edge goes to the end.
 
     It also keeps the state that makes pick_cycle_edge incremental across
     a run of deletions: a lazy max-heap of candidate edges. The heap holds
@@ -412,49 +411,6 @@ def induced_subgraph(
     return Graph(len(back), edges), back
 
 
-def bridges(g: Graph | MutableGraph) -> tuple[Edge, ...]:
-    """All bridge edges (edges whose removal disconnects their component).
-
-    Iterative depth-first search with low points: the tree edge (p, v) is
-    a bridge when no edge from the subtree of v other than (p, v) itself
-    reaches p or above.
-    """
-    n, adj = g.n, g.adj
-    disc = [-1] * n
-    low = [0] * n
-    out: list[Edge] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        # Each frame is (vertex, tree parent, iterator over its neighbours).
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, p, it = stack[-1]
-            lv = low[v]
-            for w in it:
-                dw = disc[w]
-                if dw == -1:
-                    low[v] = lv
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(adj[w])))
-                    break
-                if dw < lv and w != p:
-                    lv = dw
-            else:
-                stack.pop()
-                low[v] = lv
-                if p != -1:
-                    if lv < low[p]:
-                        low[p] = lv
-                    elif lv > disc[p]:
-                        out.append(_norm_edge(p, v))
-    return tuple(sorted(out))
-
-
 def pick_cycle_edge(g: Graph | MutableGraph) -> Edge:
     """A deterministic non-bridge edge: maximum degree sum, then first in
     edges order (the smallest pair for a Graph).
@@ -631,6 +587,15 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of an input file, decoded as ASCII. A file that cannot be
+    read or decoded raises GraphFormatError naming the path."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise GraphFormatError(f"cannot read {what} file {path}: {e}") from e
+
+
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path, "graph"))

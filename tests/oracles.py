@@ -111,6 +111,25 @@ def connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
+def is_bridge(n: int, edges, e) -> bool:
+    """Whether deleting the edge e = (u, v) leaves v out of reach of u."""
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    u, v = e
+    adj[u].discard(v)
+    adj[v].discard(u)
+    seen = {u}
+    todo = [u]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return v not in seen
+
+
 def automorphism_count(n: int, edges) -> int:
     """Number of adjacency-preserving permutations, by backtracking: vertex
     v takes each unused image whose adjacency to the images of 0..v-1

@@ -109,6 +109,34 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["construct", str(tmp_path / "missing.graph")]) == 3
 
 
+def test_unreadable_input_files_exit_parse_naming_the_file(tmp_path, capsys):
+    # A non-ASCII byte, even in a comment, and a directory in place of a
+    # file are unreadable input, for graph, code and deletion files alike.
+    good = write_graph(tmp_path, "p5.graph", path_graph(5))
+    accented = tmp_path / "accented.txt"
+    accented.write_bytes("# caf\u00e9\n5 4\n0 1\n1 2\n2 3\n3 4\n".encode())
+    folder = tmp_path / "folder.graph"
+    folder.mkdir()
+    for bad in (accented, folder):
+        for argv, what in (
+            (["construct", str(bad)], "graph"),
+            (["verify", good, "--code", str(bad)], "code"),
+            (["near-construct", good, str(bad)], "edge"),
+        ):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {what} file {bad}: ")
+
+
+def test_unwritable_output_exits_parse(tmp_path, capsys):
+    # Input files fail as GraphFormatError; an output file that cannot be
+    # written is the one OSError left, and it keeps the same exit class.
+    gp = write_graph(tmp_path, "p5.graph", path_graph(5))
+    out = tmp_path / "missing" / "cert.txt"
+    assert main(["construct", gp, "--out", str(out)]) == 3
+    assert str(out) in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["verify", "nowhere.graph"])  # --code is required
@@ -238,6 +266,23 @@ def test_report_malformed_file_row(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows[0] == ["bad.graph", *["-"] * 8, "error:GraphFormatError"]
     assert (rows[1][0], rows[1][-1]) == ("p4.graph", "ok")
+
+
+def test_report_unreadable_file_rows(tmp_path, capsys):
+    # A graph file with a non-ASCII byte and a directory named like a graph
+    # file each get an error row beside the good row, and the batch goes on.
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "accented.graph").write_bytes("# caf\u00e9\n1 0\n".encode())
+    (d / "folder.graph").mkdir()
+    (d / "p4.graph").write_text(serialize_graph(path_graph(4)))
+    assert main(["report", str(d)]) == 2
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[:2] == [
+        [name, *["-"] * 8, "error:GraphFormatError"]
+        for name in ("accented.graph", "folder.graph")
+    ]
+    assert (rows[2][0], rows[2][-1]) == ("p4.graph", "ok")
 
 
 def test_report_value_error_rows(tmp_path, capsys):

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import idcodes.exact
 from idcodes import (
     Graph,
     GuaranteeError,
@@ -39,6 +40,7 @@ from idcodes import (
 )
 from idcodes.exact import _Search
 from idcodes.graphs import closed_neighborhood_masks
+from idcodes.refine import _complete
 
 
 def _random_graph(n: int, m: int, seed: int) -> Graph:
@@ -98,7 +100,7 @@ def _at_most(nodes: bool = True) -> list[str]:
         for cap in (gamma - 2, gamma - 1, gamma):
             out.append(f"{identifying_code_at_most(g, cap)}\n")
             search = _Search(closed_neighborhood_masks(g), list(range(g.n)), full)
-            best, done = search.run(0, 10**6, cap=cap, stop_first=True)
+            best, done = search.run(0, 10**6, cap=cap)
             count = f" {search.nodes}" if nodes else ""
             out.append(f"{best} {done}{count}\n")
     return out
@@ -300,11 +302,10 @@ def _size(mask: int | None) -> float:
     instances(),
     st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, 12))),
     st.one_of(st.none(), st.integers(0, 13)),
-    st.booleans(),
     st.one_of(st.just(10**6), st.integers(1, 400)),
 )
 # The half-integral triple: cut at the root against the greedy code {3, 4}.
-@example(_half_integral_triple(), frozenset(), None, False, 10**6)
+@example(_half_integral_triple(), frozenset(), None, 10**6)
 # Here the naive packing prunes at the root, while smallest first packs to 1
 # and the search takes 6 nodes: under a 1-node budget only the naive search
 # completes, so a tighter bound does not mean fewer nodes on every input.
@@ -312,7 +313,6 @@ def _size(mask: int | None) -> float:
     ([37, 86, 231, 248, 218, 109, 254, 220], [3, 4, 6], 255),
     frozenset(),
     None,
-    False,
     1,
 )
 # The root's first open violation, vertex 0's set {0, 3, 4, 5, 6}, strictly
@@ -323,19 +323,18 @@ def _size(mask: int | None) -> float:
     ([121, 22, 86, 73, 119, 49, 93], [0, 1, 2, 3, 4, 5, 6], 127),
     frozenset(),
     None,
-    False,
     10**6,
 )
-def test_search_matches_naive_kernel(inst, start_set, cap, stop_first, budget):
+def test_search_matches_naive_kernel(inst, start_set, cap, budget):
     masks, xs, allowed = inst
     start = _mask(start_set) & allowed
     new, old = _Search(masks, xs, allowed), _NaiveSearch(masks, xs, allowed)
-    assert new.greedy_code(start) == old.greedy_code(start)
+    assert _complete(masks, xs, allowed, start, True) == old.greedy_code(start)
     if not _feasible(masks, xs, allowed):
         return
-    stop_first = cap is not None and stop_first
-    best, done = old.run(start, budget, cap, stop_first)
-    found = new.run(start, budget, cap, stop_first)
+    # A cap asks for the first code within it.
+    best, done = old.run(start, budget, cap, cap is not None)
+    found = new.run(start, budget, cap)
     if done and found[1]:
         # Both bounds are valid, so each prunes only subtrees without a
         # strictly smaller code: the same incumbents and the same result.
@@ -399,7 +398,7 @@ def test_half_integral_step_cuts_the_triple_at_the_root():
 
 
 def test_stuck_greedy_raises_guarantee_error(monkeypatch):
-    monkeypatch.setattr(_Search, "greedy_code", lambda self, start: None)
+    monkeypatch.setattr(idcodes.exact, "_complete", lambda *args: None)
     g = _twin_free(1, 8)[0]
     with pytest.raises(GuaranteeError):
         gamma_id_exact(g)

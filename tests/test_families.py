@@ -21,6 +21,7 @@ from idcodes import (
     UnknownFamilyError,
     UnsupportedCodeFormError,
     all_family_ids,
+    find_isomorphism,
     gamma_id_exact,
     in_f_delta,
     is_identifying,
@@ -154,10 +155,17 @@ def test_match_family_rejects_lookalikes():
         match_family(p5, 2)
 
 
-def test_star_degree_sequence_without_a_star_map_raises(monkeypatch):
-    monkeypatch.setattr(idcodes.families, "find_isomorphism", lambda a, b: None)
-    with pytest.raises(GuaranteeError, match="star degree sequence without"):
-        match_family(make_standard("star", 4), 4)
+def test_star_map_from_degrees_equals_the_isomorphism_search():
+    # The delta-star is matched by its degree sequence alone; its map is
+    # the one the isomorphism search finds, entry for entry and in order.
+    for d in range(4, 10):
+        entry = make_family(star(d))
+        for seed in range(8):
+            g = permuted(entry.graph, 100 * d + seed)
+            hit = match_family(g, d)
+            assert hit is not None and hit[0] == star(d)
+            expected = find_isomorphism(entry.graph, g)
+            assert list(hit[1].items()) == list(expected.items())
 
 
 def test_in_f_delta_is_relative_to_ambient_degree():

@@ -15,7 +15,6 @@ from idcodes import (
     NoCycleEdgeError,
     VertexRangeError,
     boundary_decomposition,
-    bridges,
     components,
     delete,
     find_closed_twins,
@@ -154,22 +153,10 @@ def test_induced_subgraph_is_linear():
     assert elapsed < 0.25
 
 
-def test_bridges_characterisation():
-    assert bridges(path(5)) == ((0, 1), (1, 2), (2, 3), (3, 4))
-    assert bridges(cycle(6)) == ()
-    for seed in range(25):
-        g = random_graph(7, 9, 400 + seed)
-        if not is_connected(g):
-            continue
-        bset = set(bridges(g))
-        for e in g.edges:
-            h = delete(g, edges=[e])
-            assert (not is_connected(h)) == (e in bset)
-
-
 def test_subgraphs_and_connectivity_match_networkx():
     # networkx shares no code with the package: a second oracle for the
-    # induced subgraph, components, connectivity and bridges.
+    # induced subgraph, components, connectivity and the picker's rule
+    # (largest degree sum among non-bridges, first in edge order).
     nx = pytest.importorskip("networkx")
     rng = random.Random(20261019)
     for _ in range(150):
@@ -189,7 +176,14 @@ def test_subgraphs_and_connectivity_match_networkx():
         )
         if n:
             assert is_connected(g) == nx.is_connected(h)
-        assert bridges(g) == tuple(sorted(tuple(sorted(e)) for e in nx.bridges(h)))
+        bridge_set = {tuple(sorted(e)) for e in nx.bridges(h)}
+        on_cycles = [e for e in g.edges if e not in bridge_set]
+        if not on_cycles:
+            with pytest.raises(NoCycleEdgeError):
+                pick_cycle_edge(g)
+            continue
+        best = max(on_cycles, key=lambda e: g.degree(e[0]) + g.degree(e[1]))
+        assert pick_cycle_edge(g) == best
 
 
 def test_pick_cycle_edge():
@@ -204,7 +198,7 @@ def test_pick_cycle_edge():
         if not is_connected(g) or g.m == g.n - 1:
             continue
         e = pick_cycle_edge(g)
-        assert e not in bridges(g)
+        assert not oracles.is_bridge(g.n, g.edges, e)
 
 
 def test_linear_order_recognition():

@@ -23,11 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import idcodes.graphs
+import oracles
 from idcodes import (
     Graph,
     NoCycleEdgeError,
-    bridges,
     components,
     construct_near_triangle_free,
     construct_triangle_free,
@@ -210,19 +209,6 @@ def test_drops_leave_the_table_of_the_smaller_code(gc):
     )
 
 
-def _is_bridge(n: int, edges: list[tuple[int, int]], e: tuple[int, int]) -> bool:
-    rest = [f for f in edges if f != e]
-    reach, todo = {e[0]}, [e[0]]
-    while todo:
-        x = todo.pop()
-        for a, b in rest:
-            for y, z in ((a, b), (b, a)):
-                if y == x and z not in reach:
-                    reach.add(z)
-                    todo.append(z)
-    return e[1] not in reach
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(2, 12).flatmap(
@@ -258,9 +244,8 @@ def test_mutable_graph_tracks_edge_edits(ne, data):
         g = Graph(n, current)
         assert state.graph() == g
         assert state.m == g.m and state.max_degree() == g.max_degree()
-        assert bridges(state) == tuple(
-            e for e in g.edges if _is_bridge(n, list(g.edges), e)
-        )
+        # Removals keep the source order and a restored edge goes last.
+        assert list(state.edges) == current
 
 
 def _graph_strategy(min_n=2, max_n=12):
@@ -278,13 +263,13 @@ def _graph_strategy(min_n=2, max_n=12):
 
 
 def _oracle_pick(state: MutableGraph) -> tuple[int, int]:
-    """The picker's rule from a full bridge search: largest degree sum
-    among non-bridges, first in edges order."""
-    bridge_set = set(bridges(state.graph()))
+    """The picker's rule from a brute-force bridge test of every edge:
+    largest degree sum among non-bridges, first in edges order."""
+    edges = list(state.edges)
     best, best_sum = None, -1
-    for u, v in state.edges:
+    for u, v in edges:
         s = len(state.adj[u]) + len(state.adj[v])
-        if (u, v) not in bridge_set and s > best_sum:
+        if s > best_sum and not oracles.is_bridge(state.n, edges, (u, v)):
             best, best_sum = (u, v), s
     if best is None:
         raise NoCycleEdgeError("forest")
@@ -366,7 +351,7 @@ def test_cycle_test_on_a_reused_state_matches_a_plain_search(ne, data):
             u, v = data.draw(st.sampled_from(current))
             if data.draw(st.booleans()):
                 u, v = v, u
-            expected = not _is_bridge(n, current, (min(u, v), max(u, v)))
+            expected = not oracles.is_bridge(n, current, (u, v))
             assert state._joined_without(u, v) == expected
             assert state.graph() == Graph(n, current)
         elif op == "remove" and current:
@@ -406,11 +391,21 @@ def test_mask_kernel_matches_per_neighbour_loops(ne, data):
 
 
 def test_construction_runs_without_a_full_bridge_search(monkeypatch):
-    def refuse(g):
-        raise AssertionError("full bridge search during construction")
+    # A cycle test finds either the level's pick or a bridge, which leaves
+    # the picker's heap for good. The descent picks at most m - n + 1
+    # edges and keeps n - 1, so it makes at most m tests in all, where a
+    # bridge search per level would make about m per level.
+    tests = []
+    joined = MutableGraph._joined_without
 
-    monkeypatch.setattr(idcodes.graphs, "bridges", refuse)
+    def counted(self, u, v):
+        tests.append((u, v))
+        return joined(self, u, v)
+
+    monkeypatch.setattr(MutableGraph, "_joined_without", counted)
     g = random_triangle_free(120, 1200, 0)
     for build in (construct_triangle_free, construct_near_triangle_free):
+        tests.clear()
         cert = build(g)
         assert cert.verified and is_identifying(g, cert.code)
+        assert 0 < len(tests) <= g.m
