@@ -52,8 +52,9 @@ Trace labels (CaseStep.label):
                               plus small far components)
     ComponentAssembly         a large far component coded by recursion
     ExactFallback             capped search replaced a tree's pruned code
-    CorollaryPatch            damage accounting for one restored non-bridge
-                              edge in the triangle-deletion pipeline
+    CorollaryPatch            in the triangle-deletion pipeline, the
+                              number of deleted edges, then damage
+                              accounting for each restored edge
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ STEP_COMPONENT_ASSEMBLY = "ComponentAssembly"
 STEP_EXACT_FALLBACK = "ExactFallback"
 STEP_COROLLARY_PATCH = "CorollaryPatch"
 
-CERTIFICATE_VERSION = "idcodes-certificate v3"
+CERTIFICATE_VERSION = "idcodes-certificate v4"
 
 # Trees and paths plus a chord up to this order get an exact minimum code.
 _EXACT_MAX_N = 16
@@ -836,47 +837,6 @@ def triangle_deletion_set(g: Graph) -> tuple[tuple[int, int], ...]:
         removed.append((u, v))
 
 
-def min_triangle_deletion_size(g: Graph, cap: int) -> int | None:
-    """Smallest number of edge deletions (at most cap) that remove every
-    triangle; None if more than cap are needed.
-
-    Some edge of any remaining triangle must go, so a search that branches
-    on the three edges of the first triangle it finds, with the depth
-    deepened from 0 to cap, visits at most 3^k leaves at depth k.
-    """
-    adj = [set(s) for s in g.adj]
-
-    def triangle() -> tuple[int, int, int] | None:
-        for u, v in g.edges:
-            if v in adj[u]:
-                common = adj[u] & adj[v]
-                if common:
-                    return u, v, min(common)
-        return None
-
-    def clears(k: int) -> bool:
-        tri = triangle()
-        if tri is None:
-            return True
-        if k == 0:
-            return False
-        a, b, c = tri
-        for x, y in ((a, b), (a, c), (b, c)):
-            adj[x].discard(y)
-            adj[y].discard(x)
-            done = clears(k - 1)
-            adj[x].add(y)
-            adj[y].add(x)
-            if done:
-                return True
-        return False
-
-    for k in range(cap + 1):
-        if clears(k):
-            return k
-    return None
-
-
 def construct_near_triangle_free(
     g: Graph,
     deletions: Iterable[tuple[int, int]] | None = None,
@@ -918,22 +878,7 @@ def construct_near_triangle_free(
     steps = list(sub.trace)
     base = set(sub.code)
     t = len(edge_set)
-    if 0 < t <= 4:
-        mt = min_triangle_deletion_size(g, t)
-        steps.append(
-            CaseStep(
-                STEP_COROLLARY_PATCH,
-                f"deleted {t} edges (minimum {mt})",
-            )
-        )
-    elif t == 0:
-        steps.append(
-            CaseStep(STEP_COROLLARY_PATCH, "already triangle-free")
-        )
-    else:
-        steps.append(
-            CaseStep(STEP_COROLLARY_PATCH, f"deleted {t} edges")
-        )
+    steps.append(CaseStep(STEP_COROLLARY_PATCH, f"deleted {t} edges"))
     damaged: set[int] = set()
     table = SignatureTable(gt.adj, base)
     for e in edge_set:

@@ -58,6 +58,29 @@ completion is a whole number of vertices, so the node is cut. Three sets
 that pairwise meet with no vertex in all three, such as {3, 4}, {3, 9, 15}
 and {4, 9, 15}, are the typical case.
 
+A child is skipped when it is dominated: when some excluded vertex b,
+an earlier sibling here or at an ancestor, lies in every open carried set
+that holds the child's vertex w. A code C ⊇ code that avoids the excluded
+vertices and holds w meets every open carried set, so C - w + b does too:
+the sets that hold w hold b, and C - w meets the rest. Meeting every open
+carried set is meeting every root set, since a set the carried list drops
+holds a carried set, and the code already meets the closed ones; and a
+code that meets every root set resolves every violation of the root, since
+a violation the root list leaves out holds the set of one it keeps. So
+C - w + b is a code of the same size. It holds the code of the node where
+b was tried, since every vertex added below that node avoids b, and it
+avoids every vertex excluded there, so b's subtree, searched earlier, holds
+it and, by induction over the search order with the cut in place, leaves
+an incumbent no larger. A leaf below w is then never a
+strict improvement, and never the first leaf within a cap: a completed or
+capped search returns the same code with the cut as without it, and only
+the node count falls. Containment is tested on the unmasked carried sets,
+where b is still visible. The skipped vertex is excluded for the later
+siblings, as if its subtree had been searched.
+
+The search tree is walked depth first on an explicit stack (see _walk),
+so no input, however deep its codes, recurses in Python.
+
 Greedy completion, which sets the first incumbent, is refine's max-settle
 refinement of the partition of X by code signature (refine._complete).
 Instances come from checks' gate (checks._xy_instance), so an infeasible
@@ -166,7 +189,12 @@ class _Search:
                 out = [r for r in out if r & t != t or r == t]
         return out
 
-    def _node(self, code: int, banned: int, rs: list[int], at: int) -> None:
+    def _node(
+        self, code: int, banned: int, rs: list[int], at: int
+    ) -> tuple[int, int] | None:
+        """Visit one node: count it, take it as the incumbent if it is a
+        leaf, or bound it. Returns None for a leaf or a cut node, else the
+        cursor its children start from and the candidates they add."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _OutOfBudget
@@ -227,18 +255,57 @@ class _Search:
                 seen.append(t)
         # Branch on the first open violation of the root list, the first
         # set past the cursor that the code does not meet. Each child's
-        # code meets it, so the child's scan starts one further on. A child
-        # keeps the sets its new vertex does not resolve, in the same order.
+        # code meets it, so the child's scan starts one further on.
         root = self.root
         while root[at] & code:
             at += 1
-        first = root[at] & keep
-        at += 1
-        while first:
-            low = first & -first
-            first ^= low
-            self._node(code | low, banned, [r for r in rs if not r & low], at)
-            banned |= low
+        return at + 1, root[at] & keep
+
+    def _walk(self, code: int) -> None:
+        """Search depth first from code on an explicit stack, which holds
+        [code, banned, rs, at, candidates left] for each node on the path
+        whose children are not all tried. A child keeps the sets its new
+        vertex does not resolve, in the same order. It is skipped when an
+        excluded vertex lies in every open carried set that holds its
+        vertex (see the module docstring)."""
+        rs = self._minimal(self.root)
+        banned = at = 0
+        frames: list[list] = []
+        while True:
+            branch = self._node(code, banned, rs, at)
+            if branch is not None:
+                frames.append([code, banned, rs, *branch])
+            # Take the next child of the deepest node that has one left,
+            # excluding each vertex tried or skipped for its later siblings.
+            while frames:
+                frame = frames[-1]
+                code, banned, rs, at, first = frame
+                while first:
+                    low = first & -first
+                    first ^= low
+                    held = banned
+                    for r in rs:
+                        if r & low:
+                            held &= r
+                            if not held:
+                                break
+                    if not held:
+                        break
+                    banned |= low
+                else:
+                    frames.pop()
+                    continue
+                # Visit the child next; the frame keeps its siblings left.
+                if first:
+                    frame[1] = banned | low
+                    frame[4] = first
+                else:
+                    frames.pop()
+                code |= low
+                rs = [r for r in rs if not r & low]
+                break
+            else:
+                return
 
     def run(
         self,
@@ -270,7 +337,7 @@ class _Search:
                 return greedy, True
         self.root = self._violations(required)
         try:
-            self._node(required, 0, self._minimal(self.root), 0)
+            self._walk(required)
         except _OutOfBudget:
             return self.best_mask, False
         except _FoundEnough:

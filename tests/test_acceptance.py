@@ -11,8 +11,6 @@ import time
 from itertools import combinations
 from math import factorial
 
-import pytest
-
 import oracles
 from idcodes import (
     Graph,
@@ -73,7 +71,6 @@ def test_criterion_2_catalog_gammas():
     )
 
 
-@pytest.mark.slow
 def test_criterion_2_slow_large_tree_optimality():
     t0 = time.perf_counter()
     fids = all_family_ids()

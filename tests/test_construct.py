@@ -31,7 +31,6 @@ from idcodes import (
     is_identifying,
     FamilyId,
     make_family,
-    min_triangle_deletion_size,
     path_identifying_code,
     random_triangle_free,
     serialize_certificate,
@@ -53,6 +52,8 @@ from idcodes.construct import (
     _repair,
     _tree_code,
 )
+from idcodes.exact import _Search
+from idcodes.graphs import closed_neighborhood_masks
 
 KNOWN_LABELS = {
     "Delta2Path",
@@ -184,7 +185,7 @@ def test_certificates_are_deterministic():
     a = serialize_certificate(construct_triangle_free(g))
     b = serialize_certificate(construct_triangle_free(Graph(g.n, list(g.edges))))
     assert a == b
-    assert a.startswith("idcodes-certificate v3\n")
+    assert a.startswith("idcodes-certificate v4\n")
     assert "verified yes" in a
 
 
@@ -219,16 +220,6 @@ def test_triangle_deletion_set_properties():
     assert triangle_deletion_set(path(5)) == ()
 
 
-def test_min_triangle_deletion_size():
-    assert min_triangle_deletion_size(bowtie(), 4) == 2
-    one = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert min_triangle_deletion_size(one, 4) == 1
-    assert min_triangle_deletion_size(path(4), 4) == 0
-    k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert min_triangle_deletion_size(k4, 4) == 2
-    assert min_triangle_deletion_size(k4, 1) is None
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(3, 8).flatmap(
@@ -241,14 +232,19 @@ def test_min_triangle_deletion_size():
             ),
         )
     ),
-    st.integers(0, 4),
 )
-def test_min_triangle_deletion_size_matches_brute_force(ne, cap):
+def test_triangle_deletion_set_against_brute_force(ne):
+    # The greedy set leaves no triangle, is no smaller than the fewest
+    # deletions that do, and keeps a connected graph connected.
     n, edges = ne
     edges = sorted(edges)
-    assert min_triangle_deletion_size(
-        Graph(n, edges), cap
-    ) == oracles.min_triangle_deletion_size(n, edges, cap)
+    dels = set(triangle_deletion_set(Graph(n, edges)))
+    rest = [e for e in edges if e not in dels]
+    assert not oracles.has_triangle(n, rest)
+    fewest = oracles.min_triangle_deletion_size(n, edges, len(dels))
+    assert fewest is not None and fewest <= len(dels)
+    if oracles.connected(n, edges):
+        assert oracles.connected(n, rest)
 
 
 def book_chain(books: int, pages: int) -> Graph:
@@ -273,11 +269,12 @@ def test_near_construct_on_a_chain_of_books_within_a_second():
     cert = construct_near_triangle_free(g)
     elapsed = time.perf_counter() - t0
     check_certificate(g, cert)
-    assert (
-        CaseStep(STEP_COROLLARY_PATCH, "deleted 4 edges (minimum 4)")
-        in cert.trace
-    )
-    assert min_triangle_deletion_size(g, 3) is None
+    assert CaseStep(STEP_COROLLARY_PATCH, "deleted 4 edges") in cert.trace
+    # Four pairwise edge-disjoint triangles, one per book (u, v and its
+    # first page), need four deletions.
+    tris = [{(u, u + 1), (u, u + 4), (u + 1, u + 4)} for u in range(0, 80, 20)]
+    assert all(tri <= set(g.edges) for tri in tris)
+    assert len(set().union(*tris)) == 12
     assert elapsed < 1.0
 
 
@@ -329,9 +326,9 @@ def test_near_construct_certificate():
     assert cert.family is None
     assert cert.input_hash == graph_hash(g)
     patch_steps = [s for s in cert.trace if s.label == STEP_COROLLARY_PATCH]
-    assert patch_steps
-    # The deletion summary reports the minimum for small t.
-    assert any("(minimum " in s.detail for s in patch_steps)
+    # One summary with the deletion count, then one step per restored edge.
+    assert patch_steps[0] == CaseStep(STEP_COROLLARY_PATCH, "deleted 1 edges")
+    assert patch_steps[1].detail.startswith("restored (")
 
 
 def test_near_construct_per_edge_damage_at_most_four():
@@ -385,12 +382,11 @@ def test_near_construct_explicit_deletions():
 
 
 # The wheel with hub 10 on the rim 0-9: the greedy deletion takes every
-# other spoke, five edges, past the four for which the summary step
-# records the minimum.
+# other spoke, five edges.
 WHEEL10 = Graph(
     11, [(i, (i + 1) % 10) for i in range(10)] + [(i, 10) for i in range(10)]
 )
-WHEEL10_SHA256 = "16ef8ddb87d4170ffa2c053b487c3433c070efb6c2592382a317ae37d6491f8a"
+WHEEL10_SHA256 = "f4de6746630534d83880be0bf2a7a42a0e4a05180de86df226cb24c8abf87a86"
 
 
 def test_near_construct_with_more_than_four_deletions():
@@ -407,6 +403,7 @@ def test_near_construct_on_triangle_free_input():
     cert = construct_near_triangle_free(g)
     assert cert.verified
     assert cert.bound_num == (g.max_degree() - 1) * g.n + 1
+    assert CaseStep(STEP_COROLLARY_PATCH, "deleted 0 edges") in cert.trace
 
 
 def test_per_edge_damage_above_four_raises(monkeypatch):
@@ -430,7 +427,7 @@ R10_3 = Graph(
     [(0, 3), (0, 4), (0, 8), (1, 7), (1, 8), (2, 7), (2, 9), (4, 5), (4, 6),
      (6, 7), (6, 8), (8, 9)],
 )
-R10_3_SHA256 = "f6980e683646ce59789cf9e353c9c8019af9d210ca8afe65efe92b7758d4211a"
+R10_3_SHA256 = "acdc29819bd003f90d095bd39af4e653f3342bbaadcdec2e7fd7e1ba4196e1c3"
 
 
 def test_split_path_component_is_rejoined():
@@ -450,7 +447,7 @@ P4_SWAP = Graph(
     [(0, 3), (0, 7), (1, 7), (1, 9), (2, 8), (3, 5), (3, 8), (4, 6), (4, 8),
      (5, 6), (5, 7), (6, 9)],
 )
-P4_SWAP_SHA256 = "9e8d64fb501bf78f2317895d54b80038f1dfe125127ad373210091998c3eeb67"
+P4_SWAP_SHA256 = "6e544fe2ffb189ce16c318b1f92235d96c0817083168e8e6763bd305ce3b7d80"
 
 
 def test_split_path_component_swaps_its_first_vertex():
@@ -471,7 +468,7 @@ STAR4_MERGE = Graph(
      (4, 7), (5, 6), (5, 7), (8, 9), (8, 10), (8, 11), (8, 12)],
 )
 STAR4_MERGE_SHA256 = (
-    "c834ff7359d12fa84af810bd937ed1d09556b582b20b29a4f48b39fd4bffd399"
+    "2beb17af43b55771406ae1b024f131b1e4a13f4ebf607b3c52f3c44183777b3d"
 )
 
 
@@ -502,11 +499,10 @@ GLUED_TREE = Graph(
      (49, 50), (49, 51), (52, 53), (52, 54), (55, 56), (55, 57)],
 )
 GLUED_TREE_SHA256 = (
-    "33abed206aff0432c8de10d99df19bd32db60298da5556015391e86e0a725ebc"
+    "c30fa69fbbcc531a96926d34e31c173fc5326bf081ade69bb16eec1c694459d8"
 )
 
 
-@pytest.mark.slow
 def test_glued_tree_capped_search_within_a_minute():
     t0 = time.perf_counter()
     cert = construct_triangle_free(GLUED_TREE)
@@ -519,6 +515,17 @@ def test_glued_tree_capped_search_within_a_minute():
     text = serialize_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == GLUED_TREE_SHA256
     assert elapsed < 60.0
+
+
+def test_glued_tree_capped_search_skips_dominated_children():
+    # The rescue's search, as identifying_code_at_most runs it: 24,423
+    # nodes with the dominance cut, 346,555 without it.
+    n = GLUED_TREE.n
+    masks = closed_neighborhood_masks(GLUED_TREE)
+    search = _Search(masks, list(range(n)), (1 << n) - 1)
+    best, done = search.run(0, 10**6, cap=38)
+    assert done and best.bit_count() == 38
+    assert search.nodes <= 30_000
 
 
 def test_glued_tree_rescue_out_of_budget_reports_the_greedy_code(monkeypatch):

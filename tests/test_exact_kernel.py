@@ -4,7 +4,8 @@ The outputs of the exact entry points are pinned by digest, twice. The
 `PINNED` records hold the node count, so those digests pin the search tree
 itself; they were recorded from the kernel that packs its bound smallest
 resolver set first, then tries one half-integral step, on a root list
-without dominated violations. The `PINNED_CODES` digests cover the same
+without dominated violations, and skips a child that an excluded vertex
+dominates. The `PINNED_CODES` digests cover the same
 records with the node counts left out, and were recorded from an older
 kernel, which packed in branching order and had no half-integral step: a
 tighter bound may only shrink the tree, never change a completed search's
@@ -20,7 +21,9 @@ root list, not the head of the carried list, picks the branch.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +38,8 @@ from idcodes import (
     find_closed_twins,
     gamma_id_exact,
     identifying_code_at_most,
+    is_identifying,
+    make_standard,
     min_identifying_containing,
     min_xy_identifying_exact,
 )
@@ -124,23 +129,23 @@ def _budget() -> list[str]:
 PINNED = {
     "gamma": (
         _gamma,
-        "72642295c823cb0b727d7d32a2cc2f3e61acaf82e3978f6869353b11a5d8e24d",
+        "7b5d078cbcd9bb899d8358d7968e3aac98a37620d49742cb269a8f9de0e94888",
     ),
     "xy": (
         _xy,
-        "12c15dcce47fc45abd53e27b4c83566060a0af28533605eb8265dd6bf89baeac",
+        "d5ed0f0396957c99a79e0d2dd6a4cbd8418a10e4c113b5a5cb98fa58934941e4",
     ),
     "containing": (
         _containing,
-        "45f8869da80979e979f11defdc16b3edec56849b95e3946f9859c7ec486acfb8",
+        "77c13c7c93a5a40d496252a7fb50e580d9078936fa143e623c7fe1a7077771ef",
     ),
     "at_most": (
         _at_most,
-        "8543c44ce232a5963af29b638ddf3fec930069607244271b58076f45a8923b3d",
+        "721b39a79493058f688e27de9933d113f4262f329c60a73b2391c8b9d7ff9f4c",
     ),
     "budget": (
         _budget,
-        "db8677de045542fc40937584221ecd7d828222d92796b38649715aa846138ff6",
+        "f0fc3400b6008e4abfd33e73de9e54c0f25ae54e02ae13a7c789b5d69c2c7533",
     ),
 }
 
@@ -413,3 +418,18 @@ def test_search_without_a_code_raises_guarantee_error(monkeypatch):
         gamma_id_exact(g)
     with pytest.raises(GuaranteeError):
         min_xy_identifying_exact(g, range(g.n), range(g.n))
+
+
+def test_search_on_a_long_path_does_not_recurse():
+    # The search goes one level deeper per code vertex, and P400's greedy
+    # code has 267. With room for only 150 more Python frames, the walk on
+    # an explicit stack still runs to its budget.
+    g = make_standard("path", 400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        res = gamma_id_exact(g, node_budget=400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.nodes_explored, res.optimal) == (401, False)
+    assert is_identifying(g, res.code)

@@ -1,16 +1,19 @@
 """The iterative construction and its signature table.
 
 Certificates are pinned by digest, so a change to any certificate byte
-shows here. The sha256 values below were recorded for certificate v3,
-whose near-triangle-free patch completes the base code on the damaged
-vertices; every pinned certificate is byte-identical to its v2 text apart
-from the version line and the CorollaryPatch summary, which no longer says
-"brute-force". v2 coded trees above the exact size by pruning the whole
-vertex set; every certificate with no such tree step is byte-identical to
-the v1 certificate of the recursive construction that the iterative
-descent replaced. The signature table, the incremental prune, the cycle-edge
-picker with its stamped cycle test, and the mask kernel are checked
-against plain reference versions with hypothesis.
+shows here. The sha256 values below were recorded for certificate v4,
+whose CorollaryPatch summary is "deleted t edges" for every t, with no
+"(minimum m)" clause and no "already triangle-free" form; every pinned
+certificate is byte-identical to its v3 text apart from the version line
+and that summary. v3's near-triangle-free patch completes the base code on
+the damaged vertices, and its certificates are byte-identical to their v2
+text apart from the version line and the CorollaryPatch summary, which no
+longer says "brute-force". v2 coded trees above the exact size by pruning
+the whole vertex set; every certificate with no such tree step is
+byte-identical to the v1 certificate of the recursive construction that
+the iterative descent replaced. The signature table, the incremental
+prune, the cycle-edge picker with its stamped cycle test, and the mask
+kernel are checked against plain reference versions with hypothesis.
 """
 
 from __future__ import annotations
@@ -101,27 +104,27 @@ PINNED = {
     "sparse": (
         _sparse,
         construct_triangle_free,
-        "f0a623655726a29680f8b2c1a27e0ea74100a098261a5bb61596eb9c7957f1ae",
+        "4fb72899d3cd88d0236c3f1f3262d2d3937f572e3b0d1504d6027919712464a5",
     ),
     "dense": (
         _dense,
         construct_triangle_free,
-        "9e97c1f25f6689a0cf60c458376cf74108bc6d670e9956caf889dfaceed3185b",
+        "a5f50a319bbcf0a3a04434659596ca65a98fb22a934412a85bdd93c4b9a32ca6",
     ),
     "repairs": (
         _repairs,
         construct_triangle_free,
-        "a983751f4a4ea93c55c3706191260b4f9d4719212b44f123aacff16aec13f86d",
+        "13cae1c4b96f04b7733ac466a652dc5207025df17d9c4e88b15d8a94684abce6",
     ),
     "small": (
         _small,
         construct_triangle_free,
-        "e4f560224fe31cf66191c109b9006b10936de9a39cb8616b0d9ba84d0a94b6e8",
+        "e4e3e14767de0ee4ce66fc3acf451ff54abf28569de2170cd03b4132f54816c3",
     ),
     "near": (
         _near,
         construct_near_triangle_free,
-        "925a0f3ecbf115c0bed129bd41e1c0e9469c2cfc8c799fdc65cc0cfe761b0310",
+        "94fb7b12d97cd57e268e9f1de58f2304256d80541d39fa40748434c9a53c46b5",
     ),
 }
 
