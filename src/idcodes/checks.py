@@ -232,15 +232,19 @@ class SignatureTable:
         keeps them apart from each other; it is enough that none becomes
         empty or equal to a signature outside N[c].
         """
-        bit = 1 << c
+        keep = ~(1 << c)
+        sig, groups = self.sig, self.groups
         closed = [c, *self.adj[c]]
-        new = [self.sig[x] & ~bit for x in closed]
-        if any(s == 0 or s in self.groups for s in new):
-            return False
+        new = []
         for x in closed:
-            del self.groups[self.sig[x]]
+            s = sig[x] & keep
+            if not s or s in groups:
+                return False
+            new.append(s)
+        for x in closed:
+            del groups[sig[x]]
         for x, s in zip(closed, new):
-            self.sig[x] = s
-            self.groups[s] = [x]
-        self.code_mask &= ~bit
+            sig[x] = s
+            groups[s] = [x]
+        self.code_mask &= keep
         return True

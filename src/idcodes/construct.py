@@ -14,22 +14,28 @@ is over the bound.
 The construction follows the paper's induction as an iterative descent
 over one MutableGraph. Each level deletes the non-bridge edge that
 pick_cycle_edge chooses, until the remainder is a path, cycle, catalog
-member or tree with a direct code. The picker keeps its state on the
-MutableGraph across the descent: a lazy max-heap of candidate edges, one
-int per edge that encodes its degree sum and then its position, and the
-bridges it has met, which stay bridges while edges are only deleted and
-so are never tested again. A level therefore costs a short two-sided
-search around one edge in the typical case, not a bridge search of the
-whole graph; the search marks vertices with fresh stamps in one list per
-MutableGraph, so it never clears or allocates a visited set. An edge on
-only one long cycle can still make a search cover its whole
-2-edge-connected component. Restoring an edge drops the heap. The deleted
-edges are then restored in reverse order. A SignatureTable of the code,
-whose signatures come from the same mask kernel as the closed
-neighbourhoods, is kept throughout, and its code identifies the current
-graph: all signatures are distinct and non-empty. Restoring uv changes
-only the signatures of u and v, so the pairs it breaks (the ClaimB step)
-are two table lookups. When there are any, a quick patch of one or two
+member or tree with a direct code. Every catalog member is a tree or has
+maximum degree 2, so only such a level is looked at for a direct code, or
+a deletion that leaves one for a code of it plus the deleted edge; a level
+with a cycle and maximum degree 3 or more builds nothing and goes on. A
+tree base above the exact size is pruned on the MutableGraph's own
+adjacency, and its SignatureTable is the one the restores start from. The
+picker keeps its state on the MutableGraph across the descent: a lazy
+max-heap of candidate edges, one int per edge that encodes its degree sum
+and then its position, and the bridges it has met, which stay bridges
+while edges are only deleted and so are never tested again. A level
+therefore costs a short two-sided search around one edge in the typical
+case, not a bridge search of the whole graph; the search marks vertices
+with fresh stamps in one list per MutableGraph, so it never clears or
+allocates a visited set. An edge on only one long cycle can still make a
+search cover its whole 2-edge-connected component. Restoring an edge drops
+the heap. The deleted edges are then restored in reverse order. A
+SignatureTable of the code, whose signatures come from the same mask
+kernel as the closed neighbourhoods, is kept throughout, and its code
+identifies the current graph: all signatures are distinct and non-empty,
+which is checked each time the table is built. Restoring uv changes only
+the signatures of u and v, so the pairs it breaks (the ClaimB step) are
+two table lookups. When there are any, a quick patch of one or two
 vertices around the edge is decided from those pairs alone; when none
 fits, a structural repair builds a Graph of the current level. The table
 is then rebuilt from the new code. Repairs that code a subgraph call the
@@ -61,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Sequence
 
 from .checks import SignatureTable, _identifiable, _instance, is_identifying
 from .errors import (
@@ -237,18 +243,20 @@ def _fmt_pairs(pairs: tuple[tuple[int, int], ...]) -> str:
     return ",".join(f"({a},{b})" for a, b in pairs) or "none"
 
 
-def _prune(g: Graph, code: set[int]) -> set[int]:
-    """Drop removable vertices in ascending order; result is minimal.
+def _prune(adj: Sequence[Iterable[int]], code: Iterable[int]) -> SignatureTable:
+    """The signature table of code on the graph with adjacency adj, after
+    dropping removable vertices in ascending order; its code is minimal.
 
-    A vertex is removable when the code without it still identifies g.
-    Each test updates the signatures in N[c] only. A code that does not
-    identify g has no removable vertex, since dropping code vertices never
-    separates a pair or dominates a vertex.
+    A vertex is removable when the code without it still identifies the
+    graph. Each test updates the signatures in N[c] only. A code that does
+    not identify the graph has no removable vertex, since dropping code
+    vertices never separates a pair or dominates a vertex.
     """
-    table = SignatureTable(g.adj, code)
-    if not table.identifies():
-        return set(code)
-    return {c for c in sorted(code) if not table.try_drop(c)}
+    table = SignatureTable(adj, code)
+    if table.identifies():
+        for c in _bits(table.code_mask):
+            table.try_drop(c)
+    return table
 
 
 def _two_regular(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
@@ -262,31 +270,38 @@ def _two_regular(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
     return {order[i] for i in pattern}
 
 
-def _tree_code(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
-    """Non-catalog tree with maximum degree >= 3.
+def _tree_code(
+    state: MutableGraph, steps: list[CaseStep], depth: int
+) -> SignatureTable:
+    """The checked signature table of a code of the state, a non-catalog
+    tree with maximum degree >= 3.
 
     Up to _EXACT_MAX_N vertices the code is a minimum one. Above that, the
     whole vertex set identifies the tree (n >= 3 leaves no closed twins),
-    and _prune cuts it to a minimal code; a capped search replaces a
-    minimal code that is over the bound.
+    and _prune cuts it to a minimal code on the state's own adjacency, so
+    no Graph is built and the prune's table is the one returned; a capped
+    search, on a Graph of the state, replaces a minimal code that is over
+    the bound.
     """
-    if g.n <= _EXACT_MAX_N:
-        res = gamma_id_exact(g)
+    n = state.n
+    if n <= _EXACT_MAX_N:
+        res = gamma_id_exact(state.graph())
         steps.append(
-            CaseStep(STEP_TREE_BASE, f"d{depth}: tree of {g.n}, exact minimum")
+            CaseStep(STEP_TREE_BASE, f"d{depth}: tree of {n}, exact minimum")
         )
-        return set(res.code)
-    code = _prune(g, set(range(g.n)))
+        return _checked_table(SignatureTable(state.adj, res.code), depth)
+    table = _prune(state.adj, range(n))
+    size = table.code_mask.bit_count()
     steps.append(
         CaseStep(
             STEP_TREE_BASE,
-            f"d{depth}: tree of {g.n}, all vertices pruned to {len(code)}",
+            f"d{depth}: tree of {n}, all vertices pruned to {size}",
         )
     )
-    num, den = certified_bound(g)
-    if den * len(code) > num:
+    num, den = certified_bound(state)
+    if den * size > num:
         try:
-            rescue = identifying_code_at_most(g, num // den, _RESCUE_BUDGET)
+            rescue = identifying_code_at_most(state.graph(), num // den, _RESCUE_BUDGET)
         except SearchBudgetError:
             rescue = None
         if rescue is not None:
@@ -296,8 +311,8 @@ def _tree_code(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
                     f"d{depth}: capped search shrank tree code to {len(rescue)}",
                 )
             )
-            return set(rescue)
-    return code
+            table = SignatureTable(state.adj, rescue)
+    return _checked_table(table, depth)
 
 
 def _chorded_two_regular(
@@ -660,20 +675,22 @@ def _build(
     removed: list[tuple[int, int]] = []
     while True:
         level = depth + len(removed)
-        known = (g, hit) if not removed else None
-        code = _direct_code(state, known, steps, level)
-        if code is not None:
+        if _is_base(state):
+            known = (g, hit) if not removed else None
+            table = _direct_code(state, known, steps, level)
             break
         delta = state.max_degree()
         u, v = pick_cycle_edge(state)
         state.remove_edge(u, v)
-        code = _chorded_code(state, (u, v), delta, steps, level)
-        if code is not None:
-            break
+        if _is_base(state):
+            chorded = _chorded_code(state, (u, v), delta, steps, level)
+            if chorded is not None:
+                table = _checked_table(SignatureTable(state.adj, chorded), level)
+                break
         removed.append((u, v))
     # From here on the table's code identifies the current state: all
     # signatures are distinct and non-empty.
-    table = _checked_table(state, code, depth + len(removed))
+    code = set(_bits(table.code_mask))
     while removed:
         u, v = removed.pop()
         level = depth + len(removed)
@@ -688,16 +705,20 @@ def _build(
         if broken:
             patched = _quick_patch(state, (u, v), code, broken, steps, level)
             code = patched or _repair(state.graph(), (u, v), steps, level)
-            table = _checked_table(state, code, level)
+            table = _checked_table(SignatureTable(state.adj, code), level)
     return frozenset(code)
 
 
-def _checked_table(
-    state: MutableGraph, code: set[int], depth: int
-) -> SignatureTable:
-    """The signature table of code on the current state, which code must
-    identify."""
-    table = SignatureTable(state.adj, code)
+def _is_base(state: MutableGraph) -> bool:
+    """Whether the state is a tree or has maximum degree 2. Every catalog
+    member is one or the other, so no other level has a direct code, nor
+    can deleting an edge from it leave a chorded one."""
+    return state.m < state.n or state.max_degree() <= 2
+
+
+def _checked_table(table: SignatureTable, depth: int) -> SignatureTable:
+    """table, a signature table on the current state, whose code must
+    identify it."""
     if not table.identifies():
         raise GuaranteeError(f"d{depth}: the level's code does not identify it")
     return table
@@ -708,30 +729,30 @@ def _direct_code(
     known: tuple[Graph, _Match | None] | None,
     steps: list[CaseStep],
     depth: int,
-) -> set[int] | None:
-    """A code of the current state when it is a path, cycle, catalog member
-    or tree; None when the descent must go on. known is the state as a
-    Graph with its _catalog_match, when both are at hand."""
+) -> SignatureTable:
+    """The checked signature table of a code of the current state, a path,
+    cycle, catalog member or other tree (_is_base holds). known is the
+    state as a Graph with its _catalog_match, when both are at hand; else
+    a Graph is built only for a path or cycle, a level of a catalog
+    member's order and size, or a tree _tree_code codes exactly."""
     delta = state.max_degree()
-    if (
-        delta > 2
-        and state.m != state.n - 1
-        and not fits_catalog(state.n, state.m, delta)
-    ):
-        return None
-    g, hit = known if known is not None else (state.graph(), None)
     if delta <= 2:
-        return _two_regular(g, steps, depth)
-    if known is None:
-        hit = match_family(g, delta)
-    if hit is not None:
-        fid, mapping = hit
-        entry = make_family(fid)
-        steps.append(CaseStep(STEP_FAMILY_HIT, f"d{depth}: {fid}"))
-        return {mapping[c] for c in entry.code}
-    if g.m == g.n - 1:
-        return _tree_code(g, steps, depth)
-    return None
+        g = known[0] if known is not None else state.graph()
+        code = _two_regular(g, steps, depth)
+        return _checked_table(SignatureTable(state.adj, code), depth)
+    if known is not None:
+        hit = known[1]
+    elif fits_catalog(state.n, state.m, delta):
+        hit = match_family(state.graph(), delta)
+    else:
+        hit = None
+    if hit is None:
+        return _tree_code(state, steps, depth)
+    fid, mapping = hit
+    entry = make_family(fid)
+    steps.append(CaseStep(STEP_FAMILY_HIT, f"d{depth}: {fid}"))
+    code = {mapping[c] for c in entry.code}
+    return _checked_table(SignatureTable(state.adj, code), depth)
 
 
 def _chorded_code(
@@ -742,9 +763,9 @@ def _chorded_code(
     depth: int,
 ) -> set[int] | None:
     """A code of the state plus e, when the state (e just removed, maximum
-    degree delta before) is a path or cycle, or a catalog tree of maximum
-    degree 3 = delta; e is put back then. None when the descent must go
-    on. A non-bridge removal keeps the state connected."""
+    degree delta before, _is_base now) is a path or cycle, or a catalog
+    tree of maximum degree 3 = delta; e is put back then. None when the
+    descent must go on. A non-bridge removal keeps the state connected."""
     u, v = e
     shape = linear_order(state.graph()) if state.max_degree() <= 2 else None
     if shape is not None:
@@ -752,7 +773,6 @@ def _chorded_code(
         return _chorded_two_regular(state.graph(), shape, e, steps, depth)
     if not (
         delta == 3
-        and state.m == state.n - 1
         and state.max_degree() == 3
         and fits_catalog(state.n, state.m, 3)
     ):

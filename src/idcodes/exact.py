@@ -106,7 +106,8 @@ class ExactResult:
     """Outcome of an exact search.
 
     optimal is False only when the node budget ran out; the code is then the
-    best one found so far (never invalid).
+    best one found so far (never invalid), and nodes_explored equals the
+    budget.
     """
 
     size: int
@@ -194,10 +195,12 @@ class _Search:
     ) -> tuple[int, int] | None:
         """Visit one node: count it, take it as the incumbent if it is a
         leaf, or bound it. Returns None for a leaf or a cut node, else the
-        cursor its children start from and the candidates they add."""
-        self.nodes += 1
-        if self.nodes > self.budget:
+        cursor its children start from and the candidates they add. A node
+        past the budget raises before it is counted, so a search that runs
+        out has explored exactly budget nodes."""
+        if self.nodes >= self.budget:
             raise _OutOfBudget
+        self.nodes += 1
         if not rs:
             size = code.bit_count()
             if self.best_mask is None or size < self.best_size:

@@ -11,12 +11,15 @@ when domination does not count), and the signature classes with two or
 more members, and adds the candidate w that settles the most violations,
 the lowest on a tie: |N[w] & U| + sum over classes C of k * (|C| - k),
 with k = |N[w] & C|. Each pick splits a class or, failing that,
-dominates all of U, so the bounds above hold from any start.
+dominates all of U, so the bounds above hold from any start. A score
+never rises as the code grows, so the candidates are rescored lazily, from
+a heap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from typing import Iterable
 
 from .checks import _signatures, _xy_instance
@@ -52,6 +55,16 @@ def _classes(masks: list[int], xs: list[int], code: int) -> dict[int, int]:
     return classes
 
 
+def _score(m: int, undom: int, groups: list[tuple[int, int]]) -> int:
+    """The violations the candidate with closed neighbourhood m settles;
+    groups holds each class with its size."""
+    score = (m & undom).bit_count()
+    for c, size in groups:
+        k = (m & c).bit_count()
+        score += k * (size - k)
+    return score
+
+
 def _complete(
     masks: list[int], xs: list[int], allowed: int, start: int, dominate: bool
 ) -> int | None:
@@ -61,42 +74,40 @@ def _complete(
 
     A violation nobody can settle stays so as vertices are added, so the
     run is stuck exactly when no candidate settles any violation that is
-    left.
+    left. A pick only shrinks U and splits classes, and k * (|C| - k) is
+    at least the sum of the same terms over the parts of C, so a score
+    never rises. The candidates therefore wait in a heap of (-score, w)
+    whose scores may be stale but are never below the current ones, and a
+    pick rescores only the top until its score is current: that top has
+    the highest score, and the lowest w among the equal ones. The run is
+    stuck when the heap is empty or its current top scores 0.
     """
     classes = _classes(masks, xs, start)
     undom = classes.get(0, 0) if dominate else 0
-    groups = [c for c in classes.values() if c & (c - 1)]
+    groups = [(c, c.bit_count()) for c in classes.values() if c & (c - 1)]
+    heap = [(-_score(masks[w], undom, groups), w) for w in _bits(allowed & ~start)]
+    heapify(heap)
     code = start
     while undom or groups:
-        sizes = [c.bit_count() for c in groups]
-        best, pick = 0, -1
-        for w in _bits(allowed & ~code):
-            m = masks[w]
-            score = (m & undom).bit_count()
-            for c, size in zip(groups, sizes):
-                k = (m & c).bit_count()
-                score += k * (size - k)
-            if score > best:
-                best, pick = score, w
-        if not best:
+        while heap:
+            key, pick = heap[0]
+            score = _score(masks[pick], undom, groups)
+            if score == -key:
+                break
+            heapreplace(heap, (-score, pick))
+        if not heap or not score:
             return None
+        heappop(heap)
+        m = masks[pick]
         code |= 1 << pick
-        undom &= ~masks[pick]
-        groups = _split(groups, masks[pick])
+        undom &= ~m
+        split = []
+        for c, _ in groups:
+            for part in (c & m, c & ~m):
+                if part & (part - 1):
+                    split.append((part, part.bit_count()))
+        groups = split
     return code
-
-
-def _split(groups: list[int], m: int) -> list[int]:
-    """Split each class by the mask m, keeping parts with two or more members."""
-    out = []
-    for c in groups:
-        inside = c & m
-        if inside & (inside - 1):
-            out.append(inside)
-        outside = c ^ inside
-        if outside & (outside - 1):
-            out.append(outside)
-    return out
 
 
 def _refined(

@@ -200,3 +200,34 @@ def first_completion(n: int, edges, base):
         if is_id_code(n, edges, base | {w}):
             return base | {w}
     return None
+
+
+def greedy_completion(n: int, edges, xs, ys, start, dominate: bool):
+    """The rescore-everything greedy rule: from the code start, add the
+    candidate of Y that settles the most violations among the targets X,
+    the lowest on a tie, until none is left; None when no candidate
+    settles any. An undominated target counts one violation when
+    dominate, and a class of targets with equal code signatures counts
+    k * (size - k) for a candidate whose closed neighbourhood holds k of
+    its members."""
+    closed = neighborhoods(n, edges)
+    code = set(start)
+    while True:
+        classes: dict[frozenset, list[int]] = {}
+        for x in xs:
+            classes.setdefault(frozenset(closed[x] & code), []).append(x)
+        undom = set(classes.get(frozenset(), ())) if dominate else set()
+        groups = [set(c) for c in classes.values() if len(c) > 1]
+        if not undom and not groups:
+            return code
+        best, pick = 0, None
+        for w in sorted(set(ys) - code):
+            score = len(closed[w] & undom)
+            for c in groups:
+                k = len(closed[w] & c)
+                score += k * (len(c) - k)
+            if score > best:
+                best, pick = score, w
+        if pick is None:
+            return None
+        code.add(pick)

@@ -53,7 +53,7 @@ from idcodes.construct import (
     _tree_code,
 )
 from idcodes.exact import _Search
-from idcodes.graphs import closed_neighborhood_masks
+from idcodes.graphs import MutableGraph, _bits, closed_neighborhood_masks
 
 KNOWN_LABELS = {
     "Delta2Path",
@@ -539,6 +539,44 @@ def test_glued_tree_rescue_out_of_budget_reports_the_greedy_code(monkeypatch):
     assert is_identifying(GLUED_TREE, ei.value.code)
 
 
+def _counted_inits(monkeypatch, cls) -> list[None]:
+    """A list that gains one entry per instance of cls built from now on."""
+    calls: list[None] = []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return calls
+
+
+def test_tree_base_prunes_the_descent_in_place(monkeypatch):
+    # The descent deletes 101 edges down to a tree of 200 vertices, which is
+    # pruned on the descent's own adjacency; its table starts the restores,
+    # and only a patch builds another.
+    g = random_triangle_free(200, 300, 0)
+    graphs = _counted_inits(monkeypatch, Graph)
+    tables = _counted_inits(monkeypatch, SignatureTable)
+    cert = construct_triangle_free(g)
+    built = (len(graphs), len(tables))
+    monkeypatch.undo()
+    assert {s.label for s in cert.trace} == {"TreeBase", "ClaimB"}
+    patches = sum("patched with" in s.detail for s in cert.trace)
+    assert patches >= 1
+    assert built == (0, 1 + patches)
+    check_certificate(g, cert)
+
+
+def test_capped_tree_rescue_builds_the_only_graph(monkeypatch):
+    # The glued tree is pruned in place too; the capped search needs a Graph.
+    graphs = _counted_inits(monkeypatch, Graph)
+    cert = construct_triangle_free(GLUED_TREE)
+    assert len(graphs) == 1
+    assert cert.trace[-1].label == "ExactFallback"
+
+
 # Five catalog trees (T0, T0, T8, T4, T0) glued by edges between vertices
 # of degree at most 2, then relabelled at random. Its whole vertex set
 # prunes to 24 vertices, within the cap of 25, so no capped search runs.
@@ -583,7 +621,9 @@ def prufer_trees(draw, min_n=17, max_n=60):
 def test_tree_code_is_a_minimal_identifying_code(g):
     assume(g.max_degree() >= 3 and _catalog_match(g) is None)
     steps: list[CaseStep] = []
-    code = _tree_code(g, steps, 0)
+    table = _tree_code(MutableGraph(g), steps, 0)
+    code = set(_bits(table.code_mask))
+    assert table.identifies()
     assert oracles.is_id_code(g.n, g.edges, code)
     num, den = certified_bound(g)
     assert den * len(code) <= num

@@ -76,6 +76,15 @@ def test_catalog_has_fifteen_members_trees_first():
     assert {f.kind for f in fids[12:]} == {"P4", "C4", "C7"}
 
 
+def test_every_member_is_a_tree_or_has_maximum_degree_two():
+    # So a level with a cycle and maximum degree >= 3 is never a member, and
+    # the construction's descent looks for a direct code only on the others.
+    for fid in (*all_family_ids(), *(star(d) for d in range(4, 7))):
+        g = make_family(fid).graph
+        assert oracles.connected(g.n, g.edges)
+        assert g.m == g.n - 1 or g.max_degree() == 2, fid
+
+
 def test_catalog_codes_verify_and_sizes_match():
     for fid in all_family_ids():
         entry = make_family(fid)

@@ -43,7 +43,7 @@ from idcodes import (
 )
 from idcodes.checks import SignatureTable
 from idcodes.construct import _prune
-from idcodes.graphs import MutableGraph, closed_neighborhood_masks
+from idcodes.graphs import MutableGraph, _bits, closed_neighborhood_masks
 
 
 def _sparse() -> list[Graph]:
@@ -195,7 +195,12 @@ def test_incremental_prune_matches_naive_rule(gc, pad):
     if pad:
         # Mostly identifying starting codes, where vertices do get dropped.
         code = code | set(range(0, g.n, 2)) | {x for x in range(g.n) if g.degree(x) <= 1}
-    assert _prune(g, set(code)) == _naive_prune(g, set(code))
+    table = _prune(g.adj, set(code))
+    pruned = set(_bits(table.code_mask))
+    assert pruned == _naive_prune(g, set(code))
+    # The table is the pruned code's own, as a fresh build would give it.
+    fresh = SignatureTable(g.adj, pruned)
+    assert (table.sig, table.groups) == (fresh.sig, fresh.groups)
 
 
 @settings(max_examples=100, deadline=None)

@@ -216,6 +216,27 @@ def test_completion_identifies_exactly_when_y_can(inst):
     assert added <= (len(xs) if dominate else max(0, len(xs) - 1))
 
 
+@settings(max_examples=400, deadline=None)
+@given(completions())
+def test_lazy_completion_matches_the_rescore_everything_rule(inst):
+    # A score never rises, so rescoring only the heap's top picks what
+    # rescoring every candidate on every pick does, ties to the lowest.
+    g, xs, ys, start, dominate = inst
+    masks = closed_neighborhood_masks(g)
+    out = _complete(
+        masks, xs, sum(1 << y for y in ys), sum(1 << s for s in start), dominate
+    )
+    code = None if out is None else {v for v in range(g.n) if out >> v & 1}
+    assert code == oracles.greedy_completion(g.n, g.edges, xs, ys, start, dominate)
+
+
+def test_completion_with_no_candidate_left_is_stuck():
+    # Y is the start code, so no candidate is left to separate 1 from 2.
+    g = Graph(3, [(0, 1), (0, 2)])
+    assert _complete(closed_neighborhood_masks(g), [1, 2], 0b1, 0b1, False) is None
+    assert oracles.greedy_completion(3, g.edges, [1, 2], {0}, {0}, False) is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(completions())
 def test_not_separable_witness_is_the_smallest_pair(inst):
