@@ -33,12 +33,12 @@ packing takes the sets smallest first, by a stable sort so that ties keep
 branching order, and stops as soon as the bound prunes. After the mask of
 excluded siblings T is either smaller than S, and then packs or meets the
 packing before S comes, or equal to S, and packs what S would; in the
-half-integral step below T's part lies in S's, so T cuts where S would. So
-S never tightens the bound, and dropping it saves copying, masking and
-sorting it at every node. Where T equals S after the mask and comes after
-it, sets of the same size that lie between them in branching order may
-pack first, so the packing, and the node count, can differ from one over
-the whole list.
+fixing step below T's part lies in S's, so T narrows and cuts wherever S
+would. So S never tightens the bound, and dropping it saves copying,
+masking and sorting it at every node. Where T equals S after the mask and
+comes after it, sets of the same size that lie between them in branching
+order may pack first, so the packing, and the node count, can differ from
+one over the whole list.
 
 Any packing of disjoint sets is a valid bound: it prunes only subtrees that
 hold no code smaller than the incumbent. The search tries the nodes in the
@@ -49,14 +49,24 @@ that order: a completed search's code does not depend on the bound, and
 only its node count does. Taking small sets first leaves room for more
 disjoint ones than branching order does.
 
-When the packing ends one vertex short of a cut, the node tries one
-half-integral step of the LP relaxation of the same hitting-set problem:
-a packed set P and two unpacked sets A and B whose packed vertices lie in
-P, in disjoint parts. Weight 1/2 on each of P, A and B and 1 on every other
-packed set is a fractional packing worth half a vertex more, and a
-completion is a whole number of vertices, so the node is cut. Three sets
-that pairwise meet with no vertex in all three, such as {3, 4}, {3, 9, 15}
-and {4, 9, 15}, are the typical case.
+When the packing ends one vertex short of a cut, lb = room - 1, the node
+fixes vertices out, the reduced-cost fixing of integer programming: the
+packing is a dual solution of the LP relaxation of the same hitting-set
+problem. A strictly better completion C of the node avoids the excluded
+vertices and adds at most room - 1 = lb new vertices. The packed sets are
+open, disjoint and lb in number, and C meets each of them with a new
+vertex, so C takes exactly one vertex of each packed set and nothing else.
+Let ok hold the vertices C may add, at first every packed vertex. A set
+whose part in ok lies in one packed set p is met by C only through C's one
+vertex in p, so that vertex lies in the part: each set is filed under the
+packed set that holds its part (a packed set under itself), and p's
+vertices in ok narrow to the intersection of the parts in its file.
+Narrowing repeats until ok stops changing. A set with no vertex left in ok
+leaves no strictly better completion, and the node is cut; two disjoint
+parts in one file are one such case, and three that pairwise meet with no
+vertex in all three are another. Otherwise every candidate outside ok and
+the code is excluded for the whole subtree: the children branch only on
+vertices in ok, and every bound below masks the fixed-out vertices too.
 
 A child is skipped when it is dominated: when some excluded vertex b,
 an earlier sibling here or at an ancestor, lies in every open carried set
@@ -70,13 +80,27 @@ a violation the root list leaves out holds the set of one it keeps. So
 C - w + b is a code of the same size. It holds the code of the node where
 b was tried, since every vertex added below that node avoids b, and it
 avoids every vertex excluded there, so b's subtree, searched earlier, holds
-it and, by induction over the search order with the cut in place, leaves
-an incumbent no larger. A leaf below w is then never a
-strict improvement, and never the first leaf within a cap: a completed or
-capped search returns the same code with the cut as without it, and only
-the node count falls. Containment is tested on the unmasked carried sets,
+it and, by induction over the search order with the cuts in place, leaves
+an incumbent no larger. A leaf below w is then never a strict
+improvement. Containment is tested on the unmasked carried sets,
 where b is still visible. The skipped vertex is excluded for the later
 siblings, as if its subtree had been searched.
+
+The test may also use a vertex b fixed out at an ancestor A, one outside
+A's ok and A's code that A did not already exclude. Then C - w + b is a
+code that holds A's code, avoids the vertices excluded at A and contains
+b, so the argument that fixed b out shows it is no strictly better
+completion of A: |C| = |C - w + b| is at least the incumbent's size at A,
+which only falls later. Again no leaf below w is a strict improvement.
+
+Neither the fixing nor the dominance cut moves a code. Each removes only
+completions no smaller than the incumbent of its time, and the search
+takes a leaf only when it is strictly smaller than the incumbent, which
+only falls, so none of them would ever have been taken; every other node
+is tried in the same depth-first order, since neither changes a node's
+branching violation or the order of its candidates. A completed or capped
+search thus returns the same code with them as without them, and only the
+node count falls.
 
 The search tree is walked depth first on an explicit stack (see _walk),
 so no input, however deep its codes, recurses in Python.
@@ -131,8 +155,8 @@ class _Search:
     holds a cursor into it and the open sets of the carried list (see
     _minimal): it branches on the first root set past the cursor that its
     code misses, and bounds with the carried sets, packing disjoint ones
-    and then trying one half-integral step (see _node). Greedy completion
-    is refine's, with undominated targets counted.
+    and, one vertex short of a cut, fixing vertices out (see _node).
+    Greedy completion is refine's, with undominated targets counted.
     """
 
     def __init__(self, masks: list[int], xs: list[int], allowed: int):
@@ -192,12 +216,13 @@ class _Search:
 
     def _node(
         self, code: int, banned: int, rs: list[int], at: int
-    ) -> tuple[int, int] | None:
+    ) -> tuple[int, int, int] | None:
         """Visit one node: count it, take it as the incumbent if it is a
         leaf, or bound it. Returns None for a leaf or a cut node, else the
-        cursor its children start from and the candidates they add. A node
-        past the budget raises before it is counted, so a search that runs
-        out has explored exactly budget nodes."""
+        vertices its children exclude, the cursor they start from and the
+        candidates they add. A node past the budget raises before it is
+        counted, so a search that runs out has explored exactly budget
+        nodes."""
         if self.nodes >= self.budget:
             raise _OutOfBudget
         self.nodes += 1
@@ -215,7 +240,7 @@ class _Search:
         if room <= 1:
             return
         # An open violation's set holds no code vertex; only the excluded
-        # siblings are masked out.
+        # vertices, earlier siblings and fixed-out ones, are masked out.
         keep = ~banned
         usable = [r & keep for r in rs]
         if 0 in usable:
@@ -234,39 +259,39 @@ class _Search:
                     return
                 used |= r
                 packed.append(r)
-        # One short: look for a packed set P and two unpacked sets A and B
-        # whose packed vertices all lie in P, in disjoint parts. Weight 1/2
-        # on P, A and B, and 1 on every other packed set, is a fractional
-        # packing of value lb + 1/2, so by LP duality every completion needs
-        # lb + 1 = room vertices. Every set meets the packing now; each one
-        # whose part lies in one packed set is filed under it (a packed set
-        # under itself, its part meeting every other), and the node is cut
-        # once two parts in one file are disjoint.
+        # One short: a strictly better completion takes exactly one vertex
+        # of each packed set and no other (see the module docstring). A set
+        # whose part in ok lies in one packed set p narrows p's vertices in
+        # ok to that part, down to a fixed point; a set with no vertex left
+        # in ok cuts the node, and the children avoid every vertex outside
+        # ok, for the whole subtree. The code stays out of banned, whose
+        # vertices the dominance test in _walk swaps in.
         if lb == room - 1:
-            parts: dict[int, list[int]] = {}
-            for r in usable:
-                t = r & used
-                for p in packed:
-                    if t & p:
-                        break
-                if t & ~p:
-                    continue
-                seen = parts.setdefault(p, [])
-                for s in seen:
-                    if not s & t:
+            ok, last = used, 0
+            while ok != last:
+                last = ok
+                for r in usable:
+                    t = r & ok
+                    if not t:
                         return
-                seen.append(t)
+                    for p in packed:
+                        if t & p:
+                            break
+                    if not t & ~p:
+                        ok &= t | ~p
+            banned |= self.allowed & ~(ok | code)
+            keep = ~banned
         # Branch on the first open violation of the root list, the first
         # set past the cursor that the code does not meet. Each child's
         # code meets it, so the child's scan starts one further on.
         root = self.root
         while root[at] & code:
             at += 1
-        return at + 1, root[at] & keep
+        return banned, at + 1, root[at] & keep
 
     def _walk(self, code: int) -> None:
         """Search depth first from code on an explicit stack, which holds
-        [code, banned, rs, at, candidates left] for each node on the path
+        [code, rs, banned, at, candidates left] for each node on the path
         whose children are not all tried. A child keeps the sets its new
         vertex does not resolve, in the same order. It is skipped when an
         excluded vertex lies in every open carried set that holds its
@@ -277,12 +302,12 @@ class _Search:
         while True:
             branch = self._node(code, banned, rs, at)
             if branch is not None:
-                frames.append([code, banned, rs, *branch])
+                frames.append([code, rs, *branch])
             # Take the next child of the deepest node that has one left,
             # excluding each vertex tried or skipped for its later siblings.
             while frames:
                 frame = frames[-1]
-                code, banned, rs, at, first = frame
+                code, rs, banned, at, first = frame
                 while first:
                     low = first & -first
                     first ^= low
@@ -300,7 +325,7 @@ class _Search:
                     continue
                 # Visit the child next; the frame keeps its siblings left.
                 if first:
-                    frame[1] = banned | low
+                    frame[2] = banned | low
                     frame[4] = first
                 else:
                     frames.pop()

@@ -98,8 +98,9 @@ def test_at_most_decides_both_ways():
     code = identifying_code_at_most(g, 5)
     assert code is not None and len(code) <= 5
     assert is_identifying(g, code)
+    # C11 capped at 6, one below its gamma of 7, takes 9 nodes to decide.
     with pytest.raises(SearchBudgetError):
-        identifying_code_at_most(cycle(14), 6, node_budget=2)
+        identifying_code_at_most(cycle(11), 6, node_budget=2)
     with pytest.raises(NotIdentifiableError):
         identifying_code_at_most(Graph(2, [(0, 1)]), 2)
 

@@ -3,19 +3,23 @@
 The outputs of the exact entry points are pinned by digest, twice. The
 `PINNED` records hold the node count, so those digests pin the search tree
 itself; they were recorded from the kernel that packs its bound smallest
-resolver set first, then tries one half-integral step, on a root list
-without dominated violations, and skips a child that an excluded vertex
-dominates. The `PINNED_CODES` digests cover the same
-records with the node counts left out, and were recorded from an older
-kernel, which packed in branching order and had no half-integral step: a
-tighter bound may only shrink the tree, never change a completed search's
+resolver set first, on a root list without dominated violations, fixes
+out every vertex that a packing one vertex short of a cut leaves to no
+strictly better code, and skips a child that an excluded vertex
+dominates. The `PINNED_CODES` digests cover the same records with the
+node counts left out, and were recorded from an older kernel, which
+packed in branching order and fixed no vertex out: a tighter bound and
+the fixing may only shrink the tree, never change a completed search's
 code. A hypothesis property compares _Search with a naive copy of the
 kernel that rebuilt its whole violation list at every node and packed in
 branching order, and another compares the root list with the plain
 filtered list of every pair of every signature class. A third checks the
 carried list against its plain rule, and an example of the first one
 branches on a root set the carried list leaves out, so the cursor over the
-root list, not the head of the carried list, picks the branch.
+root list, not the head of the carried list, picks the branch. Two more
+examples are cut at the root by the fixing: C14 capped below its gamma,
+and an instance whose one-short packing leaves three pairwise meeting
+parts in one packed set.
 """
 
 from __future__ import annotations
@@ -129,23 +133,23 @@ def _budget() -> list[str]:
 PINNED = {
     "gamma": (
         _gamma,
-        "7b5d078cbcd9bb899d8358d7968e3aac98a37620d49742cb269a8f9de0e94888",
+        "eda34e1cec826b76bae0995b5a4bfedf55c9f692c89c7d31079d09aef5ec71d2",
     ),
     "xy": (
         _xy,
-        "d5ed0f0396957c99a79e0d2dd6a4cbd8418a10e4c113b5a5cb98fa58934941e4",
+        "bd2cff4a4d615b5aa5abea77a22eec0ddcab61f7671346540dfdc2ab7f2a88d2",
     ),
     "containing": (
         _containing,
-        "77c13c7c93a5a40d496252a7fb50e580d9078936fa143e623c7fe1a7077771ef",
+        "2c222b608da350a428d11b203b7312f47c34febb19951168c639f2521aebb903",
     ),
     "at_most": (
         _at_most,
-        "721b39a79493058f688e27de9933d113f4262f329c60a73b2391c8b9d7ff9f4c",
+        "b6753698a11fff3079191fcc78037de535ef108cbdce3c60b27e82e3577c0363",
     ),
     "budget": (
         _budget,
-        "2f915dd4f922856ca57bbb9c9b89b4d919922140ce96c1e317f2973605cbdd37",
+        "366f211c71d84e7d5db83f77cf7923721dffed6d786b6cba3f2f7959e470d061",
     ),
 }
 
@@ -280,6 +284,29 @@ def _half_integral_triple():
     return masks, [0, 1, 2], _mask((3, 4, 9, 15))
 
 
+_PARTS = ((8, 9, 10), (8, 9, 11), (9, 10, 12), (8, 10, 13))
+
+
+def _three_parts():
+    """X = {0, ..., 7}, drawn from Y = {0, 1, 2, 3, 8, ..., 13}, with the
+    code started at {0, 1, 2, 3}. Target 4 + i shares the signature of code
+    vertex i, and the pair's resolver set is the rest of N[4 + i], the
+    i-th of _PARTS. Packing takes {8, 9, 10} alone, and the other sets'
+    parts in it, {8, 9}, {9, 10} and {8, 10}, pairwise meet with no vertex
+    in all three."""
+    edges = [(i, 4 + i) for i in range(4)]
+    for i, part in enumerate(_PARTS):
+        edges += [(4 + i, v) for v in part]
+    masks = closed_neighborhood_masks(Graph(14, edges))
+    return masks, list(range(8)), _mask((0, 1, 2, 3, 8, 9, 10, 11, 12, 13))
+
+
+def _cycle(n: int):
+    """The cycle C_n as an instance: every vertex a target and a candidate."""
+    masks = closed_neighborhood_masks(make_standard("cycle", n))
+    return masks, list(range(n)), (1 << n) - 1
+
+
 @st.composite
 def instances(draw):
     """A graph, target set X and candidate set Y, feasible or not."""
@@ -311,6 +338,10 @@ def _size(mask: int | None) -> float:
 )
 # The half-integral triple: cut at the root against the greedy code {3, 4}.
 @example(_half_integral_triple(), frozenset(), None, 10**6)
+# Three pairwise meeting parts in one file: cut at the root by the fixing.
+@example(_three_parts(), frozenset(range(4)), None, 10**6)
+# C14 capped one below its gamma of 7: decided at the root by the fixing.
+@example(_cycle(14), frozenset(), 6, 10**6)
 # Here the naive packing prunes at the root, while smallest first packs to 1
 # and the search takes 6 nodes: under a 1-node budget only the naive search
 # completes, so a tighter bound does not mean fewer nodes on every input.
@@ -395,10 +426,38 @@ def test_half_integral_step_cuts_the_triple_at_the_root():
     triple = [_mask(s) for s in ((3, 4), (3, 9, 15), (4, 9, 15))]
     assert search._violations(0) == triple
     # Greedy takes 3, then 4. The root has room for 2 vertices, and packing
-    # {3, 4} alone leaves the bound at 1; weight 1/2 on all three sets
-    # raises it to 3/2, so the root is cut and {3, 4} is optimal. Without
-    # that step the search branches on {3, 4} and takes 3 nodes.
+    # {3, 4} alone leaves the bound at 1, one short. The other sets' parts
+    # in {3, 4}, {3} and {4}, are disjoint, so the fixing narrows {3, 4} to
+    # their empty intersection: no code of one vertex exists, the root is
+    # cut and {3, 4} is optimal. Without the fixing the search branches on
+    # {3, 4} and takes 3 nodes.
     assert search.run(0, 10**6) == (_mask((3, 4)), True)
+    assert search.nodes == 1
+
+
+def test_fixing_cuts_three_pairwise_meeting_parts_at_the_root():
+    masks, xs, allowed = _three_parts()
+    search = _Search(masks, xs, allowed)
+    start = _mask(range(4))
+    assert search._violations(start) == [_mask(s) for s in _PARTS]
+    # The root has room for 2 vertices and packs only {8, 9, 10}, one
+    # short. A code of one more vertex takes it from the intersection of
+    # {8, 9, 10}, {8, 9}, {9, 10} and {8, 10}, which is empty, so the root
+    # is cut. No two of those parts are disjoint, so a half-integral step
+    # on them finds nothing, and without the fixing the search takes 4
+    # nodes.
+    best, done = search.run(start, 10**6)
+    assert (best.bit_count(), done, search.nodes) == (6, True, 1)
+
+
+@pytest.mark.parametrize("n", [10, 12, 14, 16, 20, 22, 30])
+def test_even_cycles_below_gamma_are_decided_at_the_root(n):
+    # gamma(C_n) = n/2. Capped at n/2 - 1, the root packs n/2 - 1 disjoint
+    # sets, one short, and the narrowing runs on round the cycle until some
+    # set has no vertex left, so the root is cut; before the fixing, C14
+    # and C20 took 4 nodes.
+    search = _Search(*_cycle(n))
+    assert search.run(0, 10**6, cap=n // 2 - 1) == (None, True)
     assert search.nodes == 1
 
 
