@@ -8,8 +8,8 @@ exceptional family members (certified_bound gives every form). Every
 branch is verified before it is accepted. A case of the induction that
 yields no code raises GuaranteeError naming the case, and a code that
 misses the bound raises BoundMissedError: no generic search stands in for
-either. The one rescue is a capped search for a tree whose pruned code
-is over the bound.
+either. A tree whose pruned code is over the bound is coded again by a
+linear-time dynamic program, with no search.
 
 The construction follows the paper's induction as an iterative descent
 over one MutableGraph. Each level deletes the non-bridge edge that
@@ -57,7 +57,8 @@ Trace labels (CaseStep.label):
     GStar                     hub code around the removed edge (boundary
                               plus small far components)
     ComponentAssembly         a large far component coded by recursion
-    ExactFallback             capped search replaced a tree's pruned code
+    ExactFallback             the tree dynamic program replaced a tree's
+                              pruned code that was over the bound
     CorollaryPatch            in the triangle-deletion pipeline, the
                               number of deleted edges, then damage
                               accounting for each restored edge
@@ -76,12 +77,11 @@ from .errors import (
     InvalidDeletionSetError,
     NotConnectedError,
     NotTriangleFreeError,
-    SearchBudgetError,
 )
 from .exact import (
+    _tree_minimum,
     cycle_identifying_code,
     gamma_id_exact,
-    identifying_code_at_most,
     odd_cycle_plus_chord_code,
     path_identifying_code,
 )
@@ -121,11 +121,10 @@ STEP_COMPONENT_ASSEMBLY = "ComponentAssembly"
 STEP_EXACT_FALLBACK = "ExactFallback"
 STEP_COROLLARY_PATCH = "CorollaryPatch"
 
-CERTIFICATE_VERSION = "idcodes-certificate v4"
+CERTIFICATE_VERSION = "idcodes-certificate v5"
 
 # Trees and paths plus a chord up to this order get an exact minimum code.
 _EXACT_MAX_N = 16
-_RESCUE_BUDGET = 20_000_000
 
 _Match = tuple[FamilyId, dict[int, int]]
 
@@ -279,9 +278,11 @@ def _tree_code(
     Up to _EXACT_MAX_N vertices the code is a minimum one. Above that, the
     whole vertex set identifies the tree (n >= 3 leaves no closed twins),
     and _prune cuts it to a minimal code on the state's own adjacency, so
-    no Graph is built and the prune's table is the one returned; a capped
-    search, on a Graph of the state, replaces a minimal code that is over
-    the bound.
+    no Graph is built and the prune's table is the one returned. A minimal
+    code over the bound is replaced by _tree_minimum's, on the same
+    adjacency. By the companion theorem for trees, a tree outside the
+    catalog has a minimum code within the bound, so a minimum over it
+    raises GuaranteeError.
     """
     n = state.n
     if n <= _EXACT_MAX_N:
@@ -300,18 +301,18 @@ def _tree_code(
     )
     num, den = certified_bound(state)
     if den * size > num:
-        try:
-            rescue = identifying_code_at_most(state.graph(), num // den, _RESCUE_BUDGET)
-        except SearchBudgetError:
-            rescue = None
-        if rescue is not None:
-            steps.append(
-                CaseStep(
-                    STEP_EXACT_FALLBACK,
-                    f"d{depth}: capped search shrank tree code to {len(rescue)}",
-                )
+        code = _tree_minimum(state.adj)
+        if den * len(code) > num:
+            raise GuaranteeError(
+                f"d{depth}: the tree's minimum code of {len(code)} is over the bound"
             )
-            table = SignatureTable(state.adj, rescue)
+        steps.append(
+            CaseStep(
+                STEP_EXACT_FALLBACK,
+                f"d{depth}: tree DP shrank tree code to {len(code)}",
+            )
+        )
+        table = SignatureTable(state.adj, code)
     return _checked_table(table, depth)
 
 

@@ -1,5 +1,6 @@
 """Exact minimum identifying codes by branch and bound, plus the closed
-forms for paths and cycles and the optimal chorded odd cycle construction.
+forms for paths and cycles, the optimal chorded odd cycle construction and
+a dynamic program that codes a tree minimally with no search (_tree_minimum).
 
 The solver works on closed-neighbourhood bitmasks. It branches on the first
 violation of the current partial code (lowest undominated vertex, else
@@ -115,7 +116,7 @@ admitted by the rule for any added edge (graphs._admissible_addition).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .checks import _as_mask, _identifiable, _xy_instance, is_identifying
 from .errors import GuaranteeError, NotIdentifiableError, SearchBudgetError
@@ -446,6 +447,107 @@ def identifying_code_at_most(
         )
     return None if best is None else tuple(_bits(best))
 
+
+
+def _tree_minimum(adj: Sequence[Iterable[int]]) -> list[int]:
+    """A minimum identifying code of the tree with adjacency adj and at
+    least three vertices, ascending, by a dynamic program with no search
+    (after Auger, Minimal identifying codes in trees and planar graphs with
+    large girth, European J. Combin., 2010).
+
+    In a graph with no 3- or 4-cycle, such as a tree, a code C identifies
+    the graph exactly when (i) every N[v] meets C; (ii) every edge uv has a
+    code vertex in (N(u) | N(v)) - {u, v}; and (iii) no code vertex w has
+    two neighbours x with N[x] & C = {w}. For an edge uv, N[u] ^ N[v] is
+    (N(u) | N(v)) - {u, v}, since u and v have no common neighbour. Two
+    vertices at distance 2 have exactly one common neighbour w, so by (i)
+    their traces are equal only when both are {w}, with w in C. Vertices
+    further apart have disjoint closed neighbourhoods, which (i) separates.
+
+    Root the tree at 0 and let p be the parent of v. The table of v maps
+    (P, A, D) to the least number of code vertices in v's subtree, over
+    the codes of it for which, with p in C exactly when P holds, every
+    condition that names only the subtree and p holds and v has at most
+    one child x with N[x] & C = {v}. A says v is in C, and D says v needs
+    a code vertex in N(p) - {v}, its grandparent or a sibling. It needs
+    one when it has no code child, since (ii) at the edge pv has no other
+    code vertex to take, and when v is in C, p is not, and v has such a
+    child x, since by (iii) p must not be a second one.
+
+    A vertex's table folds its children's tables, whose P is its A,
+    keeping the number of code children (0, 1, or 2 for more), whether a
+    child outside C has D (it is such an x, and a second is dropped), and
+    whether the only code child has D. Given P, a fold state decides the
+    conditions that v's level completes: (i) at v, met by A, P or a code
+    child; and each child with D, met by P or another code child, which is
+    (ii) at the edge to the child and, for a code child, (iii) at it when v
+    is outside C. Every other condition lies in one child's subtree or is
+    carried up by D. The root has no parent, so a minimum is its least
+    entry with P = 0, whatever D.
+
+    Ties keep the first candidate met in a fixed order, children
+    ascending, and the code is read back from the root down, so it depends
+    on the tree alone.
+    """
+    n = len(adj)
+    parent = [-1] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    order = [0]
+    for v in order:
+        for c in sorted(adj[v]):
+            if c != parent[v]:
+                parent[c] = v
+                kids[v].append(c)
+                order.append(c)
+    # best[v][(P, A, D)] is (size, fold state); a fold state is (code
+    # children up to 2, a child outside C with D, the only code child has
+    # D). trail[v][A] holds, per child, the step into each fold state.
+    best: list[dict] = [{} for _ in range(n)]
+    trail: list[list] = [[] for _ in range(n)]
+    for v in reversed(order):
+        for a in (0, 1):
+            fold = {(0, 0, 0): a}
+            steps = []
+            for c in kids[v]:
+                nxt: dict = {}
+                step: dict = {}
+                for (m, z, y), size in fold.items():
+                    for (p, ac, dc), (extra, _) in best[c].items():
+                        if p != a:
+                            continue
+                        if ac:
+                            s = (1, z, dc) if m == 0 else (2, z, 0)
+                        elif dc:
+                            if z:
+                                continue
+                            s = (m, 1, y)
+                        else:
+                            s = (m, z, y)
+                        if size + extra < nxt.get(s, n + 1):
+                            nxt[s] = size + extra
+                            step[s] = ((m, z, y), ac, dc)
+                fold = nxt
+                steps.append(step)
+            trail[v].append(steps)
+            for (m, z, y), size in fold.items():
+                for p in (0, 1):
+                    if not p and (z and not m or y or not (a or m)):
+                        continue
+                    key = (p, a, int(not m or (a and z and not p)))
+                    if size < best[v].get(key, (n + 1,))[0]:
+                        best[v][key] = (size, (m, z, y))
+    want = [(0, 0, 0)] * n
+    want[0] = min((k for k in best[0] if not k[0]), key=lambda k: best[0][k][0])
+    code = []
+    for v in order:
+        a = want[v][1]
+        if a:
+            code.append(v)
+        s = best[v][want[v]][1]
+        for c, step in zip(reversed(kids[v]), reversed(trail[v][a])):
+            s, ac, dc = step[s]
+            want[c] = (a, ac, dc)
+    return sorted(code)
 
 def gamma_id_closed_form(g: Graph) -> int:
     """Minimum identifying code size for a path or cycle, by formula.

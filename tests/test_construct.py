@@ -38,6 +38,7 @@ from idcodes import (
     triangle_witness,
 )
 import idcodes.construct
+import idcodes.exact
 import idcodes.families
 from idcodes.checks import SignatureTable
 from idcodes.construct import (
@@ -52,8 +53,7 @@ from idcodes.construct import (
     _repair,
     _tree_code,
 )
-from idcodes.exact import _Search
-from idcodes.graphs import MutableGraph, _bits, closed_neighborhood_masks
+from idcodes.graphs import MutableGraph, _bits
 
 KNOWN_LABELS = {
     "Delta2Path",
@@ -185,7 +185,7 @@ def test_certificates_are_deterministic():
     a = serialize_certificate(construct_triangle_free(g))
     b = serialize_certificate(construct_triangle_free(Graph(g.n, list(g.edges))))
     assert a == b
-    assert a.startswith("idcodes-certificate v4\n")
+    assert a.startswith("idcodes-certificate v5\n")
     assert "verified yes" in a
 
 
@@ -386,7 +386,7 @@ def test_near_construct_explicit_deletions():
 WHEEL10 = Graph(
     11, [(i, (i + 1) % 10) for i in range(10)] + [(i, 10) for i in range(10)]
 )
-WHEEL10_SHA256 = "f4de6746630534d83880be0bf2a7a42a0e4a05180de86df226cb24c8abf87a86"
+WHEEL10_SHA256 = "7e3d825b7f4e24dac0cbe47e0d24d55b279a3967e670f67bbf2d24086234bd5a"
 
 
 def test_near_construct_with_more_than_four_deletions():
@@ -427,7 +427,7 @@ R10_3 = Graph(
     [(0, 3), (0, 4), (0, 8), (1, 7), (1, 8), (2, 7), (2, 9), (4, 5), (4, 6),
      (6, 7), (6, 8), (8, 9)],
 )
-R10_3_SHA256 = "acdc29819bd003f90d095bd39af4e653f3342bbaadcdec2e7fd7e1ba4196e1c3"
+R10_3_SHA256 = "24fa0c0d64dcd363998af3ed1d0b93725d1e91ac259ef3d38a998155312c4edf"
 
 
 def test_split_path_component_is_rejoined():
@@ -447,7 +447,7 @@ P4_SWAP = Graph(
     [(0, 3), (0, 7), (1, 7), (1, 9), (2, 8), (3, 5), (3, 8), (4, 6), (4, 8),
      (5, 6), (5, 7), (6, 9)],
 )
-P4_SWAP_SHA256 = "6e544fe2ffb189ce16c318b1f92235d96c0817083168e8e6763bd305ce3b7d80"
+P4_SWAP_SHA256 = "4a25ed76e532997ca7ecc418d146b6dbbc6cc5734738d43b1cfa6303efee26c9"
 
 
 def test_split_path_component_swaps_its_first_vertex():
@@ -468,7 +468,7 @@ STAR4_MERGE = Graph(
      (4, 7), (5, 6), (5, 7), (8, 9), (8, 10), (8, 11), (8, 12)],
 )
 STAR4_MERGE_SHA256 = (
-    "2beb17af43b55771406ae1b024f131b1e4a13f4ebf607b3c52f3c44183777b3d"
+    "122dad353da0c0aa27fbe6ddf7ef684dc949f8c70a623c6a71d9c5390d9982d8"
 )
 
 
@@ -485,8 +485,8 @@ def test_star_component_merged_at_delta_four():
 
 
 # Four catalog trees glued by edges between vertices of degree at most 2:
-# the whole vertex set prunes to 39 vertices against a cap of 38, so the
-# capped exact search of _tree_code runs.
+# the whole vertex set prunes to 39 vertices against a cap of 38, so
+# _tree_code recodes it with the tree dynamic program, at its minimum of 37.
 GLUED_TREE = Graph(
     58,
     [(0, 1), (0, 4), (0, 7), (1, 2), (1, 3), (2, 10), (2, 13), (3, 16),
@@ -499,44 +499,64 @@ GLUED_TREE = Graph(
      (49, 50), (49, 51), (52, 53), (52, 54), (55, 56), (55, 57)],
 )
 GLUED_TREE_SHA256 = (
-    "c30fa69fbbcc531a96926d34e31c173fc5326bf081ade69bb16eec1c694459d8"
+    "3609b668df637331de30eebeacaf56899df3e5b75cd53dca4c45e3bb2c96b3c4"
 )
 
 
-def test_glued_tree_capped_search_within_a_minute():
+def test_glued_tree_coded_by_the_tree_dp():
     t0 = time.perf_counter()
     cert = construct_triangle_free(GLUED_TREE)
     elapsed = time.perf_counter() - t0
     check_certificate(GLUED_TREE, cert)
-    assert len(cert.code) == 38
+    assert len(cert.code) == 37
     assert cert.trace[-1] == CaseStep(
-        "ExactFallback", "d0: capped search shrank tree code to 38"
+        "ExactFallback", "d0: tree DP shrank tree code to 37"
     )
     text = serialize_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == GLUED_TREE_SHA256
-    assert elapsed < 60.0
+    assert elapsed < 0.1
 
 
-def test_glued_tree_capped_search_skips_dominated_children():
-    # The rescue's search, as identifying_code_at_most runs it: 24,423
-    # nodes with the dominance cut, 346,555 without it.
-    n = GLUED_TREE.n
-    masks = closed_neighborhood_masks(GLUED_TREE)
-    search = _Search(masks, list(range(n)), (1 << n) - 1)
-    best, done = search.run(0, 10**6, cap=38)
-    assert done and best.bit_count() == 38
-    assert search.nodes <= 30_000
+# T10, T1, T10, T6 and T3 glued and relabelled: the whole vertex set
+# prunes to 46 vertices against a cap of 45, and the tree dynamic program
+# codes it with 44, the optimum that HiGHS finds.
+GLUED_TREE_68 = Graph(
+    68,
+    [(0, 54), (1, 9), (2, 25), (2, 33), (2, 66), (3, 27), (3, 44), (3, 46),
+     (4, 12), (5, 32), (5, 60), (5, 63), (6, 10), (7, 13), (7, 20), (7, 40),
+     (8, 37), (9, 23), (9, 32), (10, 40), (10, 49), (11, 19), (11, 22),
+     (11, 57), (12, 31), (12, 58), (14, 15), (14, 30), (14, 36), (15, 16),
+     (15, 62), (16, 52), (16, 58), (17, 42), (17, 48), (17, 60), (18, 53),
+     (21, 50), (22, 36), (24, 55), (26, 29), (26, 50), (27, 54), (28, 38),
+     (29, 65), (29, 66), (30, 61), (34, 54), (35, 41), (36, 66), (37, 46),
+     (37, 59), (38, 45), (38, 65), (39, 55), (40, 57), (41, 43), (41, 44),
+     (44, 55), (46, 64), (47, 50), (51, 53), (53, 65), (56, 64), (61, 63),
+     (61, 67), (62, 64)],
+)
 
 
-def test_glued_tree_rescue_out_of_budget_reports_the_greedy_code(monkeypatch):
-    # A capped search cut off by its budget leaves the pruned code, which
-    # misses the bound: the theorem surfaces as BoundMissedError.
-    monkeypatch.setattr(idcodes.construct, "_RESCUE_BUDGET", 1)
-    with pytest.raises(BoundMissedError) as ei:
+def test_glued_tree_68_coded_at_its_optimum():
+    t0 = time.perf_counter()
+    cert = construct_triangle_free(GLUED_TREE_68)
+    elapsed = time.perf_counter() - t0
+    check_certificate(GLUED_TREE_68, cert)
+    assert cert.trace == (
+        CaseStep("TreeBase", "d0: tree of 68, all vertices pruned to 46"),
+        CaseStep("ExactFallback", "d0: tree DP shrank tree code to 44"),
+    )
+    assert elapsed < 0.1
+
+
+def test_tree_dp_over_the_bound_raises(monkeypatch):
+    # By the companion theorem for trees, a tree outside the catalog has a
+    # minimum code within the bound, so a tree DP code over it is a fault.
+    monkeypatch.setattr(
+        idcodes.construct, "_tree_minimum", lambda adj: list(range(len(adj)))
+    )
+    with pytest.raises(
+        GuaranteeError, match="d0: the tree's minimum code of 58 is over the bound"
+    ):
         construct_triangle_free(GLUED_TREE)
-    assert len(ei.value.code) == 39
-    assert (ei.value.bound_num, ei.value.bound_den) == (116, 3)
-    assert is_identifying(GLUED_TREE, ei.value.code)
 
 
 def _counted_inits(monkeypatch, cls) -> list[None]:
@@ -569,17 +589,18 @@ def test_tree_base_prunes_the_descent_in_place(monkeypatch):
     check_certificate(g, cert)
 
 
-def test_capped_tree_rescue_builds_the_only_graph(monkeypatch):
-    # The glued tree is pruned in place too; the capped search needs a Graph.
+def test_tree_dp_rescue_builds_no_graph(monkeypatch):
+    # The glued tree is pruned in place, and the tree DP codes the same
+    # adjacency.
     graphs = _counted_inits(monkeypatch, Graph)
     cert = construct_triangle_free(GLUED_TREE)
-    assert len(graphs) == 1
+    assert len(graphs) == 0
     assert cert.trace[-1].label == "ExactFallback"
 
 
 # Five catalog trees (T0, T0, T8, T4, T0) glued by edges between vertices
 # of degree at most 2, then relabelled at random. Its whole vertex set
-# prunes to 24 vertices, within the cap of 25, so no capped search runs.
+# prunes to 24 vertices, within the cap of 25, so the tree DP never runs.
 GLUED_TREE_38 = Graph(
     38,
     [(0, 1), (0, 14), (0, 27), (2, 19), (3, 15), (4, 22), (5, 23), (5, 25),
@@ -627,12 +648,34 @@ def test_tree_code_is_a_minimal_identifying_code(g):
     assert oracles.is_id_code(g.n, g.edges, code)
     num, den = certified_bound(g)
     assert den * len(code) <= num
-    # The capped search returns some code within the cap, not always a
-    # minimal one; every other tree code is the pruned whole vertex set.
-    if all(s.label != "ExactFallback" for s in steps):
-        assert not any(
-            oracles.is_id_code(g.n, g.edges, code - {c}) for c in code
-        )
+    # The pruned whole vertex set is minimal, and so is the tree DP's
+    # minimum code.
+    assert not any(oracles.is_id_code(g.n, g.edges, code - {c}) for c in code)
+
+
+def _refuse_search(*args):
+    raise AssertionError("the exact search ran")
+
+
+@pytest.mark.parametrize("g", [GLUED_TREE, GLUED_TREE_68], ids=["n58", "n68"])
+@pytest.mark.parametrize(
+    "build", [construct_triangle_free, construct_near_triangle_free]
+)
+def test_witnesses_certify_without_a_search(monkeypatch, build, g):
+    monkeypatch.setattr(idcodes.exact, "_Search", _refuse_search)
+    cert = build(g)
+    assert cert.verified and is_identifying(g, cert.code)
+    assert cert.bound_den * len(cert.code) <= cert.bound_num
+
+
+@settings(max_examples=50, deadline=None)
+@given(prufer_trees())
+def test_trees_above_the_exact_size_certify_without_a_search(g):
+    # No tree base of more than _EXACT_MAX_N vertices searches.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idcodes.exact, "_Search", _refuse_search)
+        cert = construct_triangle_free(g)
+    check_certificate(g, cert)
 
 
 def test_catalog_member_is_matched_once(monkeypatch):

@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 import idcodes.exact
 import idcodes.graphs
@@ -28,6 +29,8 @@ from idcodes import (
     odd_cycle_plus_chord_code,
     path_identifying_code,
 )
+from idcodes.exact import _tree_minimum
+from test_construct import GLUED_TREE_68, prufer_trees
 
 
 def path(n: int) -> Graph:
@@ -291,3 +294,59 @@ def test_chord_outcomes_on_every_pair(n):
         g = Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(a, b)])
         assert is_identifying(g, code)
         assert len(code) == (n + 1) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(prufer_trees(min_n=3, max_n=18))
+def test_tree_minimum_matches_the_exact_search(g):
+    code = _tree_minimum(g.adj)
+    assert code == sorted(set(code))
+    assert is_identifying(g, code)
+    assert len(code) == gamma_id_exact(g).size
+
+
+def _highs_tree_minimum(g: Graph) -> int:
+    """The minimum identifying code size of the tree g, by HiGHS: one row
+    per N[v] and one per N[x] ^ N[y] of two vertices in one N[w], the
+    pairs whose closed neighbourhoods meet."""
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    closed = [set(a) | {v} for v, a in enumerate(g.adj)]
+    rows = [sorted(s) for s in closed]
+    for s in closed:
+        for x, y in combinations(sorted(s), 2):
+            rows.append(sorted(closed[x] ^ closed[y]))
+    cols = [w for row in rows for w in row]
+    row_ids = [i for i, row in enumerate(rows) for _ in row]
+    a = csr_array((np.ones(len(cols)), (row_ids, cols)), shape=(len(rows), g.n))
+    res = milp(
+        c=np.ones(g.n),
+        constraints=[LinearConstraint(a, lb=1, ub=np.inf)],
+        integrality=np.ones(g.n),
+        bounds=Bounds(0, 1),
+    )
+    assert res.status == 0
+    return round(res.fun)
+
+
+def test_tree_minimum_matches_highs_up_to_300_vertices():
+    rng = random.Random(7)
+    trees = [GLUED_TREE_68]
+    for _ in range(10):
+        n = rng.randint(100, 300)
+        trees.append(Graph(n, [(rng.randrange(v), v) for v in range(1, n)]))
+    for g in trees:
+        code = _tree_minimum(g.adj)
+        assert is_identifying(g, code)
+        assert len(code) == _highs_tree_minimum(g)
+    assert len(_tree_minimum(GLUED_TREE_68.adj)) == 44
+
+
+def test_tree_minimum_on_a_long_path_does_not_recurse():
+    g = path(2300)
+    code = _tree_minimum(g.adj)
+    assert len(code) == gamma_id_closed_form(g)
+    assert is_identifying(g, code)

@@ -1,9 +1,12 @@
 """The iterative construction and its signature table.
 
 Certificates are pinned by digest, so a change to any certificate byte
-shows here. The sha256 values below were recorded for certificate v4,
-whose CorollaryPatch summary is "deleted t edges" for every t, with no
-"(minimum m)" clause and no "already triangle-free" form; every pinned
+shows here. The sha256 values below were recorded for certificate v5,
+whose ExactFallback step codes a tree over its bound with the tree
+dynamic program instead of a capped search; every pinned certificate with
+no such step is byte-identical to its v4 text apart from the version line.
+v4's CorollaryPatch summary is "deleted t edges" for every t, with no
+"(minimum m)" clause and no "already triangle-free" form; every pinned v4
 certificate is byte-identical to its v3 text apart from the version line
 and that summary. v3's near-triangle-free patch completes the base code on
 the damaged vertices, and its certificates are byte-identical to their v2
@@ -55,7 +58,7 @@ def _dense() -> list[Graph]:
 
 
 def _repairs() -> list[Graph]:
-    # Inputs whose traces reach GStar / ComponentAssembly, the capped tree
+    # Inputs whose traces reach GStar / ComponentAssembly, the tree DP
     # rescue, and the even chorded cycle.
     args = [(16, 24, 33), (16, 32, 10), (16, 48, 12), (24, 48, 25),
             (32, 64, 31), (32, 128, 13), (16, 32, 1)]
@@ -104,27 +107,27 @@ PINNED = {
     "sparse": (
         _sparse,
         construct_triangle_free,
-        "4fb72899d3cd88d0236c3f1f3262d2d3937f572e3b0d1504d6027919712464a5",
+        "6e0966b421ed1e0b78179342a731bf452561c015b0677beb7b9cae434883f161",
     ),
     "dense": (
         _dense,
         construct_triangle_free,
-        "a5f50a319bbcf0a3a04434659596ca65a98fb22a934412a85bdd93c4b9a32ca6",
+        "0e80d1a509ecbacfb1e6f94605e4933ae64abbfcfd26ecd0441aa7d7644ed226",
     ),
     "repairs": (
         _repairs,
         construct_triangle_free,
-        "13cae1c4b96f04b7733ac466a652dc5207025df17d9c4e88b15d8a94684abce6",
+        "5564fe3f35752c9240bd4817f27c40a8130fa4a2763924bd29812d63dc04ed8a",
     ),
     "small": (
         _small,
         construct_triangle_free,
-        "e4e3e14767de0ee4ce66fc3acf451ff54abf28569de2170cd03b4132f54816c3",
+        "1f28a9739a404d0226604127dddc6b2e59f81fddab0cba4a5ff3447969d4abfa",
     ),
     "near": (
         _near,
         construct_near_triangle_free,
-        "94fb7b12d97cd57e268e9f1de58f2304256d80541d39fa40748434c9a53c46b5",
+        "f26f001d36bbebee6ba533d1c556a5bb5a692d9152f694a6f140cd62e44f5adb",
     ),
 }
 
