@@ -8,8 +8,10 @@ exceptional family members (certified_bound gives every form). Every
 branch is verified before it is accepted. A case of the induction that
 yields no code raises GuaranteeError naming the case, and a code that
 misses the bound raises BoundMissedError: no generic search stands in for
-either. A tree whose pruned code is over the bound is coded again by a
-linear-time dynamic program, with no search.
+either. No tree is searched: a linear-time dynamic program codes a tree
+base of at most 16 vertices, and a larger one whose pruned code is over
+the bound. The one search left is the exact minimum of a path plus a
+chord of at most 16 vertices.
 
 The construction follows the paper's induction as an iterative descent
 over one MutableGraph. Each level deletes the non-bridge edge that
@@ -18,11 +20,11 @@ member or tree with a direct code. Every catalog member is a tree or has
 maximum degree 2, so only such a level is looked at for a direct code, or
 a deletion that leaves one for a code of it plus the deleted edge; a level
 with a cycle and maximum degree 3 or more builds nothing and goes on. A
-tree base above the exact size is pruned on the MutableGraph's own
-adjacency, and its SignatureTable is the one the restores start from. The
-picker keeps its state on the MutableGraph across the descent: a lazy
-max-heap of candidate edges, one int per edge that encodes its degree sum
-and then its position, and the bridges it has met, which stay bridges
+tree base is coded on the MutableGraph's own adjacency, and its
+SignatureTable is the one the restores start from. The picker keeps its
+state on the MutableGraph across the descent: a lazy max-heap of
+candidate edges, one int per edge that encodes its degree sum and then
+its position, and the bridges it has met, which stay bridges
 while edges are only deleted and so are never tested again. A level
 therefore costs a short two-sided search around one edge in the typical
 case, not a bridge search of the whole graph; the search marks vertices
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Collection, Iterable, Sequence
 
-from .checks import SignatureTable, _identifiable, _instance, is_identifying
+from .checks import SignatureTable, _identifiable, is_identifying
 from .errors import (
     BoundMissedError,
     GuaranteeError,
@@ -121,9 +123,10 @@ STEP_COMPONENT_ASSEMBLY = "ComponentAssembly"
 STEP_EXACT_FALLBACK = "ExactFallback"
 STEP_COROLLARY_PATCH = "CorollaryPatch"
 
-CERTIFICATE_VERSION = "idcodes-certificate v5"
+CERTIFICATE_VERSION = "idcodes-certificate v6"
 
-# Trees and paths plus a chord up to this order get an exact minimum code.
+# Tree bases and paths plus a chord up to this order get a minimum code;
+# a larger tree is pruned, and a longer path plus a chord is descended into.
 _EXACT_MAX_N = 16
 
 _Match = tuple[FamilyId, dict[int, int]]
@@ -258,14 +261,15 @@ def _prune(adj: Sequence[Iterable[int]], code: Iterable[int]) -> SignatureTable:
     return table
 
 
-def _two_regular(g: Graph, steps: list[CaseStep], depth: int) -> set[int]:
-    kind, order = linear_order(g)  # type: ignore[misc]
+def _two_regular(state: MutableGraph, steps: list[CaseStep], depth: int) -> set[int]:
+    kind, order = linear_order(state)  # type: ignore[misc]
+    n = state.n
     if kind == "path":
-        pattern = path_identifying_code(g.n)
-        steps.append(CaseStep(STEP_DELTA2_PATH, f"d{depth}: path of {g.n}"))
+        pattern = path_identifying_code(n)
+        steps.append(CaseStep(STEP_DELTA2_PATH, f"d{depth}: path of {n}"))
     else:
-        pattern = cycle_identifying_code(g.n)
-        steps.append(CaseStep(STEP_DELTA2_CYCLE, f"d{depth}: cycle of {g.n}"))
+        pattern = cycle_identifying_code(n)
+        steps.append(CaseStep(STEP_DELTA2_CYCLE, f"d{depth}: cycle of {n}"))
     return {order[i] for i in pattern}
 
 
@@ -275,22 +279,22 @@ def _tree_code(
     """The checked signature table of a code of the state, a non-catalog
     tree with maximum degree >= 3.
 
-    Up to _EXACT_MAX_N vertices the code is a minimum one. Above that, the
-    whole vertex set identifies the tree (n >= 3 leaves no closed twins),
-    and _prune cuts it to a minimal code on the state's own adjacency, so
-    no Graph is built and the prune's table is the one returned. A minimal
-    code over the bound is replaced by _tree_minimum's, on the same
-    adjacency. By the companion theorem for trees, a tree outside the
-    catalog has a minimum code within the bound, so a minimum over it
-    raises GuaranteeError.
+    No Graph is built and nothing is searched. Up to _EXACT_MAX_N vertices
+    the code is _tree_minimum's, a minimum one, on the state's own
+    adjacency. Above that, the whole vertex set identifies the tree
+    (n >= 3 leaves no closed twins), and _prune cuts it to a minimal code
+    on the same adjacency, whose table is the one returned. A minimal code
+    over the bound is replaced by _tree_minimum's. By the companion theorem
+    for trees, a tree outside the catalog has a minimum code within the
+    bound, so a minimum over it raises GuaranteeError.
     """
     n = state.n
     if n <= _EXACT_MAX_N:
-        res = gamma_id_exact(state.graph())
+        code = _tree_minimum(state.adj)
         steps.append(
             CaseStep(STEP_TREE_BASE, f"d{depth}: tree of {n}, exact minimum")
         )
-        return _checked_table(SignatureTable(state.adj, res.code), depth)
+        return _checked_table(SignatureTable(state.adj, code), depth)
     table = _prune(state.adj, range(n))
     size = table.code_mask.bit_count()
     steps.append(
@@ -317,16 +321,21 @@ def _tree_code(
 
 
 def _chorded_two_regular(
-    g: Graph,
+    state: MutableGraph,
     order_info: tuple[str, tuple[int, ...]],
     e: tuple[int, int],
     steps: list[CaseStep],
     depth: int,
 ) -> set[int]:
-    """g minus e is a path or cycle; n >= 5 here since delta(g) = 3."""
+    """A code of the state, a cycle plus the chord e, or a path of at most
+    _EXACT_MAX_N vertices plus e; order_info is linear_order of the state
+    without e. n >= 5 here since the maximum degree is 3. An odd cycle
+    gets its chorded pattern and an even one an alternating class; a path
+    plus a chord gets an exact minimum code, the one search left in the
+    construction."""
     kind, order = order_info
     pos = {w: i for i, w in enumerate(order)}
-    n = g.n
+    n = state.n
     a, b = pos[e[0]], pos[e[1]]
     if kind == "cycle":
         if n % 2 == 1:
@@ -348,30 +357,11 @@ def _chorded_two_regular(
             )
         )
         return {order[i] for i in range(parity, n, 2)}
-    # Path plus a chord.
-    if n <= _EXACT_MAX_N:
-        res = gamma_id_exact(g)
-        steps.append(
-            CaseStep(
-                STEP_DELTA2_PATH, f"d{depth}: path of {n} plus chord, exact minimum"
-            )
-        )
-        return set(res.code)
-    # Greedy completion of the path pattern. A vertex that completes it
-    # alone settles every violation, so the greedy's first pick is the
-    # lowest such vertex; a completion that adds more is rejected.
-    base = _mask_of(order[i] for i in path_identifying_code(n))
-    masks, xs, allowed = _instance(g, None, None)
-    code = _complete(masks, xs, allowed, base, True)
-    if code is not None and code.bit_count() - base.bit_count() <= 1:
-        extra = "" if code == base else ", one vertex added"
-        steps.append(
-            CaseStep(STEP_DELTA2_PATH, f"d{depth}: path of {n} plus chord{extra}")
-        )
-        return set(_bits(code))
-    raise GuaranteeError(
-        f"d{depth}: no path code of {n} plus chord with at most one vertex added"
+    res = gamma_id_exact(state.graph())
+    steps.append(
+        CaseStep(STEP_DELTA2_PATH, f"d{depth}: path of {n} plus chord, exact minimum")
     )
+    return set(res.code)
 
 
 def _case_code(g: Graph, code: set[int], case: str, depth: int) -> set[int]:
@@ -677,8 +667,8 @@ def _build(
     while True:
         level = depth + len(removed)
         if _is_base(state):
-            known = (g, hit) if not removed else None
-            table = _direct_code(state, known, steps, level)
+            level_hit = _level_match(state) if removed else hit
+            table = _direct_code(state, level_hit, steps, level)
             break
         delta = state.max_degree()
         u, v = pick_cycle_edge(state)
@@ -725,34 +715,35 @@ def _checked_table(table: SignatureTable, depth: int) -> SignatureTable:
     return table
 
 
+def _level_match(state: MutableGraph) -> _Match | None:
+    """The catalog match of a level at its own maximum degree, with a Graph
+    built only for a level of a member's order and size; None below
+    maximum degree 3."""
+    delta = state.max_degree()
+    if delta >= 3 and fits_catalog(state.n, state.m, delta):
+        return match_family(state.graph(), delta)
+    return None
+
+
 def _direct_code(
     state: MutableGraph,
-    known: tuple[Graph, _Match | None] | None,
+    hit: _Match | None,
     steps: list[CaseStep],
     depth: int,
 ) -> SignatureTable:
     """The checked signature table of a code of the current state, a path,
-    cycle, catalog member or other tree (_is_base holds). known is the
-    state as a Graph with its _catalog_match, when both are at hand; else
-    a Graph is built only for a path or cycle, a level of a catalog
-    member's order and size, or a tree _tree_code codes exactly."""
-    delta = state.max_degree()
-    if delta <= 2:
-        g = known[0] if known is not None else state.graph()
-        code = _two_regular(g, steps, depth)
-        return _checked_table(SignatureTable(state.adj, code), depth)
-    if known is not None:
-        hit = known[1]
-    elif fits_catalog(state.n, state.m, delta):
-        hit = match_family(state.graph(), delta)
-    else:
-        hit = None
-    if hit is None:
+    cycle, catalog member or other tree (_is_base holds), whose catalog
+    match is hit. A path or cycle gets its pattern and a catalog member its
+    catalog code; _tree_code codes any other tree. None of them builds a
+    Graph."""
+    if state.max_degree() <= 2:
+        code = _two_regular(state, steps, depth)
+    elif hit is None:
         return _tree_code(state, steps, depth)
-    fid, mapping = hit
-    entry = make_family(fid)
-    steps.append(CaseStep(STEP_FAMILY_HIT, f"d{depth}: {fid}"))
-    code = {mapping[c] for c in entry.code}
+    else:
+        fid, mapping = hit
+        steps.append(CaseStep(STEP_FAMILY_HIT, f"d{depth}: {fid}"))
+        code = {mapping[c] for c in make_family(fid).code}
     return _checked_table(SignatureTable(state.adj, code), depth)
 
 
@@ -766,21 +757,19 @@ def _chorded_code(
     """A code of the state plus e, when the state (e just removed, maximum
     degree delta before, _is_base now) is a path or cycle, or a catalog
     tree of maximum degree 3 = delta; e is put back then. None when the
-    descent must go on. A non-bridge removal keeps the state connected."""
+    descent must go on, as it does for a path plus e above _EXACT_MAX_N
+    vertices: the descent codes the path, and the restore of e patches it.
+    A non-bridge removal keeps the state connected."""
     u, v = e
-    shape = linear_order(state.graph()) if state.max_degree() <= 2 else None
+    shape = linear_order(state) if state.max_degree() <= 2 else None
     if shape is not None:
+        if shape[0] == "path" and state.n > _EXACT_MAX_N:
+            return None
         state.add_edge(u, v)
-        return _chorded_two_regular(state.graph(), shape, e, steps, depth)
-    if not (
-        delta == 3
-        and state.max_degree() == 3
-        and fits_catalog(state.n, state.m, 3)
-    ):
-        return None
+        return _chorded_two_regular(state, shape, e, steps, depth)
     # A hit is a catalog tree: delta 3 looks up the fixed members only, P4
     # has maximum degree 2, and C4 and C7 have m = n.
-    hit1 = match_family(state.graph(), 3)
+    hit1 = _level_match(state) if delta == 3 else None
     if hit1 is None:
         return None
     fid, mapping = hit1

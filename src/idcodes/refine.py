@@ -5,8 +5,8 @@ pick that splits a block will do, so |X| - 1 picks separate X; then at
 most one vertex is undominated, and one more pick identifies X.
 
 `_complete` is the package's one greedy completion: these codes, the
-exact search's first incumbent, and the construction's path-plus-chord
-and damaged-vertex patches. It keeps U, the undominated X-vertices (none
+exact search's first incumbent, and the near-triangle-free construction's
+damaged-vertex patch. It keeps U, the undominated X-vertices (none
 when domination does not count), and the signature classes with two or
 more members, and adds the candidate w that settles the most violations,
 the lowest on a tie: |N[w] & U| + sum over classes C of k * (|C| - k),

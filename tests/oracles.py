@@ -190,9 +190,10 @@ def connected_triangle_free_graphs(n: int):
 
 
 def first_completion(n: int, edges, base):
-    """The reference rule for a path plus a chord: base when it is an
-    identifying code, else base plus the lowest single vertex that makes
-    it one, else None."""
+    """The reference completion of a path pattern base on a path plus a
+    chord: base when it is an identifying code, else base plus the lowest
+    single vertex that makes it one, else None. The descent's code of a
+    long path plus a chord has this rule's size."""
     base = set(base)
     if is_id_code(n, edges, base):
         return base

@@ -91,7 +91,7 @@ def test_construct_certificate_file(tmp_path, capsys):
     out = tmp_path / "c6.cert"
     assert main(["construct", gp, "--out", str(out)]) == 0
     text = out.read_text()
-    assert text.startswith("idcodes-certificate v5\n")
+    assert text.startswith("idcodes-certificate v6\n")
     assert "code-size 3" in text
     assert "verified yes" in text
 

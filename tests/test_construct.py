@@ -48,7 +48,6 @@ from idcodes.construct import (
     STEP_DELTA2_PATH,
     STEP_FAMILY_HIT,
     _catalog_match,
-    _chorded_two_regular,
     _hub_code,
     _repair,
     _tree_code,
@@ -185,7 +184,7 @@ def test_certificates_are_deterministic():
     a = serialize_certificate(construct_triangle_free(g))
     b = serialize_certificate(construct_triangle_free(Graph(g.n, list(g.edges))))
     assert a == b
-    assert a.startswith("idcodes-certificate v5\n")
+    assert a.startswith("idcodes-certificate v6\n")
     assert "verified yes" in a
 
 
@@ -386,7 +385,7 @@ def test_near_construct_explicit_deletions():
 WHEEL10 = Graph(
     11, [(i, (i + 1) % 10) for i in range(10)] + [(i, 10) for i in range(10)]
 )
-WHEEL10_SHA256 = "7e3d825b7f4e24dac0cbe47e0d24d55b279a3967e670f67bbf2d24086234bd5a"
+WHEEL10_SHA256 = "420f3d0f7b4accf040a7331c22a6eaf53ff058afc242b472f27285dce0a58f55"
 
 
 def test_near_construct_with_more_than_four_deletions():
@@ -418,68 +417,77 @@ def test_per_edge_damage_above_four_raises(monkeypatch):
         construct_near_triangle_free(g, deletions=[(0, 1)])
 
 
-# A relabelling of the base R10.3 of the deduplication sweep: restoring
-# (1, 8) leaves 1 and 8 unseparated, and a far component is a P4 whose ends
-# see no boundary vertex, so the repair cuts off its far half, codes the
-# rest and rejoins it (ClaimC through _merge_path4_component).
-R10_3 = Graph(
-    10,
-    [(0, 3), (0, 4), (0, 8), (1, 7), (1, 8), (2, 7), (2, 9), (4, 5), (4, 6),
-     (6, 7), (6, 8), (8, 9)],
+# Restoring (4, 5) at level 0 leaves 4 and 5 unseparated, and a far
+# component is a P4 whose ends see no boundary vertex, so the repair cuts
+# off its far half, codes the rest and puts back its third vertex.
+P4_REJOIN = random_triangle_free(10, 10, 33)
+P4_REJOIN_SHA256 = (
+    "2b02f36db6833e5be26f25c50f26cf00aa93bc6562fcaa24be10353b84f080c7"
 )
-R10_3_SHA256 = "24fa0c0d64dcd363998af3ed1d0b93725d1e91ac259ef3d38a998155312c4edf"
 
 
 def test_split_path_component_is_rejoined():
-    cert = construct_triangle_free(R10_3)
-    check_certificate(R10_3, cert)
-    assert cert.code == (0, 1, 2, 4, 6, 8)
-    assert CaseStep("ClaimC", "d2: split path component rejoined") in cert.trace
+    cert = construct_triangle_free(P4_REJOIN)
+    check_certificate(P4_REJOIN, cert)
+    assert cert.code == (0, 1, 3, 4, 5, 6)
+    assert cert.trace[-1] == CaseStep("ClaimC", "d0: split path component rejoined")
     text = serialize_certificate(cert)
-    assert hashlib.sha256(text.encode()).hexdigest() == R10_3_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == P4_REJOIN_SHA256
 
 
-# Restoring (5, 6) at level 2 leaves 5 and 6 unseparated, and a far
+# Restoring (0, 4) at level 0 leaves 4 and 9 unseparated, and a far
 # component is a P4 whose ends see no boundary vertex; here the code of the
 # rest leaves out the P4's second vertex, so the first is swapped for it.
-P4_SWAP = Graph(
-    10,
-    [(0, 3), (0, 7), (1, 7), (1, 9), (2, 8), (3, 5), (3, 8), (4, 6), (4, 8),
-     (5, 6), (5, 7), (6, 9)],
-)
-P4_SWAP_SHA256 = "4a25ed76e532997ca7ecc418d146b6dbbc6cc5734738d43b1cfa6303efee26c9"
+P4_SWAP = random_triangle_free(10, 11, 139)
+P4_SWAP_SHA256 = "f6120925ea6d9becdd45cedcb045fdc333408f196517ec0dfb5df6a79f153e5a"
 
 
 def test_split_path_component_swaps_its_first_vertex():
     cert = construct_triangle_free(P4_SWAP)
     check_certificate(P4_SWAP, cert)
-    assert cert.code == (1, 3, 4, 5, 6, 8)
-    assert CaseStep("ClaimC", "d2: split path component rejoined") in cert.trace
+    assert cert.code == (1, 2, 4, 5, 6, 9)
+    assert cert.trace[-1] == CaseStep("ClaimC", "d0: split path component rejoined")
     text = serialize_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == P4_SWAP_SHA256
 
 
-# Restoring (1, 5) at level 0 leaves 1 and 7 unseparated, and a far
-# component is the star of degree 4 around 8, so the repair rebuilds it
-# through the delta >= 4 candidates of _merge_star_component.
-STAR4_MERGE = Graph(
-    13,
-    [(0, 1), (0, 7), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (3, 9),
-     (4, 7), (5, 6), (5, 7), (8, 9), (8, 10), (8, 11), (8, 12)],
+# Restoring (2, 7) at level 2 leaves 2 and 7 unseparated, and a far
+# component is a star of degree 3, so the repair rebuilds it through the
+# degree-3 candidates of the star template.
+STAR3_MERGE = random_triangle_free(10, 12, 248)
+STAR3_MERGE_SHA256 = (
+    "52c613d639bbc3ea43bc1876178f036983396860361a581e9c90999603e1b163"
 )
+
+
+def test_star_component_merged_at_delta_three():
+    cert = construct_triangle_free(STAR3_MERGE)
+    check_certificate(STAR3_MERGE, cert)
+    assert cert.delta == 3
+    assert cert.code == (0, 1, 2, 6, 7, 8)
+    assert CaseStep("ClaimC", "d2: star component rebuilt around leaf 3") in cert.trace
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == STAR3_MERGE_SHA256
+
+
+# Restoring (3, 4) at level 5 leaves 4 and 9 unseparated, and a far
+# component is a star there, with the level at maximum degree 4 or more, so
+# the repair rebuilds it through the delta >= 4 candidates of
+# _merge_family_component.
+STAR4_MERGE = random_triangle_free(18, 24, 7934)
 STAR4_MERGE_SHA256 = (
-    "122dad353da0c0aa27fbe6ddf7ef684dc949f8c70a623c6a71d9c5390d9982d8"
+    "913dde6e940a022166f28ec35ce24c18d3db9558ef8d496cce007a1ce5e416b7"
 )
 
 
 def test_star_component_merged_at_delta_four():
     cert = construct_triangle_free(STAR4_MERGE)
     check_certificate(STAR4_MERGE, cert)
-    assert cert.delta == 4
-    assert cert.code == (0, 1, 3, 4, 5, 6, 8, 11, 12)
-    assert cert.trace[-1] == CaseStep(
-        "ClaimC", "d0: star component rebuilt around leaf 9"
-    )
+    assert cert.delta == 7
+    assert cert.code == (0, 2, 3, 4, 6, 8, 9, 11, 12, 13, 15, 17)
+    assert CaseStep(
+        "ClaimC", "d5: star component rebuilt around leaf 15"
+    ) in cert.trace
     text = serialize_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == STAR4_MERGE_SHA256
 
@@ -499,7 +507,7 @@ GLUED_TREE = Graph(
      (49, 50), (49, 51), (52, 53), (52, 54), (55, 56), (55, 57)],
 )
 GLUED_TREE_SHA256 = (
-    "3609b668df637331de30eebeacaf56899df3e5b75cd53dca4c45e3bb2c96b3c4"
+    "024805c79f8800c7f62b75402fe5a010b7698baf43ace7428c54052902c7bfc5"
 )
 
 
@@ -638,7 +646,7 @@ def prufer_trees(draw, min_n=17, max_n=60):
 
 
 @settings(max_examples=100, deadline=None)
-@given(prufer_trees())
+@given(prufer_trees(min_n=4))
 def test_tree_code_is_a_minimal_identifying_code(g):
     assume(g.max_degree() >= 3 and _catalog_match(g) is None)
     steps: list[CaseStep] = []
@@ -668,14 +676,19 @@ def test_witnesses_certify_without_a_search(monkeypatch, build, g):
     assert cert.bound_den * len(cert.code) <= cert.bound_num
 
 
-@settings(max_examples=50, deadline=None)
-@given(prufer_trees())
-def test_trees_above_the_exact_size_certify_without_a_search(g):
-    # No tree base of more than _EXACT_MAX_N vertices searches.
+@settings(max_examples=100, deadline=None)
+@given(prufer_trees(min_n=4))
+def test_trees_of_every_size_certify_without_a_search(g):
+    # No tree base searches, and none builds a Graph: up to 16 vertices the
+    # tree DP codes it on the descent's own adjacency, and above that it is
+    # pruned there.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(idcodes.exact, "_Search", _refuse_search)
+        graphs = _counted_inits(mp, Graph)
         cert = construct_triangle_free(g)
     check_certificate(g, cert)
+    if cert.trace[0].label == "TreeBase":
+        assert len(graphs) == 0
 
 
 def test_catalog_member_is_matched_once(monkeypatch):
@@ -737,9 +750,18 @@ def test_claim_a_case_raises_when_its_template_fails(monkeypatch):
     )
 
 
+# Around (1, 5) a far component is the star of degree 4 around 8, attached
+# to the boundary by its leaf 9.
+STAR4_FAR = Graph(
+    13,
+    [(0, 1), (0, 7), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (3, 9),
+     (4, 7), (5, 6), (5, 7), (8, 9), (8, 10), (8, 11), (8, 12)],
+)
+
+
 def test_claim_c_star_case_raises_when_its_templates_fail(monkeypatch):
     _repair_raises(
-        monkeypatch, STAR4_MERGE, (1, 5), "d0: no ClaimC star template around leaf 9"
+        monkeypatch, STAR4_FAR, (1, 5), "d0: no ClaimC star template around leaf 9"
     )
 
 
@@ -812,43 +834,34 @@ def test_level_code_that_does_not_identify_raises(monkeypatch):
         construct_triangle_free(path(6))
 
 
-def test_long_path_plus_chord_without_a_code_raises(monkeypatch):
-    # A completion of the path pattern that adds more than one vertex (here
-    # every candidate) is rejected.
-    monkeypatch.setattr(
-        idcodes.construct, "_complete", lambda m, xs, y, start, d: y
-    )
-    g = Graph(20, [(i, i + 1) for i in range(19)] + [(0, 5)])
-    with pytest.raises(GuaranteeError, match="no path code of 20 plus chord"):
-        construct_triangle_free(g)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_path_plus_chord_matches_the_first_completing_vertex(data):
-    # The greedy completion of the path pattern against the reference scan
-    # that tries each single vertex in ascending order.
+def test_long_path_plus_chord_has_the_first_completion_size(data):
+    # Above 16 vertices the descent codes the path left by the edge it
+    # deletes and patches that edge's restore. The code is as small as the
+    # reference rule's: the path pattern along that path, plus the lowest
+    # single vertex that completes it when one is needed.
     n = data.draw(st.integers(17, 40))
     a = data.draw(st.integers(0, n - 4))
     b = data.draw(st.integers(a + 3, n - 1 if a else n - 2))
     perm = data.draw(st.permutations(range(n)))
     edges = [(perm[i], perm[i + 1]) for i in range(n - 1)]
-    chord = (perm[a], perm[b])
-    g = Graph(n, edges + [chord])
-    order = tuple(perm)
+    g = Graph(n, edges + [(perm[a], perm[b])])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idcodes.exact, "_Search", _refuse_search)
+        cert = construct_triangle_free(g)
+    check_certificate(g, cert)
+    assert cert.trace[0] == CaseStep(STEP_DELTA2_PATH, f"d1: path of {n}")
+    (u, v), = re.findall(r"restored \((\d+),(\d+)\)", cert.trace[1].detail)
+    adj = [c - {x} for x, c in enumerate(oracles.neighborhoods(n, g.edges))]
+    adj[int(u)].discard(int(v))
+    adj[int(v)].discard(int(u))
+    order = [min(x for x in range(n) if len(adj[x]) == 1)]
+    while len(order) < n:
+        order.append(min(adj[order[-1]] - set(order[-2:])))
     base = {order[i] for i in path_identifying_code(n)}
     expected = oracles.first_completion(n, g.edges, base)
-    steps: list[CaseStep] = []
-    if expected is None:
-        with pytest.raises(GuaranteeError, match="no path code"):
-            _chorded_two_regular(g, ("path", order), chord, steps, 0)
-        return
-    code = _chorded_two_regular(g, ("path", order), chord, steps, 0)
-    assert code == expected
-    added = ", one vertex added" if code != base else ""
-    assert steps == [
-        CaseStep(STEP_DELTA2_PATH, f"d0: path of {n} plus chord{added}")
-    ]
+    assert expected is not None and len(cert.code) == len(expected)
 
 
 def test_near_construct_with_a_stuck_completion_raises(monkeypatch):

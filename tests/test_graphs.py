@@ -28,6 +28,7 @@ from idcodes import (
     serialize_graph,
     triangle_witness,
 )
+from idcodes.graphs import MutableGraph
 
 
 def path(n: int) -> Graph:
@@ -217,6 +218,18 @@ def test_linear_order_recognition():
     assert kind == "path" and order[0] == min(order[0], order[-1])
     for a, b in zip(order, order[1:]):
         assert g.has_edge(a, b)
+
+
+def test_linear_order_reads_a_mutable_graph():
+    # The descent recognises its paths and cycles on the MutableGraph, with
+    # no Graph built, and must get the Graph's answer.
+    shapes = [path(6), cycle(7), Graph(5, [(3, 1), (1, 4), (4, 0), (0, 2)]),
+              Graph(4, [(0, 1), (0, 2), (0, 3)]), Graph(4, [(0, 1), (2, 3)])]
+    for g in shapes:
+        assert linear_order(MutableGraph(g)) == linear_order(g)
+    state = MutableGraph(cycle(8))
+    state.remove_edge(2, 3)
+    assert linear_order(state) == ("path", (2, 1, 0, 7, 6, 5, 4, 3))
 
 
 def test_serialize_parse_roundtrip():

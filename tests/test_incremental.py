@@ -1,10 +1,16 @@
 """The iterative construction and its signature table.
 
 Certificates are pinned by digest, so a change to any certificate byte
-shows here. The sha256 values below were recorded for certificate v5,
-whose ExactFallback step codes a tree over its bound with the tree
-dynamic program instead of a capped search; every pinned certificate with
-no such step is byte-identical to its v4 text apart from the version line.
+shows here. The sha256 values below were recorded for certificate v6.
+It codes every tree base of at most 16 vertices with the tree dynamic
+program in place of the exact search, roots that program at the highest
+label (so an ExactFallback step may pick another minimum), and codes a
+path plus a chord above 16 vertices as a path whose restored edge is
+patched; every pinned certificate with none of these steps is
+byte-identical to its v5 text apart from the version line. v5's
+ExactFallback step codes a tree over its bound with the tree dynamic
+program instead of a capped search; every pinned certificate with no such
+step is byte-identical to its v4 text apart from the version line.
 v4's CorollaryPatch summary is "deleted t edges" for every t, with no
 "(minimum m)" clause and no "already triangle-free" form; every pinned v4
 certificate is byte-identical to its v3 text apart from the version line
@@ -107,27 +113,27 @@ PINNED = {
     "sparse": (
         _sparse,
         construct_triangle_free,
-        "6e0966b421ed1e0b78179342a731bf452561c015b0677beb7b9cae434883f161",
+        "e4d9a3048b63a2d5813ba0934478d5c7853a00252372e8274075c314fe698c93",
     ),
     "dense": (
         _dense,
         construct_triangle_free,
-        "0e80d1a509ecbacfb1e6f94605e4933ae64abbfcfd26ecd0441aa7d7644ed226",
+        "d5f7d6d420ad3b7d9c95cfae975c2a0a6bb2456b7e363a3e95a8c5dc3b0da8a2",
     ),
     "repairs": (
         _repairs,
         construct_triangle_free,
-        "5564fe3f35752c9240bd4817f27c40a8130fa4a2763924bd29812d63dc04ed8a",
+        "33873a70e6962d10b9df359d42cf330deae371259540d272dc4d87c79ad5b0a3",
     ),
     "small": (
         _small,
         construct_triangle_free,
-        "1f28a9739a404d0226604127dddc6b2e59f81fddab0cba4a5ff3447969d4abfa",
+        "eef48a940122a6392610c7d7d175e7476db7509ca4a9f8b80b0307e8fe78416b",
     ),
     "near": (
         _near,
         construct_near_triangle_free,
-        "f26f001d36bbebee6ba533d1c556a5bb5a692d9152f694a6f140cd62e44f5adb",
+        "ae22ea5448c2a60a3e9c5bc4d89727de2645299c979e3af558bf2612b5e74475",
     ),
 }
 
