@@ -167,17 +167,19 @@ def is_xy_identifying(
 
 class SignatureTable:
     """Code signatures of every vertex, kept current as the graph gains
-    edges or the code loses vertices.
+    edges or the code gains or loses vertices.
 
     Holds sig[x], the bitmask of N[x] & C, and the vertices grouped by
     signature. The code identifies the graph exactly when every group is a
     single vertex and no signature is empty (`identifies`). Restoring an
-    edge uv changes only sig[u] and sig[v], and dropping a code vertex c
-    changes only the signatures in N[c], so each update costs O(1) or
-    O(deg c) lookups instead of a regroup of all n vertices.
+    edge uv changes only sig[u] and sig[v], and adding or dropping a code
+    vertex c changes only the signatures in N[c], so each update costs
+    O(1) or O(deg c) lookups instead of a regroup of all n vertices. The
+    order of the vertices inside a group is not kept.
 
     adj is the adjacency of the graph. It is read when the table is built
-    and by `try_drop`, which needs it to hold the edges restored so far.
+    and by `add` and `try_drop`, which need it to hold the edges restored
+    so far.
     """
 
     def __init__(self, adj: Sequence[Iterable[int]], code: Iterable[int]):
@@ -223,6 +225,14 @@ class SignatureTable:
                     (x, z) if x < z else (z, x) for z in groups[sig[x]] if z != x
                 )
         return tuple(sorted(fresh))
+
+    def add(self, c: int) -> None:
+        """Put c, not in the code, into it: every x in N[c] moves to the
+        signature sig[x] | 1 << c, the reverse of `try_drop`."""
+        bit = 1 << c
+        for x in (c, *self.adj[c]):
+            self._move(x, self.sig[x] | bit)
+        self.code_mask |= bit
 
     def try_drop(self, c: int) -> bool:
         """Remove c from the code if the code still identifies without it;

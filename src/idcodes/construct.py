@@ -24,23 +24,29 @@ tree base is coded on the MutableGraph's own adjacency, and its
 SignatureTable is the one the restores start from. The picker keeps its
 state on the MutableGraph across the descent: a lazy max-heap of
 candidate edges, one int per edge that encodes its degree sum and then
-its position, and the bridges it has met, which stay bridges
-while edges are only deleted and so are never tested again. A level
-therefore costs a short two-sided search around one edge in the typical
-case, not a bridge search of the whole graph; the search marks vertices
-with fresh stamps in one list per MutableGraph, so it never clears or
-allocates a visited set. An edge on only one long cycle can still make a
-search cover its whole 2-edge-connected component. Restoring an edge drops
-the heap. The deleted edges are then restored in reverse order. A
-SignatureTable of the code, whose signatures come from the same mask
-kernel as the closed neighbourhoods, is kept throughout, and its code
-identifies the current graph: all signatures are distinct and non-empty,
-which is checked each time the table is built. Restoring uv changes only
-the signatures of u and v, so the pairs it breaks (the ClaimB step) are
-two table lookups. When there are any, a quick patch of one or two
-vertices around the edge is decided from those pairs alone; when none
-fits, a structural repair builds a Graph of the current level. The table
-is then rebuilt from the new code. Repairs that code a subgraph call the
+its position; the bridges it has met, which stay bridges while edges are
+only deleted and so are never tested again; and a spanning forest. A
+pick outside the forest lies on a cycle with no search. A forest edge
+costs a walk of the two trees it splits the forest into, in turns until
+the smaller runs out, and a scan of that one for another edge across the
+cut, which then takes the picked edge's place in the forest; with none,
+the edge is a bridge. A level therefore costs a few heap operations in
+the typical case, not a bridge search of the whole graph; the walk marks
+vertices with fresh stamps in one list per MutableGraph, so it never
+clears or allocates a visited set. A forest edge that splits a large tree
+near its middle can still make a walk cover half of it. Restoring an
+edge drops the heap and the forest. The deleted edges are then restored
+in reverse order. A SignatureTable of the code, whose signatures come
+from the same mask kernel as the closed neighbourhoods, is kept
+throughout, and its code identifies the current graph: all signatures
+are distinct and non-empty, which is checked after every change of code.
+Restoring uv changes only the signatures of u and v, so the pairs it
+breaks (the ClaimB step) are two table lookups. When there are any, a
+quick patch of one or two vertices around the edge is decided from those
+pairs alone, and each patch vertex is added to the table in place,
+moving only the signatures of its closed neighbourhood; when none fits, a
+structural repair builds a Graph of the current level, and the table is
+rebuilt from the repair's code. Repairs that code a subgraph call the
 construction again, so Python recursion is only as deep as repairs nest,
 never as deep as the cycle rank.
 
@@ -598,29 +604,28 @@ def _assemble(
 
 
 def _quick_patch(
-    state: MutableGraph, e: tuple[int, int], code: set[int],
+    state: MutableGraph, e: tuple[int, int], code: int,
     broken: tuple[tuple[int, int], ...], steps: list[CaseStep], depth: int,
-) -> set[int] | None:
-    """code plus the first of u, v, or u and a neighbour of v, within the
-    bound, that fixes code once e = uv is restored; None when none does.
-    The broken pairs are code's only violations, and added vertices merge
-    no signatures, so a patch fixes code exactly when it meets
-    N[x] ^ N[y] for every broken pair x, y."""
+) -> list[int] | None:
+    """The first of u, v, or u and a neighbour of v that fixes the code, a
+    mask, once e = uv is restored, and keeps it within the bound, as the
+    sorted vertices it adds; None when none does. The broken pairs are the
+    code's only violations, and added vertices merge no signatures, so a
+    patch fixes the code exactly when it meets N[x] ^ N[y] for every
+    broken pair x, y."""
     u, v = e
     adj = state.adj
     num, den = certified_bound(state)  # never a family member here
+    size = code.bit_count()
     splits = [(adj[x] | {x}) ^ (adj[y] | {y}) for x, y in broken]
     for extra in [(u,), (v,), *((u, y) for y in sorted(adj[v] - {u}))]:
-        cand = code | set(extra)
+        added = sorted(x for x in set(extra) if not code >> x & 1)
         fixes = all(not s.isdisjoint(extra) for s in splits)
-        if fixes and den * len(cand) <= num:
+        if fixes and den * (size + len(added)) <= num:
             steps.append(
-                CaseStep(
-                    STEP_CLAIM_B,
-                    f"d{depth}: patched with {sorted(set(extra) - code)}",
-                )
+                CaseStep(STEP_CLAIM_B, f"d{depth}: patched with {added}")
             )
-            return cand
+            return added
     return None
 
 
@@ -681,7 +686,6 @@ def _build(
         removed.append((u, v))
     # From here on the table's code identifies the current state: all
     # signatures are distinct and non-empty.
-    code = set(_bits(table.code_mask))
     while removed:
         u, v = removed.pop()
         level = depth + len(removed)
@@ -694,10 +698,15 @@ def _build(
             )
         )
         if broken:
-            patched = _quick_patch(state, (u, v), code, broken, steps, level)
-            code = patched or _repair(state.graph(), (u, v), steps, level)
-            table = _checked_table(SignatureTable(state.adj, code), level)
-    return frozenset(code)
+            added = _quick_patch(state, (u, v), table.code_mask, broken, steps, level)
+            if added is None:
+                code = _repair(state.graph(), (u, v), steps, level)
+                table = SignatureTable(state.adj, code)
+            else:
+                for c in added:
+                    table.add(c)
+            _checked_table(table, level)
+    return frozenset(_bits(table.code_mask))
 
 
 def _is_base(state: MutableGraph) -> bool:

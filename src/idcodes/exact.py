@@ -208,11 +208,36 @@ class _Search:
         """The carried list of a root list rs: rs, in order, less every set
         that strictly holds a set of rs with at most two candidates. Such a
         set is open only while the smaller one is and never tightens the
-        bound (see the module docstring)."""
-        out = rs
+        bound (see the module docstring).
+
+        One pass ORs the one-candidate sets into one mask and lists the
+        two-candidate ones; a second keeps r unless it has two candidates
+        or more and meets the mask, or it has three or more and holds a
+        listed pair. The empty set, which a feasible instance never lists,
+        is strictly held by every other set."""
+        ones = 0
+        pairs = []
         for t in rs:
-            if t.bit_count() <= 2:
-                out = [r for r in out if r & t != t or r == t]
+            k = t.bit_count()
+            if k == 1:
+                ones |= t
+            elif k == 2:
+                pairs.append(t)
+            elif not k:
+                return [r for r in rs if not r]
+        out = []
+        for r in rs:
+            if r & ones:
+                if r.bit_count() > 1:
+                    continue
+            elif r.bit_count() > 2:
+                for p in pairs:
+                    if r & p == p:
+                        break
+                else:
+                    out.append(r)
+                continue
+            out.append(r)
         return out
 
     def _node(

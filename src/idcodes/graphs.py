@@ -138,20 +138,33 @@ class MutableGraph:
     removed; a restored edge goes to the end.
 
     It also keeps the state that makes pick_cycle_edge incremental across
-    a run of deletions: a lazy max-heap of candidate edges. The heap holds
-    one int per edge, (top - degree sum) * size + position, where position
-    is the edge's index in the edges order when the heap was built (kept
-    in `_order`), size is the number of those edges and top is twice the
-    maximum degree then, so a smaller key is a larger sum, then an earlier
-    edge; divmod decodes it. Degrees only fall while edges are only
-    removed, so a key is never above its edge's current one, and a top
-    entry whose key is current is the maximum. Deleting edges never turns a
-    bridge into a non-bridge, so an edge once found to be a bridge leaves
-    the heap for good. add_edge can undo both facts, so it drops the heap,
-    which the next pick rebuilds from the current edge order.
+    a run of deletions: a lazy max-heap of candidate edges and a spanning
+    forest of the graph. The heap holds one int per edge,
+    (top - degree sum) * size + position, where position is the edge's
+    index in the edges order when the heap was built (kept in `_order`),
+    size is the number of those edges and top is twice the maximum degree
+    then, so a smaller key is a larger sum, then an earlier edge; divmod
+    decodes it. Degrees only fall while edges are only removed, so a key is
+    never above its edge's current one, and a top entry whose key is
+    current is the maximum. Deleting edges never turns a bridge into a
+    non-bridge, so an edge once found to be a bridge leaves the heap for
+    good.
 
-    The cycle test marks vertices in `_mark`, one entry per vertex, with a
-    fresh pair of stamps per call from the rising counter `_stamp`, so a
+    The forest, adjacency sets in `_forest`, is built with the heap from
+    its key list: every current edge in ascending degree sum (descending
+    key), kept when union-find finds its ends apart. The high-sum edges
+    the picker takes first are then mostly outside the forest, and an edge
+    outside it lies on a cycle, since the forest joins its ends without
+    it: such a pick needs no search. A forest edge is tested by
+    `_replaced`, which swaps a replacement edge into the forest when there
+    is one, so a pick is never a forest edge, and removing it keeps the
+    forest spanning. Removing a forest edge outside a pick drops the heap
+    and the forest, and so does add_edge, which can also turn a bridge
+    back into a non-bridge; the next pick rebuilds both from the current
+    edge order.
+
+    The forest walk marks vertices in `_mark`, one entry per vertex, with
+    a fresh pair of stamps per call from the rising counter `_stamp`, so a
     stamp left by an earlier call is below the current pair and reads as
     unmarked, and no call has to clear the list.
     """
@@ -165,6 +178,7 @@ class MutableGraph:
             self._per_degree[len(a)] += 1
         self._max = g.max_degree()
         self._heap: list[int] | None = None
+        self._forest: list[set[int]] | None = None
         self._order: list[Edge] = []
         self._top = 0
         self._mark = [0] * g.n
@@ -197,6 +211,8 @@ class MutableGraph:
         while top and not per[top]:
             top -= 1
         self._max = top
+        if self._forest is not None and v in self._forest[u]:
+            self._heap = self._forest = None
 
     def add_edge(self, u: int, v: int) -> None:
         self._edges[(u, v) if u < v else (v, u)] = None
@@ -210,24 +226,43 @@ class MutableGraph:
         per[dv - 1] -= 1
         per[dv] += 1
         self._max = max(self._max, du, dv)
-        self._heap = None
+        self._heap = self._forest = None
 
     def graph(self) -> Graph:
         """The current edge set as an immutable Graph."""
         return Graph(self.n, self._edges)
 
+    def _build_picker(self) -> None:
+        """Build the heap and the forest of the current edges (see the
+        class)."""
+        adj = self.adj
+        order = self._order = list(self._edges)
+        top = self._top = 2 * self._max
+        size = len(order)
+        heap = self._heap = [
+            (top - len(adj[u]) - len(adj[v])) * size + i
+            for i, (u, v) in enumerate(order)
+        ]
+        heap.sort()  # a sorted list is a heap
+        forest = self._forest = [set() for _ in range(self.n)]
+        parent = list(range(self.n))
+        for key in reversed(heap):
+            u, v = order[key % size]
+            ru, rv = u, v
+            while parent[ru] != ru:
+                parent[ru] = ru = parent[parent[ru]]
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
+            if ru != rv:
+                parent[ru] = rv
+                forest[u].add(v)
+                forest[v].add(u)
+
     def _pick_cycle_edge(self) -> Edge:
         adj = self.adj
-        heap = self._heap
-        if heap is None:
-            order = self._order = list(self._edges)
-            top = self._top = 2 * self._max
-            size = len(order)
-            heap = self._heap = [
-                (top - len(adj[u]) - len(adj[v])) * size + i
-                for i, (u, v) in enumerate(order)
-            ]
-            heapq.heapify(heap)
+        if self._heap is None:
+            self._build_picker()
+        heap, forest = self._heap, self._forest
         order, top = self._order, self._top
         size = len(order)
         edges = self._edges
@@ -240,58 +275,63 @@ class MutableGraph:
                 heapq.heappop(heap)
             elif fresh > drop:
                 heapq.heapreplace(heap, fresh * size + i)
-            elif self._joined_without(u, v):
+            elif v not in forest[u] or self._replaced(u, v):
                 return e
             else:
                 heapq.heappop(heap)
         raise NoCycleEdgeError("every edge is a bridge")
 
-    def _joined_without(self, u: int, v: int) -> bool:
-        """Whether u and v stay connected once their edge uv is ignored.
+    def _replaced(self, u: int, v: int) -> bool:
+        """Whether the forest edge uv lies on a cycle; when it does, a graph
+        edge across the cut it makes takes its place in the forest.
 
-        Two breadth-first searches, one from each end, take turns expanding
-        one vertex each. They stop when one reaches a vertex of the other
-        (the edge lies on a cycle) or when either runs out of vertices (a
-        bridge), so a bridge costs about twice the smaller side it
-        separates. Each side's queue is a list read through a head index.
-        A vertex reached from u is marked a and one reached from v is
-        marked b = a + 1, the call's two stamps; any mark below a is
-        unmarked.
+        forest - uv has two trees, one holding u and one holding v. They
+        are walked in turns, one vertex each, until one runs out, so the
+        walk costs about twice the smaller tree S. The forest spans the
+        graph's components, so a graph edge other than uv that leaves S
+        ends in the other tree and joins u and v without uv; S's vertices
+        are scanned for one, and with none uv is a bridge and stays. The
+        walk marks u's tree a and v's tree b = a + 1, the call's two
+        stamps; any mark below a is unmarked. A forest edge whose trees
+        are both large still costs a walk of the smaller, up to half of
+        the component.
         """
-        adj, mark = self.adj, self._mark
+        forest, mark = self._forest, self._mark
         a = self._stamp + 1
         b = self._stamp = a + 1
-        adj[u].remove(v)
-        adj[v].remove(u)
-        try:
-            mark[u] = a
-            mark[v] = b
-            qa, qb = [u], [v]
-            ia = ib = 0
-            while True:
-                if ia == len(qa):
-                    return False
-                for w in adj[qa[ia]]:
-                    t = mark[w]
-                    if t < a:
-                        mark[w] = a
-                        qa.append(w)
-                    elif t == b:
-                        return True
-                ia += 1
-                if ib == len(qb):
-                    return False
-                for w in adj[qb[ib]]:
-                    t = mark[w]
-                    if t < a:
-                        mark[w] = b
-                        qb.append(w)
-                    elif t == a:
-                        return True
-                ib += 1
-        finally:
-            adj[u].add(v)
-            adj[v].add(u)
+        mark[u] = a
+        mark[v] = b
+        qa, qb = [u], [v]
+        ia = ib = 0
+        while True:
+            if ia == len(qa):
+                side, s, r, o = qa, a, u, v
+                break
+            for w in forest[qa[ia]]:
+                if mark[w] < a:
+                    mark[w] = a
+                    qa.append(w)
+            ia += 1
+            if ib == len(qb):
+                side, s, r, o = qb, b, v, u
+                break
+            for w in forest[qb[ib]]:
+                if mark[w] < a:
+                    mark[w] = b
+                    qb.append(w)
+            ib += 1
+        adj = self.adj
+        for x in side:
+            if len(adj[x]) == len(forest[x]):
+                continue  # every edge of x is a forest edge of S, or uv
+            for w in adj[x]:
+                if mark[w] != s and (x != r or w != o):
+                    forest[u].remove(v)
+                    forest[v].remove(u)
+                    forest[x].add(w)
+                    forest[w].add(x)
+                    return True
+        return False
 
 
 def closed_neighborhood_masks(g: Graph) -> list[int]:
@@ -419,14 +459,20 @@ def pick_cycle_edge(g: Graph | MutableGraph) -> Edge:
 
     On a MutableGraph the choice is incremental over a run of deletions
     (see MutableGraph): only the edge at the top of its integer-keyed
-    candidate heap is tested, by a two-sided search that ignores the edge
-    and marks vertices with the call's own stamps in a list the
-    MutableGraph keeps, and bridges found on the way are never tested
-    again. A Graph gets a fresh MutableGraph.
-    In the typical case a pick costs a few heap operations and a short
-    search, not a pass over the whole graph. In the worst case, an edge on
-    only one long cycle, the search still explores its whole 2-edge-connected
-    component, so a pick can cost as much as a full bridge search.
+    candidate heap is tested, and bridges found on the way are never
+    tested again. The MutableGraph also keeps a spanning forest. An edge
+    outside it lies on a cycle, which the forest proves with no search, and
+    most picks are such edges. A forest edge is tested by walking the two
+    trees it splits the forest into, in turns, and scanning the smaller for
+    another graph edge that leaves it: one found takes the picked edge's
+    place in the forest (the replacement step of decremental connectivity,
+    after Holm, de Lichtenberg and Thorup, without their levels), and with
+    none the edge is a bridge. A Graph gets a fresh MutableGraph.
+    In the typical case a pick costs a few heap operations and a membership
+    test, not a pass over the whole graph. In the worst case, a forest edge
+    that splits its tree into two large trees, the walk still covers the
+    smaller, so a pick can cost a good share of a full bridge search; the
+    levelled structure of Holm, de Lichtenberg and Thorup would bound it.
 
     The degree-sum rule is load-bearing: a picker that took the non-tree
     edges of a DFS spanning tree picked an edge with both ends of degree 2

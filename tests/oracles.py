@@ -232,3 +232,15 @@ def greedy_completion(n: int, edges, xs, ys, start, dominate: bool):
         if pick is None:
             return None
         code.add(pick)
+
+
+def carried_sets(rs):
+    """The sets of rs, bitmasks, in order, less every set that strictly
+    holds a set of rs with at most two members: one filter of the whole
+    list per small set, the exact search's rule before it became one
+    pass."""
+    out = rs
+    for t in rs:
+        if t.bit_count() <= 2:
+            out = [r for r in out if r & t != t or r == t]
+    return out

@@ -583,7 +583,7 @@ def _counted_inits(monkeypatch, cls) -> list[None]:
 def test_tree_base_prunes_the_descent_in_place(monkeypatch):
     # The descent deletes 101 edges down to a tree of 200 vertices, which is
     # pruned on the descent's own adjacency; its table starts the restores,
-    # and only a patch builds another.
+    # and each quick patch adds its vertices to that table in place.
     g = random_triangle_free(200, 300, 0)
     graphs = _counted_inits(monkeypatch, Graph)
     tables = _counted_inits(monkeypatch, SignatureTable)
@@ -591,9 +591,8 @@ def test_tree_base_prunes_the_descent_in_place(monkeypatch):
     built = (len(graphs), len(tables))
     monkeypatch.undo()
     assert {s.label for s in cert.trace} == {"TreeBase", "ClaimB"}
-    patches = sum("patched with" in s.detail for s in cert.trace)
-    assert patches >= 1
-    assert built == (0, 1 + patches)
+    assert any("patched with" in s.detail for s in cert.trace)
+    assert built == (0, 1)
     check_certificate(g, cert)
 
 

@@ -14,9 +14,11 @@ code. A hypothesis property compares _Search with a naive copy of the
 kernel that rebuilt its whole violation list at every node and packed in
 branching order, and another compares the root list with the plain
 filtered list of every pair of every signature class. A third checks the
-carried list against its plain rule, and an example of the first one
-branches on a root set the carried list leaves out, so the cursor over the
-root list, not the head of the carried list, picks the branch. Two more
+carried list against its plain rule, and a fourth checks the one-pass
+filter against tests/oracles.py's filter per small set on any int list.
+An example of the first one branches on a root set the carried list
+leaves out, so the cursor over the root list, not the head of the carried
+list, picks the branch. Two more
 examples are cut at the root by the fixing: C14 capped below its gamma,
 and an instance whose one-short packing leaves three pairwise meeting
 parts in one packed set.
@@ -34,6 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idcodes.exact
+import oracles
 from idcodes import (
     Graph,
     GuaranteeError,
@@ -419,6 +422,24 @@ def test_carried_list_drops_exactly_the_supersets_of_small_sets(inst, code_set):
     small = [t for t in root if t.bit_count() <= 2]
     expected = [r for r in root if not any(t & r == t != r for t in small)]
     assert _Search._minimal(root) == expected
+
+
+_SMALL_SETS = st.one_of(
+    st.just(0),
+    st.integers(0, 11).map(lambda a: 1 << a),
+    st.tuples(st.integers(0, 11), st.integers(0, 11)).map(
+        lambda ab: 1 << ab[0] | 1 << ab[1]
+    ),
+    st.integers(0, (1 << 12) - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SMALL_SETS, max_size=30))
+def test_carried_list_matches_the_filter_per_small_set(rs):
+    # Any int list, with repeats, empty sets and sets of one or two bits:
+    # the one-pass filter keeps what one filter per small set keeps.
+    assert _Search._minimal(rs) == oracles.carried_sets(rs)
 
 
 def test_half_integral_step_cuts_the_triple_at_the_root():

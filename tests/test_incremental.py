@@ -20,9 +20,10 @@ text apart from the version line and the CorollaryPatch summary, which no
 longer says "brute-force". v2 coded trees above the exact size by pruning
 the whole vertex set; every certificate with no such tree step is
 byte-identical to the v1 certificate of the recursive construction that
-the iterative descent replaced. The signature table, the incremental
-prune, the cycle-edge picker with its stamped cycle test, and the mask
-kernel are checked against plain reference versions with hypothesis.
+the iterative descent replaced. The signature table with its in-place
+additions, the incremental prune, the cycle-edge picker with its spanning
+forest and stamped forest-edge test, and the mask kernel are checked
+against plain reference versions with hypothesis.
 """
 
 from __future__ import annotations
@@ -226,6 +227,23 @@ def test_drops_leave_the_table_of_the_smaller_code(gc):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(graph_and_code(), st.data())
+def test_add_leaves_the_table_of_the_larger_code(gc, data):
+    g, code = gc
+    outside = sorted(set(range(g.n)) - code)
+    if not outside:
+        return
+    c = data.draw(st.sampled_from(outside))
+    table = SignatureTable(g.adj, code)
+    table.add(c)
+    fresh = SignatureTable(g.adj, code | {c})
+    # A group's members are compared as a set: their order is not kept.
+    assert (table.code_mask, table.sig) == (fresh.code_mask, fresh.sig)
+    assert {s: sorted(xs) for s, xs in table.groups.items()} == fresh.groups
+    assert table.identifies() == fresh.identifies()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(2, 12).flatmap(
@@ -353,11 +371,92 @@ def test_incremental_pick_matches_full_bridge_search_on_long_descents(n):
         assert state.m == g.n - len(components(g))
 
 
+def _forest_edges(state: MutableGraph) -> list[tuple[int, int]]:
+    forest = state._forest
+    assert forest is not None
+    assert all(a in forest[b] for a in range(state.n) for b in forest[a])
+    return sorted((a, b) for a in range(state.n) for b in forest[a] if a < b)
+
+
+def _assert_spanning_forest(state: MutableGraph) -> None:
+    """The picker's forest holds only graph edges, has no cycle and joins
+    the ends of every graph edge outside it."""
+    if state._forest is None:
+        return
+    root = list(range(state.n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    forest = _forest_edges(state)
+    assert set(forest) <= set(state.edges)
+    for a, b in forest:
+        ra, rb = find(a), find(b)
+        assert ra != rb
+        root[ra] = rb
+    assert all(find(a) == find(b) for a, b in state.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_strategy(), st.data())
+def test_picker_keeps_a_spanning_forest(ne, data):
+    n, edges = ne
+    state = MutableGraph(Graph(n, edges))
+    for _ in range(data.draw(st.integers(1, 3 * len(edges) + 3))):
+        op = data.draw(st.sampled_from(["descend", "pick", "remove", "add"]))
+        current = list(state.edges)
+        if op in ("descend", "pick"):
+            try:
+                e = pick_cycle_edge(state)
+            except NoCycleEdgeError:
+                # Every edge is a bridge, so every edge is in the forest.
+                assert _forest_edges(state) == sorted(current)
+                continue
+            assert e not in _forest_edges(state)
+            if op == "descend":
+                state.remove_edge(*e)
+        elif op == "remove" and current:
+            state.remove_edge(*data.draw(st.sampled_from(current)))
+        elif op == "add":
+            missing = [(a, b) for a in range(n) for b in range(a + 1, n)
+                       if b not in state.adj[a]]
+            if missing:
+                state.add_edge(*data.draw(st.sampled_from(missing)))
+        _assert_spanning_forest(state)
+
+
+def test_forest_goes_with_a_forest_edge_removal_or_any_addition():
+    # A 4-cycle 0-1-2-3 with the pendant edge (3, 4). (0, 3) and (2, 3)
+    # have the top degree sum, and the forest takes the later one, (2, 3),
+    # so the pick (0, 3) is outside it and needs no test.
+    state = MutableGraph(Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]))
+    assert pick_cycle_edge(state) == (0, 3)
+    assert _forest_edges(state) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    state.remove_edge(0, 3)
+    assert state._forest is not None
+    # A path is all forest edges, each tested and found a bridge.
+    with pytest.raises(NoCycleEdgeError):
+        pick_cycle_edge(state)
+    state.add_edge(0, 4)
+    assert state._forest is None and state._heap is None
+    assert pick_cycle_edge(state) == (0, 1)
+    _assert_spanning_forest(state)
+    # Removing a forest edge outside a pick drops the heap and the forest,
+    # and the next pick rebuilds both.
+    state.remove_edge(2, 3)
+    assert state._forest is None and state._heap is None
+    with pytest.raises(NoCycleEdgeError):
+        pick_cycle_edge(state)
+    assert _forest_edges(state) == sorted(state.edges)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_graph_strategy(), st.data())
 def test_cycle_test_on_a_reused_state_matches_a_plain_search(ne, data):
-    # One MutableGraph answers many cycle tests in a row, between edge
-    # removals (bridges included) and additions, so a mark left by an
+    # One MutableGraph answers many forest-edge tests in a row, between
+    # edge removals (bridges included) and additions, so a mark left by an
     # earlier call must never read as a mark of the current one.
     n, edges = ne
     state = MutableGraph(Graph(n, edges))
@@ -365,12 +464,17 @@ def test_cycle_test_on_a_reused_state_matches_a_plain_search(ne, data):
         current = list(state.edges)
         op = data.draw(st.sampled_from(["ask", "ask", "remove", "add"]))
         if op == "ask" and current:
-            u, v = data.draw(st.sampled_from(current))
+            if state._forest is None:
+                state._build_picker()
+            u, v = data.draw(st.sampled_from(_forest_edges(state)))
             if data.draw(st.booleans()):
                 u, v = v, u
             expected = not oracles.is_bridge(n, current, (u, v))
-            assert state._joined_without(u, v) == expected
+            assert state._replaced(u, v) == expected
+            # A non-bridge hands its place in the forest to another edge.
+            assert ((min(u, v), max(u, v)) in _forest_edges(state)) != expected
             assert state.graph() == Graph(n, current)
+            _assert_spanning_forest(state)
         elif op == "remove" and current:
             state.remove_edge(*data.draw(st.sampled_from(current)))
         elif op == "add":
@@ -408,18 +512,19 @@ def test_mask_kernel_matches_per_neighbour_loops(ne, data):
 
 
 def test_construction_runs_without_a_full_bridge_search(monkeypatch):
-    # A cycle test finds either the level's pick or a bridge, which leaves
-    # the picker's heap for good. The descent picks at most m - n + 1
-    # edges and keeps n - 1, so it makes at most m tests in all, where a
-    # bridge search per level would make about m per level.
+    # A pick outside the forest needs no test. A forest-edge test finds
+    # either the level's pick or a bridge, which leaves the picker's heap
+    # for good. The descent picks at most m - n + 1 edges and keeps n - 1,
+    # so it makes at most m tests in all, where a bridge search per level
+    # would make about m per level.
     tests = []
-    joined = MutableGraph._joined_without
+    replaced = MutableGraph._replaced
 
     def counted(self, u, v):
         tests.append((u, v))
-        return joined(self, u, v)
+        return replaced(self, u, v)
 
-    monkeypatch.setattr(MutableGraph, "_joined_without", counted)
+    monkeypatch.setattr(MutableGraph, "_replaced", counted)
     g = random_triangle_free(120, 1200, 0)
     for build in (construct_triangle_free, construct_near_triangle_free):
         tests.clear()
