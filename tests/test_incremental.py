@@ -433,12 +433,14 @@ def test_forest_goes_with_a_forest_edge_removal_or_any_addition():
     # so the pick (0, 3) is outside it and needs no test.
     state = MutableGraph(Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]))
     assert pick_cycle_edge(state) == (0, 3)
+    assert state._stamp == 0  # no forest-edge test took stamps
     assert _forest_edges(state) == [(0, 1), (1, 2), (2, 3), (3, 4)]
     state.remove_edge(0, 3)
     assert state._forest is not None
     # A path is all forest edges, each tested and found a bridge.
     with pytest.raises(NoCycleEdgeError):
         pick_cycle_edge(state)
+    assert state._stamp == 2 * 4
     state.add_edge(0, 4)
     assert state._forest is None and state._heap is None
     assert pick_cycle_edge(state) == (0, 1)
