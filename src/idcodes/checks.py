@@ -10,9 +10,10 @@ This module is the one gate for vertex-set inputs: `_instance` range-checks
 (g, X, Y) for the checkers here, `refine` and `exact`, and `_infeasibility`
 is the one feasibility rule. Some subset of Y identifies X exactly when Y
 does (the generalised Bondy theorem), so Y alone decides, and names a
-witness when it fails. `_xy_instance` raises that witness for both `refine`
-and `exact`: a pair no candidate separates as NotSeparableError, a target
-no candidate dominates as its base class NotYIdentifiableError.
+witness when it fails. `_xy_instance` raises that witness for `refine`: a
+pair no candidate separates as NotSeparableError, a target no candidate
+dominates as its base class NotYIdentifiableError. `_identifiable` raises
+the twin pair as NotIdentifiableError for `exact` and the construction.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Exit codes (outcome class only, never timing):
     3   unreadable input (parse error, missing or non-ASCII file), or an
         output file that cannot be written
     4   domain error (disconnected, triangles, twins, bad options, ...)
-    5   search budget exhausted before an answer
+    5   exact search ran out of its node budget before proving a minimum
     70  internal error (including a broken construction guarantee)
 """
 
@@ -42,7 +42,6 @@ from .errors import (
     GuaranteeError,
     IdCodeError,
     NotIdentifiableError,
-    SearchBudgetError,
 )
 from .exact import gamma_id_exact
 from .families import (
@@ -388,9 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     except BoundMissedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BOUND_MISSED
-    except SearchBudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except GuaranteeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -126,10 +126,6 @@ class InvalidDeletionSetError(IdCodeError, ValueError):
     """An explicit edge-deletion set is unusable for the patch pipeline."""
 
 
-class SearchBudgetError(IdCodeError, RuntimeError):
-    """A decision search exhausted its node budget before reaching an answer."""
-
-
 class GuaranteeError(IdCodeError, RuntimeError):
     """A step of the construction or of the exact search broke a guarantee
     that the paper or the algorithm proves.

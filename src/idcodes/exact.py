@@ -99,18 +99,19 @@ completions no smaller than the incumbent of its time, and the search
 takes a leaf only when it is strictly smaller than the incumbent, which
 only falls, so none of them would ever have been taken; every other node
 is tried in the same depth-first order, since neither changes a node's
-branching violation or the order of its candidates. A completed or capped
-search thus returns the same code with them as without them, and only the
-node count falls.
+branching violation or the order of its candidates. A completed search
+thus returns the same code with them as without them, and only the node
+count falls.
 
 The search tree is walked depth first on an explicit stack (see _walk),
 so no input, however deep its codes, recurses in Python.
 
 Greedy completion, which sets the first incumbent, is refine's max-settle
 refinement of the partition of X by code signature (refine._complete).
-Instances come from checks' gate (checks._xy_instance), so an infeasible
-one raises the exception and witness refine raises, and a chord is
-admitted by the rule for any added edge (graphs._admissible_addition).
+Instances come from checks' gate (checks._identifiable), so a graph with
+closed twins raises NotIdentifiableError naming the smallest pair, and a
+chord is admitted by the rule for any added edge
+(graphs._admissible_addition).
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .checks import _as_mask, _identifiable, _xy_instance, is_identifying
-from .errors import GuaranteeError, NotIdentifiableError, SearchBudgetError
+from .checks import _identifiable, is_identifying
+from .errors import GuaranteeError, NotIdentifiableError
 from .graphs import Graph, _admissible_addition, _bits, linear_order
 from .refine import _classes, _complete
 
@@ -145,10 +146,6 @@ class _OutOfBudget(Exception):
     pass
 
 
-class _FoundEnough(Exception):
-    pass
-
-
 class _Search:
     """One branch-and-bound run over a fixed (X, Y) instance.
 
@@ -168,7 +165,6 @@ class _Search:
         self.budget = DEFAULT_NODE_BUDGET
         self.best_size = 0
         self.best_mask: int | None = None
-        self.cap: int | None = None
         self.root: list[int] = []
 
     def _violations(self, code: int) -> list[int]:
@@ -254,11 +250,9 @@ class _Search:
         self.nodes += 1
         if not rs:
             size = code.bit_count()
-            if self.best_mask is None or size < self.best_size:
+            if size < self.best_size:
                 self.best_size = size
                 self.best_mask = code
-                if self.cap is not None:
-                    raise _FoundEnough
             return
         # A violation is open, so every completion adds one vertex at least:
         # with room for one at most, no smaller code lies below.
@@ -361,55 +355,27 @@ class _Search:
             else:
                 return
 
-    def run(
-        self,
-        required: int,
-        budget: int,
-        cap: int | None = None,
-    ) -> tuple[int | None, bool]:
+    def run(self, required: int, budget: int) -> tuple[int | None, bool]:
         """Search for a minimum code that holds required, which must lie
-        within the candidates, or with a cap for the first code of at most
-        cap vertices. Returns (best_mask_or_None,
-        completed_without_budget_exhaustion)."""
+        within the candidates, from the greedy completion of required as
+        the first incumbent. Returns (best code mask, completed within the
+        budget); a required set that is already a code is returned at
+        once."""
         self.budget = budget
         self.nodes = 0
-        self.cap = cap
-        self.best_mask = None
         greedy = _complete(self.masks, self.xs, self.allowed, required, True)
-        if cap is None:
-            if greedy is None:
-                raise GuaranteeError(
-                    "greedy completion stuck on a feasible instance"
-                )
-            self.best_size = greedy.bit_count()
-            self.best_mask = greedy
-            if self.best_size == required.bit_count():
-                return self.best_mask, True
-        else:
-            self.best_size = cap + 1
-            if greedy is not None and greedy.bit_count() <= cap:
-                return greedy, True
+        if greedy is None:
+            raise GuaranteeError("greedy completion stuck on a feasible instance")
+        self.best_size = greedy.bit_count()
+        self.best_mask = greedy
+        if self.best_size == required.bit_count():
+            return greedy, True
         self.root = self._violations(required)
         try:
             self._walk(required)
         except _OutOfBudget:
             return self.best_mask, False
-        except _FoundEnough:
-            return self.best_mask, True
         return self.best_mask, True
-
-
-def _minimum(
-    masks: list[int], xs: list[int], allowed: int, required: int, node_budget: int
-) -> ExactResult:
-    """A minimum code of a feasible instance that contains `required`."""
-    search = _Search(masks, xs, allowed)
-    best, done = search.run(required, node_budget)
-    if best is None:
-        raise GuaranteeError(
-            "exact search ended without a code on a feasible instance"
-        )
-    return ExactResult(best.bit_count(), tuple(_bits(best)), search.nodes, done)
 
 
 def gamma_id_exact(
@@ -421,56 +387,13 @@ def gamma_id_exact(
     A blown node budget yields ExactResult(optimal=False) holding the best
     verified code found.
     """
-    masks, xs, allowed = _identifiable(g)
-    return _minimum(masks, xs, allowed, 0, node_budget)
-
-
-def min_xy_identifying_exact(
-    g: Graph,
-    x: Iterable[int],
-    y: Iterable[int],
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> ExactResult:
-    """Minimum code drawn from Y that identifies X.
-
-    Raises as greedy_xy_identifying does when Y cannot identify X at all:
-    NotSeparableError, a NotYIdentifiableError, naming the
-    lexicographically smallest pair no candidate separates, else
-    NotYIdentifiableError naming the lowest target no candidate dominates.
-    Raises VertexRangeError for a vertex of X or Y outside the
-    graph.
-    """
-    masks, xs, allowed = _xy_instance(g, x, y)
-    return _minimum(masks, xs, allowed, 0, node_budget)
-
-
-def min_identifying_containing(
-    g: Graph,
-    required: Iterable[int],
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> ExactResult:
-    """Minimum identifying code forced to contain the given vertices."""
-    masks, xs, allowed = _identifiable(g)
-    required_mask = _as_mask(required, g.n, "required")
-    return _minimum(masks, xs, allowed, required_mask, node_budget)
-
-
-def identifying_code_at_most(
-    g: Graph, cap: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[int, ...] | None:
-    """Some identifying code of size <= cap, or None when none exists.
-
-    Raises SearchBudgetError when the budget runs out undecided, and
-    NotIdentifiableError when the graph has closed twins.
-    """
-    masks, xs, allowed = _identifiable(g)
-    search = _Search(masks, xs, allowed)
-    best, done = search.run(0, node_budget, cap=cap)
-    if best is None and not done:
-        raise SearchBudgetError(
-            f"undecided after {search.nodes} nodes (cap {cap})"
+    search = _Search(*_identifiable(g))
+    best, done = search.run(0, node_budget)
+    if best is None:
+        raise GuaranteeError(
+            "exact search ended without a code on a feasible instance"
         )
-    return None if best is None else tuple(_bits(best))
+    return ExactResult(best.bit_count(), tuple(_bits(best)), search.nodes, done)
 
 
 def _tree_minimum(adj: Sequence[Iterable[int]]) -> list[int]:

@@ -210,7 +210,3 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
             for x in adj[u]:
                 expected[x] ^= bit
     return {v: image[v] for v in order}
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return find_isomorphism(g, h) is not None

@@ -18,32 +18,12 @@ a heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from typing import Iterable
 
-from .checks import _signatures, _xy_instance
+from .checks import _xy_instance
 from .errors import GuaranteeError
-from .graphs import Graph, _bits, _groups
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Blocks of X grouped by code signature, each sorted, ordered lexicographically."""
-
-    parts: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.parts)
-
-
-def partition_by_code(
-    g: Graph, x: Iterable[int], code: Iterable[int]
-) -> Partition:
-    """Partition of X into classes of equal code signature."""
-    parts = _groups(*_signatures(g, code, x)).values()
-    return Partition(tuple(sorted(tuple(p) for p in parts)))
+from .graphs import Graph, _bits
 
 
 def _classes(masks: list[int], xs: list[int], code: int) -> dict[int, int]:

@@ -16,9 +16,6 @@ from idcodes import (
     induced_subgraph,
     is_identifying,
     is_xy_identifying,
-    min_identifying_containing,
-    min_xy_identifying_exact,
-    partition_by_code,
     unseparated_pairs,
     violations,
 )
@@ -128,30 +125,23 @@ P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         (lambda: is_identifying(P4, (0, 99)), 99),
         (lambda: is_xy_identifying(P4, (0, 99), (0, 1), (0,)), 99),
         (lambda: is_xy_identifying(P4, (0, 1), (0, 1, 99), (0,)), 99),
-        (lambda: partition_by_code(P4, (0, 99), (1,)), 99),
-        (lambda: partition_by_code(P4, (0, 1), (-2,)), -2),
         (lambda: greedy_separating(P4, (0, 99), (0,)), 99),
         (lambda: greedy_separating(P4, (0, 1), (0, 99)), 99),
         (lambda: greedy_xy_identifying(P4, (99,), (0,)), 99),
         (lambda: greedy_xy_identifying(P4, (0, 1), (-1, 0)), -1),
-        (lambda: min_xy_identifying_exact(P4, (0, 99), (0, 1)), 99),
-        (lambda: min_xy_identifying_exact(P4, (0, 1), (0, 99)), 99),
-        (lambda: min_identifying_containing(P4, (0, 99)), 99),
         (lambda: induced_subgraph(P4, (0, 4)), 4),
     ],
     ids=[
         "violations-code", "violations-x", "unseparated_pairs-code",
         "unseparated_pairs-x",
         "is_identifying", "is_xy_identifying-x", "is_xy_identifying-y",
-        "partition_by_code-x", "partition_by_code-code",
         "greedy_separating-x", "greedy_separating-y",
         "greedy_xy_identifying-x", "greedy_xy_identifying-y",
-        "min_xy_identifying_exact-x", "min_xy_identifying_exact-y",
-        "min_identifying_containing", "induced_subgraph",
+        "induced_subgraph",
     ],
 )
 def test_out_of_range_vertices_are_rejected_everywhere(call, vertex):
-    # Every public function taking a code, X, Y or a required set rejects a
+    # Every public function taking a code, X or Y rejects a
     # vertex outside 0..n-1 by name, never by an IndexError, a wrong answer
     # or a negative index read as vertex n - 1.
     with pytest.raises(VertexRangeError, match=rf"vertex {vertex} out of range"):

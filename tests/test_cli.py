@@ -16,7 +16,7 @@ from idcodes import (
     ExactResult,
     Graph,
     GuaranteeError,
-    SearchBudgetError,
+    gamma_id_exact,
     load_graph,
     parse_graph,
     serialize_graph,
@@ -84,6 +84,18 @@ def test_exact_output(tmp_path, capsys):
 def test_exact_on_twins_exits_domain(tmp_path, capsys):
     gp = write_graph(tmp_path, "k2.graph", Graph(2, [(0, 1)]))
     assert main(["exact", gp]) == 4
+
+
+def test_exact_out_of_budget_exits_5(tmp_path, capsys, monkeypatch):
+    # One node proves no minimum on C12: the verb prints the greedy code
+    # it holds, says it is not optimal, and exits 5.
+    monkeypatch.setattr(
+        idcodes.cli, "gamma_id_exact", lambda g: gamma_id_exact(g, node_budget=1)
+    )
+    gp = write_graph(tmp_path, "c12.graph", cycle_graph(12))
+    assert main(["exact", gp]) == 5
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == ["nodes 1", "optimal no"]
 
 
 def test_construct_certificate_file(tmp_path, capsys):
@@ -335,7 +347,6 @@ def test_report_leaves_gamma_out_when_the_search_is_not_optimal(
     "error, exit_code",
     [
         (BoundMissedError((0, 1, 2), 9, 2, "forced"), 2),
-        (SearchBudgetError("forced"), 5),
         (GuaranteeError("forced"), 70),
     ],
 )

@@ -16,16 +16,10 @@ from idcodes import (
     Graph,
     GuaranteeError,
     NotIdentifiableError,
-    NotYIdentifiableError,
-    SearchBudgetError,
-    VertexRangeError,
     cycle_identifying_code,
     gamma_id_closed_form,
     gamma_id_exact,
-    identifying_code_at_most,
     is_identifying,
-    min_identifying_containing,
-    min_xy_identifying_exact,
     odd_cycle_plus_chord_code,
     path_identifying_code,
 )
@@ -95,69 +89,10 @@ def test_exact_budget_exhaustion_keeps_best_code():
     assert is_identifying(cycle(12), res.code)  # greedy incumbent survives
 
 
-def test_at_most_decides_both_ways():
-    g = cycle(10)  # gamma is 5
-    assert identifying_code_at_most(g, 4) is None
-    code = identifying_code_at_most(g, 5)
-    assert code is not None and len(code) <= 5
-    assert is_identifying(g, code)
-    # C11 capped at 6, one below its gamma of 7, takes 9 nodes to decide.
-    with pytest.raises(SearchBudgetError):
-        identifying_code_at_most(cycle(11), 6, node_budget=2)
-    with pytest.raises(NotIdentifiableError):
-        identifying_code_at_most(Graph(2, [(0, 1)]), 2)
-
-
-def test_min_identifying_containing():
-    g = path(6)
-    res = min_identifying_containing(g, (5,))
-    assert 5 in res.code
-    assert is_identifying(g, res.code)
-    assert res.size >= gamma_id_exact(g).size
-    # Brute-force the same constrained minimum.
-    best = None
-    for k in range(1, 7):
-        for combo in combinations(range(6), k):
-            if 5 in combo and oracles.is_id_code(6, g.edges, combo):
-                best = k
-                break
-        if best:
-            break
-    assert res.size == best
-
-
-def test_min_xy_exact_matches_bruteforce():
-    rng = random.Random(12)
-    for seed in range(60):
-        n = 4 + seed % 5
-        g = random_graph(n, 3 + seed % 9, 5000 + seed)
-        xs = sorted(rng.sample(range(n), 2 + seed % (n - 1)))
-        ys = sorted(rng.sample(range(n), 2 + (seed + 2) % (n - 1)))
-        expected = oracles.min_xy_code(n, g.edges, xs, ys)
-        if expected is None:
-            with pytest.raises(NotYIdentifiableError):
-                min_xy_identifying_exact(g, xs, ys)
-            continue
-        res = min_xy_identifying_exact(g, xs, ys)
-        assert res.size == expected[0]
-        assert set(res.code) <= set(ys)
-
-
-def test_min_xy_witnesses():
-    g = path(3)
-    with pytest.raises(NotYIdentifiableError) as ei:
-        min_xy_identifying_exact(g, (0,), (2,))
-    assert ei.value.witness == 0
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(NotYIdentifiableError) as ei:
-        min_xy_identifying_exact(star, (1, 2, 3), (0,))
-    assert ei.value.witness == (1, 2)
-
-
 def test_p3_full_xy_minimum_is_two():
     # X = Y = V on the 3-path: {0, 2} gives signatures {0}, {0,2}, {2}.
     g = path(3)
-    res = min_xy_identifying_exact(g, range(3), range(3))
+    res = gamma_id_exact(g)
     assert res.size == 2
     assert oracles.min_xy_code(3, g.edges, range(3), range(3))[0] == 2
 
@@ -247,30 +182,13 @@ def test_entry_points_build_the_masks_once(monkeypatch):
     # Closed twins {1, 2} and {0, 5}: the witness is the smallest pair, not
     # the first repeat a scan in vertex order meets.
     twins = Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (0, 4), (0, 5), (4, 5)])
-    entries = (
-        gamma_id_exact,
-        lambda g: min_identifying_containing(g, (0,)),
-        lambda g: identifying_code_at_most(g, 4),
-    )
-    for run in entries:
-        calls.clear()
-        run(path(7))
-        assert calls == [7]
-        calls.clear()
-        with pytest.raises(NotIdentifiableError) as err:
-            run(twins)
-        assert err.value.twins == (0, 5)
-        assert calls == [6]
-
-
-def test_out_of_range_vertices_are_rejected():
-    p4 = path(4)
-    with pytest.raises(VertexRangeError, match="target vertex 9"):
-        min_xy_identifying_exact(p4, [0, 9], range(4))
-    with pytest.raises(VertexRangeError, match="candidate vertex -1"):
-        min_xy_identifying_exact(p4, [0, 1], [-1, 0, 1])
-    with pytest.raises(VertexRangeError, match="required vertex 5"):
-        min_identifying_containing(path(5), [4, 5])
+    gamma_id_exact(path(7))
+    assert calls == [7]
+    calls.clear()
+    with pytest.raises(NotIdentifiableError) as err:
+        gamma_id_exact(twins)
+    assert err.value.twins == (0, 5)
+    assert calls == [6]
 
 
 @pytest.mark.parametrize("n", [7, 9])

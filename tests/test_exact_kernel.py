@@ -1,27 +1,26 @@
 """The exact search kernel.
 
-The outputs of the exact entry points are pinned by digest, twice. The
-`PINNED` records hold the node count, so those digests pin the search tree
+The outputs of gamma_id_exact are pinned by digest, twice. The `PINNED`
+records hold the node count, so those digests pin the search tree
 itself; they were recorded from the kernel that packs its bound smallest
 resolver set first, on a root list without dominated violations, fixes
 out every vertex that a packing one vertex short of a cut leaves to no
 strictly better code, and skips a child that an excluded vertex
-dominates. The `PINNED_CODES` digests cover the same records with the
-node counts left out, and were recorded from an older kernel, which
-packed in branching order and fixed no vertex out: a tighter bound and
-the fixing may only shrink the tree, never change a completed search's
-code. A hypothesis property compares _Search with a naive copy of the
-kernel that rebuilt its whole violation list at every node and packed in
-branching order, and another compares the root list with the plain
-filtered list of every pair of every signature class. A third checks the
-carried list against its plain rule, and a fourth checks the one-pass
-filter against tests/oracles.py's filter per small set on any int list.
-An example of the first one branches on a root set the carried list
-leaves out, so the cursor over the root list, not the head of the carried
-list, picks the branch. Two more
-examples are cut at the root by the fixing: C14 capped below its gamma,
-and an instance whose one-short packing leaves three pairwise meeting
-parts in one packed set.
+dominates. The `PINNED_CODES` digest covers the completed searches'
+records with the node counts left out, and was recorded from an older
+kernel, which packed in branching order and fixed no vertex out: a
+tighter bound and the fixing may only shrink the tree, never change a
+completed search's code. A hypothesis property compares _Search with a
+naive copy of the kernel that rebuilt its whole violation list at every
+node and packed in branching order, and another compares the root list
+with the plain filtered list of every pair of every signature class. A
+third checks the carried list against its plain rule, and a fourth
+checks the one-pass filter against tests/oracles.py's filter per small
+set on any int list. An example of the first one branches on a root set
+the carried list leaves out, so the cursor over the root list, not the
+head of the carried list, picks the branch. Another is cut at the root
+by the fixing: an instance whose one-short packing leaves three pairwise
+meeting parts in one packed set.
 """
 
 from __future__ import annotations
@@ -40,20 +39,15 @@ import oracles
 from idcodes import (
     Graph,
     GuaranteeError,
-    NotYIdentifiableError,
-    SearchBudgetError,
     find_closed_twins,
     gamma_id_exact,
-    identifying_code_at_most,
     is_identifying,
     make_standard,
-    min_identifying_containing,
-    min_xy_identifying_exact,
+    random_triangle_free,
 )
 from idcodes.exact import _Search
 from idcodes.graphs import closed_neighborhood_masks
 from idcodes.refine import _complete
-from test_construct import GLUED_TREE
 
 
 def _random_graph(n: int, m: int, seed: int) -> Graph:
@@ -83,88 +77,31 @@ def _gamma(nodes: bool = True) -> list[str]:
     return [_line(gamma_id_exact(g), nodes) for g in _twin_free(80, 1, hi=19)]
 
 
-def _xy(nodes: bool = True) -> list[str]:
-    rng = random.Random(2)
-    out = []
-    for g in _twin_free(60, 3, hi=17):
-        xs = rng.sample(range(g.n), rng.randint(2, g.n - 1))
-        ys = rng.sample(range(g.n), rng.randint(g.n // 2, g.n - 1))
-        try:
-            out.append(_line(min_xy_identifying_exact(g, xs, ys), nodes))
-        except NotYIdentifiableError as err:
-            out.append(f"infeasible {err.witness}\n")
-    return out
-
-
-def _containing(nodes: bool = True) -> list[str]:
-    rng = random.Random(4)
-    out = []
-    for g in _twin_free(40, 5, hi=18):
-        required = rng.sample(range(g.n), rng.randint(1, 3))
-        out.append(_line(min_identifying_containing(g, required), nodes))
-    return out
-
-
-def _at_most(nodes: bool = True) -> list[str]:
-    out = []
-    for g in _twin_free(30, 6):
-        gamma = gamma_id_exact(g).size
-        full = (1 << g.n) - 1
-        for cap in (gamma - 2, gamma - 1, gamma):
-            out.append(f"{identifying_code_at_most(g, cap)}\n")
-            search = _Search(closed_neighborhood_masks(g), list(range(g.n)), full)
-            best, done = search.run(0, 10**6, cap=cap)
-            count = f" {search.nodes}" if nodes else ""
-            out.append(f"{best} {done}{count}\n")
-    return out
-
-
 def _budget() -> list[str]:
     out = []
     for i, g in enumerate(_twin_free(30, 7, lo=12, hi=16)):
         budget = 3 + 7 * i
         out.append(_line(gamma_id_exact(g, node_budget=budget)))
-        out.append(_line(min_identifying_containing(g, (i % g.n,), budget)))
-        out.append(_line(min_xy_identifying_exact(g, range(g.n), range(g.n), budget)))
-        try:
-            out.append(f"{identifying_code_at_most(g, g.n // 3, budget)}\n")
-        except SearchBudgetError:
-            out.append("undecided\n")
     return out
 
 
-# entry point: (records, sha256 of the concatenated records)
+# record set: (records, sha256 of the concatenated records)
 PINNED = {
     "gamma": (
         _gamma,
         "eda34e1cec826b76bae0995b5a4bfedf55c9f692c89c7d31079d09aef5ec71d2",
     ),
-    "xy": (
-        _xy,
-        "bd2cff4a4d615b5aa5abea77a22eec0ddcab61f7671346540dfdc2ab7f2a88d2",
-    ),
-    "containing": (
-        _containing,
-        "2c222b608da350a428d11b203b7312f47c34febb19951168c639f2521aebb903",
-    ),
-    "at_most": (
-        _at_most,
-        "b6753698a11fff3079191fcc78037de535ef108cbdce3c60b27e82e3577c0363",
-    ),
     "budget": (
         _budget,
-        "366f211c71d84e7d5db83f77cf7923721dffed6d786b6cba3f2f7959e470d061",
+        "983ea70abfab9cb6aaea0c5b5409c32039b663f75452f1414437bf174ad3f4a3",
     ),
 }
 
 
-# entry point: sha256 of the same records with the node counts left out,
+# record set: sha256 of the same records with the node counts left out,
 # recorded from the kernel that packed its bound in branching order
 PINNED_CODES = {
     "gamma": "77ad6297075566ed9198eca30953aeeaf6811da75e28984d37de938fb4760da6",
-    "xy": "2e144d4708d009c92ddd1fa3108404615b3bf7c89756585b9ce52dc8224d9124",
-    "containing": "42336796ed5ed40a93d757c55bbfe05feb2b8c20b2346990bbe70556fe947c32",
-    "at_most": "98df08020e931ec829d27ca2d85646cf589d6a1cd4243d137c4bcb1911225a30",
 }
 
 
@@ -229,10 +166,8 @@ class _NaiveSearch:
         resolvers = self.violation_resolvers(code)
         if not resolvers:
             size = code.bit_count()
-            if self.best_mask is None or size < self.best_size:
+            if size < self.best_size:
                 self.best_size, self.best_mask = size, code
-                if self.stop_first:
-                    raise StopIteration
             return
         usable = self.allowed & ~code & ~banned
         first = resolvers[0] & usable
@@ -253,24 +188,16 @@ class _NaiveSearch:
                 self.node(code | 1 << w, banned)
                 banned |= 1 << w
 
-    def run(self, required, budget, cap=None, stop_first=False):
-        self.budget, self.nodes, self.stop_first = budget, 0, stop_first
-        self.best_mask = None
+    def run(self, required, budget):
+        self.budget, self.nodes = budget, 0
         greedy = self.greedy_code(required)
-        if cap is None:
-            self.best_size, self.best_mask = greedy.bit_count(), greedy
-            if self.best_size == required.bit_count():
-                return greedy, True
-        else:
-            self.best_size = cap + 1
-            if greedy is not None and greedy.bit_count() <= cap:
-                return greedy, True
+        self.best_size, self.best_mask = greedy.bit_count(), greedy
+        if self.best_size == required.bit_count():
+            return greedy, True
         try:
             self.node(required, 0)
         except OverflowError:
             return self.best_mask, False
-        except StopIteration:
-            return self.best_mask, True
         return self.best_mask, True
 
 
@@ -328,31 +255,22 @@ def _feasible(masks, xs, allowed) -> bool:
     return all(sigs) and len(set(sigs)) == len(sigs)
 
 
-def _size(mask: int | None) -> float:
-    """The size of a code mask, no code counting as the worst."""
-    return float("inf") if mask is None else mask.bit_count()
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     instances(),
     st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, 12))),
-    st.one_of(st.none(), st.integers(0, 13)),
     st.one_of(st.just(10**6), st.integers(1, 400)),
 )
 # The half-integral triple: cut at the root against the greedy code {3, 4}.
-@example(_half_integral_triple(), frozenset(), None, 10**6)
+@example(_half_integral_triple(), frozenset(), 10**6)
 # Three pairwise meeting parts in one file: cut at the root by the fixing.
-@example(_three_parts(), frozenset(range(4)), None, 10**6)
-# C14 capped one below its gamma of 7: decided at the root by the fixing.
-@example(_cycle(14), frozenset(), 6, 10**6)
+@example(_three_parts(), frozenset(range(4)), 10**6)
 # Here the naive packing prunes at the root, while smallest first packs to 1
 # and the search takes 6 nodes: under a 1-node budget only the naive search
 # completes, so a tighter bound does not mean fewer nodes on every input.
 @example(
     ([37, 86, 231, 248, 218, 109, 254, 220], [3, 4, 6], 255),
     frozenset(),
-    None,
     1,
 )
 # The root's first open violation, vertex 0's set {0, 3, 4, 5, 6}, strictly
@@ -362,19 +280,17 @@ def _size(mask: int | None) -> float:
 @example(
     ([121, 22, 86, 73, 119, 49, 93], [0, 1, 2, 3, 4, 5, 6], 127),
     frozenset(),
-    None,
     10**6,
 )
-def test_search_matches_naive_kernel(inst, start_set, cap, budget):
+def test_search_matches_naive_kernel(inst, start_set, budget):
     masks, xs, allowed = inst
     start = _mask(start_set) & allowed
     new, old = _Search(masks, xs, allowed), _NaiveSearch(masks, xs, allowed)
     assert _complete(masks, xs, allowed, start, True) == old.greedy_code(start)
     if not _feasible(masks, xs, allowed):
         return
-    # A cap asks for the first code within it.
-    best, done = old.run(start, budget, cap, cap is not None)
-    found = new.run(start, budget, cap)
+    best, done = old.run(start, budget)
+    found = new.run(start, budget)
     if done and found[1]:
         # Both bounds are valid, so each prunes only subtrees without a
         # strictly smaller code: the same incumbents and the same result.
@@ -383,7 +299,7 @@ def test_search_matches_naive_kernel(inst, start_set, cap, budget):
         # A search that completes holds a code no larger than one cut off
         # by its budget.
         complete, cut = (best, found[0]) if done else (found[0], best)
-        assert _size(complete) <= _size(cut)
+        assert complete.bit_count() <= cut.bit_count()
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,14 +388,23 @@ def test_fixing_cuts_three_pairwise_meeting_parts_at_the_root():
     assert (best.bit_count(), done, search.nodes) == (6, True, 1)
 
 
-@pytest.mark.parametrize("n", [10, 12, 14, 16, 20, 22, 30])
+# n: the nodes the search takes to prove gamma(C_n) = n/2
+_EVEN_CYCLE_NODES = {10: 8, 12: 20, 14: 12, 16: 23, 20: 27, 22: 55, 30: 99}
+
+
+@pytest.mark.parametrize("n", sorted(_EVEN_CYCLE_NODES))
 def test_even_cycles_below_gamma_are_decided_at_the_root(n):
-    # gamma(C_n) = n/2. Capped at n/2 - 1, the root packs n/2 - 1 disjoint
-    # sets, one short, and the narrowing runs on round the cycle until some
-    # set has no vertex left, so the root is cut; before the fixing, C14
-    # and C20 took 4 nodes.
+    # gamma(C_n) = n/2. Against an incumbent of n/2 the root packs n/2 - 1
+    # disjoint sets, one short, and the narrowing runs on round the cycle
+    # until some set has no vertex left, so the root is cut and no code
+    # below n/2 is sought further; before the fixing, C14 and C20 took 4
+    # nodes to show that.
     search = _Search(*_cycle(n))
-    assert search.run(0, 10**6, cap=n // 2 - 1) == (None, True)
+    best, done = search.run(0, 10**6)
+    assert (best.bit_count(), done) == (n // 2, True)
+    assert search.nodes == _EVEN_CYCLE_NODES[n]
+    search.nodes = 0
+    assert search._node(0, 0, search._minimal(search.root), 0) is None
     assert search.nodes == 1
 
 
@@ -488,8 +413,6 @@ def test_stuck_greedy_raises_guarantee_error(monkeypatch):
     g = _twin_free(1, 8)[0]
     with pytest.raises(GuaranteeError):
         gamma_id_exact(g)
-    with pytest.raises(GuaranteeError):
-        min_identifying_containing(g, (0,))
 
 
 def test_search_without_a_code_raises_guarantee_error(monkeypatch):
@@ -497,8 +420,6 @@ def test_search_without_a_code_raises_guarantee_error(monkeypatch):
     g = _twin_free(1, 9)[0]
     with pytest.raises(GuaranteeError):
         gamma_id_exact(g)
-    with pytest.raises(GuaranteeError):
-        min_xy_identifying_exact(g, range(g.n), range(g.n))
 
 
 def test_search_on_a_long_path_does_not_recurse():
@@ -516,12 +437,9 @@ def test_search_on_a_long_path_does_not_recurse():
     assert is_identifying(g, res.code)
 
 
-def test_glued_tree_capped_search_skips_dominated_children():
-    # identifying_code_at_most's search on a hard tree: 24,423 nodes with
-    # the dominance cut, 346,555 without it.
-    n = GLUED_TREE.n
-    masks = closed_neighborhood_masks(GLUED_TREE)
-    search = _Search(masks, list(range(n)), (1 << n) - 1)
-    best, done = search.run(0, 10**6, cap=38)
-    assert done and best.bit_count() == 38
-    assert search.nodes <= 30_000
+def test_search_skips_dominated_children():
+    # A sparse triangle-free graph of 36 vertices: the search proves its
+    # gamma of 18 in 1,914 nodes with the dominance cut, 22,681 without it.
+    res = gamma_id_exact(random_triangle_free(36, 47, 1))
+    assert (res.size, res.optimal) == (18, True)
+    assert res.nodes_explored <= 2_500

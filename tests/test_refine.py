@@ -17,10 +17,9 @@ from idcodes import (
     NotYIdentifiableError,
     VertexRangeError,
     greedy_separating,
+    gamma_id_exact,
     greedy_xy_identifying,
     is_xy_identifying,
-    min_xy_identifying_exact,
-    partition_by_code,
 )
 from idcodes.graphs import closed_neighborhood_masks
 from idcodes.refine import _complete
@@ -104,14 +103,14 @@ def test_not_separable_witness():
         greedy_xy_identifying(star, (1, 2, 3), (0,))
 
 
-def test_partition_by_code_blocks():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    part = partition_by_code(g, range(4), (1,))
-    # Signature {1} for 0, 1, 2; empty for 3.
-    assert part.parts == ((0, 1, 2), (3,))
-    assert part.count == 2
-    full = partition_by_code(g, range(4), (0, 1, 2, 3))
-    assert full.count == 4
+def _blocks(g: Graph, xs, code) -> list[set[int]]:
+    """The partition of xs by code signature, N[x] & code."""
+    masks = closed_neighborhood_masks(g)
+    code_mask = sum(1 << c for c in code)
+    blocks: dict[int, set[int]] = {}
+    for x in xs:
+        blocks.setdefault(masks[x] & code_mask, set()).add(x)
+    return list(blocks.values())
 
 
 def test_refinement_is_monotone():
@@ -121,13 +120,12 @@ def test_refinement_is_monotone():
         if oracles.min_xy_code(g.n, g.edges, xs, ys) is None:
             continue
         code = greedy_xy_identifying(g, xs, ys)
-        prev = partition_by_code(g, xs, ())
+        prev = _blocks(g, xs, ())
         for k in range(len(code) + 1):
-            cur = partition_by_code(g, xs, code[:k])
-            assert cur.count >= prev.count
-            blocks = [set(b) for b in prev.parts]
-            for part in cur.parts:
-                assert sum(1 for b in blocks if set(part) <= b) == 1
+            cur = _blocks(g, xs, code[:k])
+            assert len(cur) >= len(prev)
+            for part in cur:
+                assert sum(1 for b in prev if part <= b) == 1
             prev = cur
 
 
@@ -136,7 +134,7 @@ def test_p3_greedy_within_bound_exact_is_two():
     code = greedy_xy_identifying(g, range(3), range(3))
     assert len(code) <= 3
     assert is_xy_identifying(g, range(3), range(3), code)
-    assert min_xy_identifying_exact(g, range(3), range(3)).size == 2
+    assert gamma_id_exact(g).size == 2
 
 
 def test_out_of_range_vertices_are_rejected():
@@ -151,10 +149,6 @@ def test_out_of_range_vertices_are_rejected():
         greedy_xy_identifying(p4, [-1, 2], [0, 1])
     with pytest.raises(VertexRangeError, match="candidate vertex 4"):
         greedy_xy_identifying(p4, [0, 1], [0, 1, 4])
-    with pytest.raises(VertexRangeError, match="target vertex 9"):
-        partition_by_code(p4, [0, 9], [1])
-    with pytest.raises(VertexRangeError, match="code vertex -2"):
-        partition_by_code(p4, [0, 1], [-2])
 
 
 def test_undominated_target_is_the_witness():
@@ -267,15 +261,13 @@ def _witness(run, g, xs, ys):
 
 @settings(max_examples=300, deadline=None)
 @given(completions())
-# Y = {0} separates neither 2 from 3 nor dominates 1: both entry points
+# Y = {0} separates neither 2 from 3 nor dominates 1: both greedy codes
 # name the pair first.
 @example((Graph(5, [(0, 2), (0, 3), (1, 4)]), [1, 2, 3], {0}, set(), True))
 def test_xy_entry_points_agree(inst):
     g, xs, ys, _, _ = inst
     greedy = _witness(greedy_xy_identifying, g, xs, ys)
-    exact = _witness(min_xy_identifying_exact, g, xs, ys)
     assert (greedy is None) == is_xy_identifying(g, xs, ys, ys)
-    assert exact == greedy
     separating = _witness(greedy_separating, g, xs, ys)
     if isinstance(greedy, tuple):
         assert separating == greedy
