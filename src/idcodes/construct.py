@@ -129,7 +129,7 @@ STEP_COMPONENT_ASSEMBLY = "ComponentAssembly"
 STEP_EXACT_FALLBACK = "ExactFallback"
 STEP_COROLLARY_PATCH = "CorollaryPatch"
 
-CERTIFICATE_VERSION = "idcodes-certificate v6"
+CERTIFICATE_VERSION = "idcodes-certificate v7"
 
 # Tree bases and paths plus a chord up to this order get a minimum code;
 # a larger tree is pruned, and a longer path plus a chord is descended into.

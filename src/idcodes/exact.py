@@ -2,44 +2,45 @@
 forms for paths and cycles, the optimal chorded odd cycle construction and
 a dynamic program that codes a tree minimally with no search (_tree_minimum).
 
-The solver works on closed-neighbourhood bitmasks. It branches on the first
-violation of the current partial code (lowest undominated vertex, else
-lexicographically first unseparated pair), trying each candidate resolver in
-ascending order with sibling exclusion, and prunes with a greedy packing of
-pairwise disjoint resolver sets (each one needs its own new code vertex).
+The solver works on closed-neighbourhood bitmasks. A violation of the
+current partial code is an undominated vertex or an unseparated pair, and
+its resolver set holds the candidates that would resolve it. The solver
+branches on the smallest open resolver set, the fail-first rule (Haralick
+and Elliott, Increasing tree search efficiency for constraint satisfaction
+problems, Artificial Intelligence, 1980), trying each candidate resolver
+in ascending order with sibling exclusion, and prunes with a greedy
+packing of pairwise disjoint resolver sets (each one needs its own new
+code vertex).
 
 A run lists the resolver sets of its root's violations once, in branching
-order: the root list. It leaves out every violation that an earlier one
-dominates, one whose resolver set holds the set of an earlier violation: a
+order (undominated vertices ascending, then pairs in lexicographic order),
+leaving out every violation whose set holds the set of an earlier one: a
 pair of undominated vertices with no common candidate, and a repeated set.
-Any vertex that resolves the earlier violation resolves the later one, so
-the later one is open only while the earlier one is, and the first open
-violation is never one left out. A violation is open exactly while the
-code misses its set, and adding a vertex never opens one, so a node's open
-violations are the root sets its code misses. The node branches on the
-first of them, which a cursor finds: it scans forward from the parent's
-cursor past the sets the code meets. A child's code meets the set its
-parent branched on, so its scan starts one set further on, and the scans
-along a path take one pass over the root list.
+Any vertex that resolves the earlier violation resolves the later one. A
+violation is open exactly while the code misses its set, and adding a
+vertex never opens one, so a node's open violations are those of the root
+whose sets its code misses.
 
-For its bound a node carries a shorter list: the open root sets less every
-set that strictly holds a root set of at most two candidates, about half
-the root list on the benchmark's n = 19 graphs. The child that adds w
-keeps the carried sets that do not hold w. A dropped set S strictly holds
-a carried set T of at most two candidates (the set it holds, or a single
-candidate that one holds), so S is open only while T is, and the node is a
-leaf exactly when it carries no set. When no resolver of S is usable, none
-of T is, so a violation with no usable resolver cuts the same nodes. The
-packing takes the sets smallest first, by a stable sort so that ties keep
-branching order, and stops as soon as the bound prunes. After the mask of
-excluded siblings T is either smaller than S, and then packs or meets the
-packing before S comes, or equal to S, and packs what S would; in the
-fixing step below T's part lies in S's, so T narrows and cuts wherever S
-would. So S never tightens the bound, and dropping it saves copying,
-masking and sorting it at every node. Where T equals S after the mask and
-comes after it, sets of the same size that lie between them in branching
-order may pack first, so the packing, and the node count, can differ from
-one over the whole list.
+A node carries a list of them: the root sets sorted by size, by a stable
+sort so that ties keep branching order, less every set that strictly
+holds a root set of at most two candidates, about half the list on the
+benchmark's n = 19 graphs. The child that adds w keeps the carried sets
+that do not hold w, in the same order. A dropped set S strictly holds a
+carried set T of at most two candidates (the set it holds, or a single
+candidate that one holds), so S is open only while T is, and the node is
+a leaf exactly when it carries no set. The head of the list is then the
+smallest open set, the first in branching order on a tie, since S is
+larger than T; the node branches on it, and which set that is depends
+only on the node's code. When no resolver of S is usable, none of T is,
+so a violation with no usable resolver cuts the same nodes. The packing
+takes the sets smallest first after the mask of excluded siblings, by a
+stable sort, and stops as soon as the bound prunes. T is smaller than S,
+and its part after the mask lies in S's, so T comes first both in the
+sorted list and in the packing's order: when S comes, T has packed or met
+the packing, and S meets it. In the fixing step below T narrows and cuts
+wherever S would. So S never tightens the bound: the packing is the one
+over the whole sorted list, and dropping S saves copying, masking and
+sorting it at every node.
 
 Any packing of disjoint sets is a valid bound: it prunes only subtrees that
 hold no code smaller than the incumbent. The search tries the nodes in the
@@ -149,12 +150,11 @@ class _OutOfBudget(Exception):
 class _Search:
     """One branch-and-bound run over a fixed (X, Y) instance.
 
-    A run keeps its root list (see _violations) in root. A search node
-    holds a cursor into it and the open sets of the carried list (see
-    _minimal): it branches on the first root set past the cursor that its
-    code misses, and bounds with the carried sets, packing disjoint ones
-    and, one vertex short of a cut, fixing vertices out (see _node).
-    Greedy completion is refine's, with undominated targets counted.
+    A search node holds the open sets of the carried list (see _minimal),
+    smallest first: it branches on the first, and bounds with all of them,
+    packing disjoint ones and, one vertex short of a cut, fixing vertices
+    out (see _node). Greedy completion is refine's, with undominated
+    targets counted.
     """
 
     def __init__(self, masks: list[int], xs: list[int], allowed: int):
@@ -164,8 +164,7 @@ class _Search:
         self.nodes = 0
         self.budget = DEFAULT_NODE_BUDGET
         self.best_size = 0
-        self.best_mask: int | None = None
-        self.root: list[int] = []
+        self.best_mask = 0
 
     def _violations(self, code: int) -> list[int]:
         """The resolver set, within the candidates, of every violation of
@@ -201,50 +200,50 @@ class _Search:
 
     @staticmethod
     def _minimal(rs: list[int]) -> list[int]:
-        """The carried list of a root list rs: rs, in order, less every set
-        that strictly holds a set of rs with at most two candidates. Such a
-        set is open only while the smaller one is and never tightens the
-        bound (see the module docstring).
+        """The carried list of a root list rs: rs sorted by size, by a
+        stable sort, less every set that strictly holds a set of rs with
+        at most two candidates. Such a set is open only while the smaller
+        one is and never tightens the bound (see the module docstring).
 
-        One pass ORs the one-candidate sets into one mask and lists the
-        two-candidate ones; a second keeps r unless it has two candidates
-        or more and meets the mask, or it has three or more and holds a
-        listed pair. The empty set, which a feasible instance never lists,
-        is strictly held by every other set."""
+        One pass over the sorted list ORs the kept one-candidate sets into
+        one mask and lists the kept two-candidate ones, each before any set
+        that could hold it, and keeps r unless it has two candidates or
+        more and meets the mask, or it has three or more and holds a listed
+        pair. The empty set, which a feasible instance never lists, is
+        strictly held by every other set."""
+        rs = sorted(rs, key=int.bit_count)
         ones = 0
         pairs = []
-        for t in rs:
-            k = t.bit_count()
-            if k == 1:
-                ones |= t
-            elif k == 2:
-                pairs.append(t)
-            elif not k:
-                return [r for r in rs if not r]
         out = []
         for r in rs:
-            if r & ones:
-                if r.bit_count() > 1:
-                    continue
-            elif r.bit_count() > 2:
+            k = r.bit_count()
+            if k > 1 and r & ones:
+                continue
+            if k > 2:
                 for p in pairs:
                     if r & p == p:
                         break
                 else:
                     out.append(r)
                 continue
+            if k == 2:
+                pairs.append(r)
+            elif k:
+                ones |= r
+            else:
+                return [r for r in rs if not r]
             out.append(r)
         return out
 
     def _node(
-        self, code: int, banned: int, rs: list[int], at: int
-    ) -> tuple[int, int, int] | None:
+        self, code: int, banned: int, rs: list[int]
+    ) -> tuple[int, int] | None:
         """Visit one node: count it, take it as the incumbent if it is a
         leaf, or bound it. Returns None for a leaf or a cut node, else the
-        vertices its children exclude, the cursor they start from and the
-        candidates they add. A node past the budget raises before it is
-        counted, so a search that runs out has explored exactly budget
-        nodes."""
+        vertices its children exclude and the candidates they add, those of
+        the head of rs, the smallest open set. A node past the budget
+        raises before it is counted, so a search that runs out has explored
+        exactly budget nodes."""
         if self.nodes >= self.budget:
             raise _OutOfBudget
         self.nodes += 1
@@ -266,8 +265,8 @@ class _Search:
         if 0 in usable:
             return
         # Lower bound: greedily pack pairwise disjoint resolver sets (each
-        # needs its own new code vertex), smallest set first, ties in
-        # branching order; stop once the bound prunes.
+        # needs its own new code vertex), smallest set first, ties in the
+        # list's order; stop once the bound prunes.
         usable.sort(key=int.bit_count)
         lb = 0
         used = 0
@@ -301,33 +300,27 @@ class _Search:
                         ok &= t | ~p
             banned |= self.allowed & ~(ok | code)
             keep = ~banned
-        # Branch on the first open violation of the root list, the first
-        # set past the cursor that the code does not meet. Each child's
-        # code meets it, so the child's scan starts one further on.
-        root = self.root
-        while root[at] & code:
-            at += 1
-        return banned, at + 1, root[at] & keep
+        return banned, rs[0] & keep
 
     def _walk(self, code: int) -> None:
         """Search depth first from code on an explicit stack, which holds
-        [code, rs, banned, at, candidates left] for each node on the path
-        whose children are not all tried. A child keeps the sets its new
-        vertex does not resolve, in the same order. It is skipped when an
-        excluded vertex lies in every open carried set that holds its
-        vertex (see the module docstring)."""
-        rs = self._minimal(self.root)
-        banned = at = 0
+        [code, rs, banned, candidates left] for each node on the path whose
+        children are not all tried. A child keeps the sets its new vertex
+        does not resolve, in the same order. It is skipped when an excluded
+        vertex lies in every open carried set that holds its vertex (see
+        the module docstring)."""
+        rs = self._minimal(self._violations(code))
+        banned = 0
         frames: list[list] = []
         while True:
-            branch = self._node(code, banned, rs, at)
+            branch = self._node(code, banned, rs)
             if branch is not None:
                 frames.append([code, rs, *branch])
             # Take the next child of the deepest node that has one left,
             # excluding each vertex tried or skipped for its later siblings.
             while frames:
                 frame = frames[-1]
-                code, rs, banned, at, first = frame
+                code, rs, banned, first = frame
                 while first:
                     low = first & -first
                     first ^= low
@@ -346,7 +339,7 @@ class _Search:
                 # Visit the child next; the frame keeps its siblings left.
                 if first:
                     frame[2] = banned | low
-                    frame[4] = first
+                    frame[3] = first
                 else:
                     frames.pop()
                 code |= low
@@ -355,7 +348,7 @@ class _Search:
             else:
                 return
 
-    def run(self, required: int, budget: int) -> tuple[int | None, bool]:
+    def run(self, required: int, budget: int) -> tuple[int, bool]:
         """Search for a minimum code that holds required, which must lie
         within the candidates, from the greedy completion of required as
         the first incumbent. Returns (best code mask, completed within the
@@ -370,7 +363,6 @@ class _Search:
         self.best_mask = greedy
         if self.best_size == required.bit_count():
             return greedy, True
-        self.root = self._violations(required)
         try:
             self._walk(required)
         except _OutOfBudget:
@@ -389,10 +381,6 @@ def gamma_id_exact(
     """
     search = _Search(*_identifiable(g))
     best, done = search.run(0, node_budget)
-    if best is None:
-        raise GuaranteeError(
-            "exact search ended without a code on a feasible instance"
-        )
     return ExactResult(best.bit_count(), tuple(_bits(best)), search.nodes, done)
 
 

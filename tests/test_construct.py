@@ -184,7 +184,7 @@ def test_certificates_are_deterministic():
     a = serialize_certificate(construct_triangle_free(g))
     b = serialize_certificate(construct_triangle_free(Graph(g.n, list(g.edges))))
     assert a == b
-    assert a.startswith("idcodes-certificate v6\n")
+    assert a.startswith("idcodes-certificate v7\n")
     assert "verified yes" in a
 
 
@@ -385,7 +385,7 @@ def test_near_construct_explicit_deletions():
 WHEEL10 = Graph(
     11, [(i, (i + 1) % 10) for i in range(10)] + [(i, 10) for i in range(10)]
 )
-WHEEL10_SHA256 = "420f3d0f7b4accf040a7331c22a6eaf53ff058afc242b472f27285dce0a58f55"
+WHEEL10_SHA256 = "ce2d07c9534051960c4323a07846c9b3662d59ce2234fab06e0bba043a38c302"
 
 
 def test_near_construct_with_more_than_four_deletions():
@@ -422,7 +422,7 @@ def test_per_edge_damage_above_four_raises(monkeypatch):
 # off its far half, codes the rest and puts back its third vertex.
 P4_REJOIN = random_triangle_free(10, 10, 33)
 P4_REJOIN_SHA256 = (
-    "2b02f36db6833e5be26f25c50f26cf00aa93bc6562fcaa24be10353b84f080c7"
+    "7e4190c60f87f510b8af8d5f12002a427c48443c91fc62ecd976774fe4d9bb8a"
 )
 
 
@@ -439,7 +439,7 @@ def test_split_path_component_is_rejoined():
 # component is a P4 whose ends see no boundary vertex; here the code of the
 # rest leaves out the P4's second vertex, so the first is swapped for it.
 P4_SWAP = random_triangle_free(10, 11, 139)
-P4_SWAP_SHA256 = "f6120925ea6d9becdd45cedcb045fdc333408f196517ec0dfb5df6a79f153e5a"
+P4_SWAP_SHA256 = "7e0b0bb6ad40623b7dde5ed0de121bebc03af1cd6f0543ec3b6ed99b3cc9637c"
 
 
 def test_split_path_component_swaps_its_first_vertex():
@@ -456,7 +456,7 @@ def test_split_path_component_swaps_its_first_vertex():
 # degree-3 candidates of the star template.
 STAR3_MERGE = random_triangle_free(10, 12, 248)
 STAR3_MERGE_SHA256 = (
-    "52c613d639bbc3ea43bc1876178f036983396860361a581e9c90999603e1b163"
+    "1b98e16a1299ffc681177a3da4a9530a7954ef8ab9136b17087bec915d809254"
 )
 
 
@@ -476,7 +476,7 @@ def test_star_component_merged_at_delta_three():
 # _merge_family_component.
 STAR4_MERGE = random_triangle_free(18, 24, 7934)
 STAR4_MERGE_SHA256 = (
-    "913dde6e940a022166f28ec35ce24c18d3db9558ef8d496cce007a1ce5e416b7"
+    "ddf53224a77750d87ce4d7d2b6d091d45aff95cca31cd1c4e0f082eec9e9aeec"
 )
 
 
@@ -507,7 +507,7 @@ GLUED_TREE = Graph(
      (49, 50), (49, 51), (52, 53), (52, 54), (55, 56), (55, 57)],
 )
 GLUED_TREE_SHA256 = (
-    "024805c79f8800c7f62b75402fe5a010b7698baf43ace7428c54052902c7bfc5"
+    "9792c5979629adc5e84ddeba83cdad13322d209ffce31559938e022a0ced12dd"
 )
 
 

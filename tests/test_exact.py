@@ -22,6 +22,7 @@ from idcodes import (
     is_identifying,
     odd_cycle_plus_chord_code,
     path_identifying_code,
+    random_triangle_free,
 )
 from idcodes.exact import _tree_minimum
 from test_construct import GLUED_TREE_68, prufer_trees
@@ -223,10 +224,10 @@ def test_tree_minimum_matches_the_exact_search(g):
     assert len(code) == gamma_id_exact(g).size
 
 
-def _highs_tree_minimum(g: Graph) -> int:
-    """The minimum identifying code size of the tree g, by HiGHS: one row
-    per N[v] and one per N[x] ^ N[y] of two vertices in one N[w], the
-    pairs whose closed neighbourhoods meet."""
+def _highs_minimum(g: Graph) -> int:
+    """The minimum identifying code size of the twin-free graph g, by
+    HiGHS: one row per N[v] and one per N[x] ^ N[y] of two vertices in one
+    N[w], the pairs whose closed neighbourhoods meet."""
     pytest.importorskip("scipy")
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -259,8 +260,21 @@ def test_tree_minimum_matches_highs_up_to_300_vertices():
     for g in trees:
         code = _tree_minimum(g.adj)
         assert is_identifying(g, code)
-        assert len(code) == _highs_tree_minimum(g)
+        assert len(code) == _highs_minimum(g)
     assert len(_tree_minimum(GLUED_TREE_68.adj)) == 44
+
+
+@pytest.mark.slow
+def test_exact_matches_highs_on_sparse_graphs_up_to_60_vertices():
+    # The exact-backends rows of ROADMAP.md: twin-free sparse triangle-free
+    # graphs, n = 40 to 60, twelve seeds each; about 10 s in all.
+    pytest.importorskip("scipy")
+    for n in (40, 44, 48, 56, 60):
+        for seed in range(12):
+            g = random_triangle_free(n, round(1.3 * n), seed)
+            res = gamma_id_exact(g)
+            assert res.optimal and is_identifying(g, res.code)
+            assert res.size == _highs_minimum(g)
 
 
 def test_tree_minimum_on_a_long_path_does_not_recurse():

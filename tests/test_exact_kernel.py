@@ -2,25 +2,27 @@
 
 The outputs of gamma_id_exact are pinned by digest, twice. The `PINNED`
 records hold the node count, so those digests pin the search tree
-itself; they were recorded from the kernel that packs its bound smallest
-resolver set first, on a root list without dominated violations, fixes
-out every vertex that a packing one vertex short of a cut leaves to no
-strictly better code, and skips a child that an excluded vertex
-dominates. The `PINNED_CODES` digest covers the completed searches'
-records with the node counts left out, and was recorded from an older
-kernel, which packed in branching order and fixed no vertex out: a
-tighter bound and the fixing may only shrink the tree, never change a
-completed search's code. A hypothesis property compares _Search with a
-naive copy of the kernel that rebuilt its whole violation list at every
-node and packed in branching order, and another compares the root list
-with the plain filtered list of every pair of every signature class. A
-third checks the carried list against its plain rule, and a fourth
-checks the one-pass filter against tests/oracles.py's filter per small
-set on any int list. An example of the first one branches on a root set
-the carried list leaves out, so the cursor over the root list, not the
-head of the carried list, picks the branch. Another is cut at the root
-by the fixing: an instance whose one-short packing leaves three pairwise
-meeting parts in one packed set.
+itself; they were recorded from the kernel that branches on the smallest
+open resolver set, packs its bound smallest set first, on a root list
+without dominated violations, fixes out every vertex that a packing one
+vertex short of a cut leaves to no strictly better code, and skips a
+child that an excluded vertex dominates. The `PINNED_CODES` digest
+covers the completed searches' records with the node counts left out. It
+was recorded from _Search, and the naive kernel below, which packs in
+branching order and fixes no vertex out, gives the same digest: a
+tighter bound and the cuts may only shrink the tree, never change a
+completed search's code. A hypothesis property compares _Search with
+that naive kernel, which rebuilds its whole violation list at every node
+and branches on its smallest set, the first in branching order on a
+tie; another compares the root list with the plain filtered list of
+every pair of every signature class. A third checks the carried list
+against its plain rule, and a fourth checks the one pass over the sorted
+list against tests/oracles.py's filter per small set on any int list.
+Two examples of the first one pin the branching rule: one whose smallest
+root set comes after a larger one in branching order, and one whose
+smallest root sets tie. Another is cut at the root by the fixing: an
+instance whose one-short packing leaves three pairwise meeting parts in
+one packed set.
 """
 
 from __future__ import annotations
@@ -89,19 +91,19 @@ def _budget() -> list[str]:
 PINNED = {
     "gamma": (
         _gamma,
-        "eda34e1cec826b76bae0995b5a4bfedf55c9f692c89c7d31079d09aef5ec71d2",
+        "333930e35a11a0760a723beb3b8ca52457556662ce3b4f251ede06c7e284d1aa",
     ),
     "budget": (
         _budget,
-        "983ea70abfab9cb6aaea0c5b5409c32039b663f75452f1414437bf174ad3f4a3",
+        "8b9134a1f034d55173438536372f86f937d0a2e3118006c88653f23a1bb78c20",
     ),
 }
 
 
 # record set: sha256 of the same records with the node counts left out,
-# recorded from the kernel that packed its bound in branching order
+# recorded from _Search; _NaiveSearch's codes give the same digest
 PINNED_CODES = {
-    "gamma": "77ad6297075566ed9198eca30953aeeaf6811da75e28984d37de938fb4760da6",
+    "gamma": "31babef4146b85d678d1298f6299c22cfa7ec63274704f7ddbf693018b0f2cf0",
 }
 
 
@@ -120,8 +122,10 @@ def test_exact_codes_match_pinned_digests(entry):
 
 
 class _NaiveSearch:
-    """The kernel before the partition was carried down the tree: every
-    node and every greedy step regroups all of X and lists every violation."""
+    """A plain copy of the kernel, with no partition carried down the
+    tree: every node and every greedy step regroups all of X and lists
+    every violation. A node branches on the smallest open resolver set within the
+    candidates, the first in branching order on a tie."""
 
     def __init__(self, masks, xs, allowed):
         self.masks, self.xs, self.allowed = masks, xs, allowed
@@ -170,7 +174,8 @@ class _NaiveSearch:
                 self.best_size, self.best_mask = size, code
             return
         usable = self.allowed & ~code & ~banned
-        first = resolvers[0] & usable
+        first = min(resolvers, key=lambda r: (r & self.allowed).bit_count())
+        first &= usable
         if first == 0:
             return
         lb = used = 0
@@ -265,20 +270,27 @@ def _feasible(masks, xs, allowed) -> bool:
 @example(_half_integral_triple(), frozenset(), 10**6)
 # Three pairwise meeting parts in one file: cut at the root by the fixing.
 @example(_three_parts(), frozenset(range(4)), 10**6)
-# Here the naive packing prunes at the root, while smallest first packs to 1
-# and the search takes 6 nodes: under a 1-node budget only the naive search
-# completes, so a tighter bound does not mean fewer nodes on every input.
+# Here the naive packing prunes at the root, while smallest first packs only
+# {1, 5}, one short of a cut, and the fixing cuts the root: under a 1-node
+# budget both searches complete.
 @example(
     ([37, 86, 231, 248, 218, 109, 254, 220], [3, 4, 6], 255),
     frozenset(),
     1,
 )
-# The root's first open violation, vertex 0's set {0, 3, 4, 5, 6}, strictly
-# holds the root sets {4, 5} and {6}, so the carried list leaves it out and
-# the cursor picks it; branching on the first carried set, {4, 5}, instead
-# finds another code of the same size first.
+# Vertex 2 is isolated, so its set {2} is the root's smallest, after vertex
+# 0's {0, 5} in branching order. The search finds {2, 3, 4, 5, 6}; branching
+# on the first violation at every node finds {0, 2, 5, 6, 7} first.
 @example(
-    ([121, 22, 86, 73, 119, 49, 93], [0, 1, 2, 3, 4, 5, 6], 127),
+    ([33, 234, 4, 202, 80, 99, 122, 138], list(range(8)), 255),
+    frozenset(),
+    10**6,
+)
+# The root's five smallest sets, {2, 3}, {3, 6}, {4, 7}, {0, 5} and {1, 2},
+# have two candidates each. The search finds {0, 2, 6, 7}; taking the last
+# smallest set at every node finds {1, 3, 4, 5} first.
+@example(
+    ([25, 102, 190, 237, 21, 46, 202, 204], list(range(8)), 255),
     frozenset(),
     10**6,
 )
@@ -330,14 +342,15 @@ def test_root_list_matches_the_filtered_pair_list(inst, code_set):
 @settings(max_examples=300, deadline=None)
 @given(instances(), st.frozensets(st.integers(0, 12)))
 def test_carried_list_drops_exactly_the_supersets_of_small_sets(inst, code_set):
-    # The root list, in order, less every set that strictly holds a set of
-    # the root list with at most two candidates.
+    # The root list sorted by size, ties in branching order, less every set
+    # that strictly holds a set of the root list with at most two
+    # candidates.
     masks, xs, allowed = inst
     code = _mask(code_set) & allowed
     root = _Search(masks, xs, allowed)._violations(code)
     small = [t for t in root if t.bit_count() <= 2]
     expected = [r for r in root if not any(t & r == t != r for t in small)]
-    assert _Search._minimal(root) == expected
+    assert _Search._minimal(root) == sorted(expected, key=int.bit_count)
 
 
 _SMALL_SETS = st.one_of(
@@ -354,8 +367,10 @@ _SMALL_SETS = st.one_of(
 @given(st.lists(_SMALL_SETS, max_size=30))
 def test_carried_list_matches_the_filter_per_small_set(rs):
     # Any int list, with repeats, empty sets and sets of one or two bits:
-    # the one-pass filter keeps what one filter per small set keeps.
-    assert _Search._minimal(rs) == oracles.carried_sets(rs)
+    # the one pass over the sorted list keeps what one filter per small set
+    # keeps, sorted by size with ties in the list's order.
+    expected = sorted(oracles.carried_sets(rs), key=int.bit_count)
+    assert _Search._minimal(rs) == expected
 
 
 def test_half_integral_step_cuts_the_triple_at_the_root():
@@ -389,7 +404,7 @@ def test_fixing_cuts_three_pairwise_meeting_parts_at_the_root():
 
 
 # n: the nodes the search takes to prove gamma(C_n) = n/2
-_EVEN_CYCLE_NODES = {10: 8, 12: 20, 14: 12, 16: 23, 20: 27, 22: 55, 30: 99}
+_EVEN_CYCLE_NODES = {10: 7, 12: 17, 14: 9, 16: 20, 20: 24, 22: 49, 30: 91}
 
 
 @pytest.mark.parametrize("n", sorted(_EVEN_CYCLE_NODES))
@@ -404,20 +419,13 @@ def test_even_cycles_below_gamma_are_decided_at_the_root(n):
     assert (best.bit_count(), done) == (n // 2, True)
     assert search.nodes == _EVEN_CYCLE_NODES[n]
     search.nodes = 0
-    assert search._node(0, 0, search._minimal(search.root), 0) is None
+    assert search._node(0, 0, search._minimal(search._violations(0))) is None
     assert search.nodes == 1
 
 
 def test_stuck_greedy_raises_guarantee_error(monkeypatch):
     monkeypatch.setattr(idcodes.exact, "_complete", lambda *args: None)
     g = _twin_free(1, 8)[0]
-    with pytest.raises(GuaranteeError):
-        gamma_id_exact(g)
-
-
-def test_search_without_a_code_raises_guarantee_error(monkeypatch):
-    monkeypatch.setattr(_Search, "run", lambda self, *args, **kw: (None, True))
-    g = _twin_free(1, 9)[0]
     with pytest.raises(GuaranteeError):
         gamma_id_exact(g)
 
@@ -438,8 +446,8 @@ def test_search_on_a_long_path_does_not_recurse():
 
 
 def test_search_skips_dominated_children():
-    # A sparse triangle-free graph of 36 vertices: the search proves its
-    # gamma of 18 in 1,914 nodes with the dominance cut, 22,681 without it.
-    res = gamma_id_exact(random_triangle_free(36, 47, 1))
-    assert (res.size, res.optimal) == (18, True)
-    assert res.nodes_explored <= 2_500
+    # A sparse triangle-free graph of 44 vertices: the search proves its
+    # gamma of 21 in 93 nodes with the dominance cut, 1,680 without it.
+    res = gamma_id_exact(random_triangle_free(44, 57, 5))
+    assert (res.size, res.optimal) == (21, True)
+    assert res.nodes_explored <= 200

@@ -1,8 +1,11 @@
 """The iterative construction and its signature table.
 
 Certificates are pinned by digest, so a change to any certificate byte
-shows here. The sha256 values below were recorded for certificate v6.
-It codes every tree base of at most 16 vertices with the tree dynamic
+shows here. The sha256 values below were recorded for certificate v7.
+Its exact search branches on the smallest open resolver set, so a path
+plus a chord of at most 16 vertices may get another minimum of the same
+size; every pinned certificate with no such step is byte-identical to its
+v6 text apart from the version line. v6 codes every tree base of at most 16 vertices with the tree dynamic
 program in place of the exact search, roots that program at the highest
 label (so an ExactFallback step may pick another minimum), and codes a
 path plus a chord above 16 vertices as a path whose restored edge is
@@ -114,27 +117,27 @@ PINNED = {
     "sparse": (
         _sparse,
         construct_triangle_free,
-        "e4d9a3048b63a2d5813ba0934478d5c7853a00252372e8274075c314fe698c93",
+        "e609e75ce6ee216ce35cd9f7d001db607136149dab398b417e9af6cde0cbe2c7",
     ),
     "dense": (
         _dense,
         construct_triangle_free,
-        "d5f7d6d420ad3b7d9c95cfae975c2a0a6bb2456b7e363a3e95a8c5dc3b0da8a2",
+        "78817a1d11b2ba5568bc3ee63f8102c61640dc33baa748c7e56c0dc1b694a45f",
     ),
     "repairs": (
         _repairs,
         construct_triangle_free,
-        "33873a70e6962d10b9df359d42cf330deae371259540d272dc4d87c79ad5b0a3",
+        "ca6645bf576577ab4b1bfd5e41e5f3e30b460e024274e0faa0ac12ab76d12b01",
     ),
     "small": (
         _small,
         construct_triangle_free,
-        "eef48a940122a6392610c7d7d175e7476db7509ca4a9f8b80b0307e8fe78416b",
+        "f707c748aa0cc42c8d662eabf5016a895f3429caec71ad54292544397c00bef3",
     ),
     "near": (
         _near,
         construct_near_triangle_free,
-        "ae22ea5448c2a60a3e9c5bc4d89727de2645299c979e3af558bf2612b5e74475",
+        "c210cb23bd5787be45ba4c01458471192332060114a1b4ba40c336d2c59f9a57",
     ),
 }
 
