@@ -95,7 +95,6 @@ from .exact import (
 )
 from .families import (
     FamilyId,
-    fits_catalog,
     make_family,
     match_family,
     tree_plus_edge_code,
@@ -671,11 +670,12 @@ def _build(
     removed: list[tuple[int, int]] = []
     while True:
         level = depth + len(removed)
-        if _is_base(state):
-            level_hit = _level_match(state) if removed else hit
-            table = _direct_code(state, level_hit, steps, level)
-            break
         delta = state.max_degree()
+        if _is_base(state):
+            if removed:
+                hit = match_family(state, delta) if delta >= 3 else None
+            table = _direct_code(state, hit, steps, level)
+            break
         u, v = pick_cycle_edge(state)
         state.remove_edge(u, v)
         if _is_base(state):
@@ -724,16 +724,6 @@ def _checked_table(table: SignatureTable, depth: int) -> SignatureTable:
     return table
 
 
-def _level_match(state: MutableGraph) -> _Match | None:
-    """The catalog match of a level at its own maximum degree, with a Graph
-    built only for a level of a member's order and size; None below
-    maximum degree 3."""
-    delta = state.max_degree()
-    if delta >= 3 and fits_catalog(state.n, state.m, delta):
-        return match_family(state.graph(), delta)
-    return None
-
-
 def _direct_code(
     state: MutableGraph,
     hit: _Match | None,
@@ -778,7 +768,7 @@ def _chorded_code(
         return _chorded_two_regular(state, shape, e, steps, depth)
     # A hit is a catalog tree: delta 3 looks up the fixed members only, P4
     # has maximum degree 2, and C4 and C7 have m = n.
-    hit1 = _level_match(state) if delta == 3 else None
+    hit1 = match_family(state, 3) if delta == 3 else None
     if hit1 is None:
         return None
     fid, mapping = hit1

@@ -22,7 +22,7 @@ from .errors import (
     UnknownFamilyError,
     UnsupportedCodeFormError,
 )
-from .graphs import Graph, _admissible_addition
+from .graphs import Graph, MutableGraph, _admissible_addition
 from .isomorph import find_isomorphism
 
 
@@ -211,41 +211,35 @@ def make_family(family: FamilyId) -> CatalogEntry:
     return entry
 
 
-def fits_catalog(n: int, m: int, delta: int) -> bool:
-    """Whether a graph with n vertices and m edges has the order and size
-    of some member of the delta-exceptional family (delta >= 3).
-
-    match_family can only succeed when this holds, so callers use it to
-    skip building a Graph for the lookup.
-    """
-    if delta >= 4:
-        return n == delta + 1 and m == delta
-    return (n, m) in _FIXED_BY_SHAPE
-
-
-def match_family(g: Graph, delta: int) -> tuple[FamilyId, dict[int, int]] | None:
+def match_family(
+    g: Graph | MutableGraph, delta: int
+) -> tuple[FamilyId, dict[int, int]] | None:
     """Membership of g in the exceptional family for maximum degree `delta`,
     together with a catalog-to-g vertex map.
 
     delta is the degree of the AMBIENT graph: membership of a subgraph
     component is always judged against the whole graph's maximum degree.
-    Requires delta >= 3 (the family is defined from there up).
+    Requires delta >= 3 (the family is defined from there up). g may be
+    the descent's MutableGraph: order, size and degrees rule out almost
+    every graph, and a Graph is built only for the isomorphism search
+    against a fixed member of g's order and size.
     """
     if delta < 3:
         raise ValueError(f"the exceptional family needs delta >= 3, got {delta}")
-    if not fits_catalog(g.n, g.m, delta):
-        return None
     if delta >= 4:
         # Only the star survives past delta 3. With n = delta + 1 and
         # m = delta, a vertex of degree delta meets every edge, so g is the
         # star exactly when it has one. Its centre 0 maps there and the
         # leaves 1..delta to the other vertices, ascending.
-        if g.max_degree() != delta:
+        if g.n != delta + 1 or g.m != delta or g.max_degree() != delta:
             return None
-        centre = next(v for v in range(g.n) if g.degree(v) == delta)
+        centre = next(v for v in range(g.n) if len(g.adj[v]) == delta)
         order = [centre] + [v for v in range(g.n) if v != centre]
         return (star(delta), dict(enumerate(order)))
-    for entry in _FIXED_BY_SHAPE[g.n, g.m]:
+    entries = _FIXED_BY_SHAPE.get((g.n, g.m), [])
+    if entries and isinstance(g, MutableGraph):
+        g = g.graph()
+    for entry in entries:
         mapping = find_isomorphism(entry.graph, g)
         if mapping is not None:
             return (entry.family, mapping)

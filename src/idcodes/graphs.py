@@ -3,8 +3,8 @@
 Vertices are always 0..n-1. Edges are unordered pairs stored as sorted
 tuples. Every function that returns a collection returns it in sorted order
 so downstream output is reproducible run to run. Neighbourhoods reach the
-checkers as bitmasks (`closed_neighborhood_masks`), and the only twins
-looked for are closed twins, N[u] = N[v], which no code can separate.
+checkers as bitmasks (`closed_neighborhood_masks`); the closed twins,
+N[u] = N[v], that no code can separate are found by the checks gate.
 """
 
 from __future__ import annotations
@@ -359,11 +359,6 @@ def _pairs(groups: Iterable[list[int]]) -> tuple[tuple[int, int], ...]:
         for i in range(len(members))
         for j in range(i + 1, len(members))
     ))
-
-
-def find_closed_twins(g: Graph) -> tuple[tuple[int, int], ...]:
-    """All pairs u < v with N[u] = N[v], sorted. Empty iff g is identifiable."""
-    return _pairs(_groups(range(g.n), closed_neighborhood_masks(g)).values())
 
 
 def _admissible_addition(g: Graph, e: tuple[int, int]) -> None:

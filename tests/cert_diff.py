@@ -13,10 +13,13 @@ process. The version line is left out of the comparison, since a change
 that moves any certificate bumps it. The script prints how many
 certificates are identical, differ at the same code size, grew or shrank,
 with the summed change in code size (new minus old), and each input that
-raises in either tree. pytest does not collect this file, since its name
-does not start with test_.
+raises in either tree. Each tree also runs gamma_id_exact on every input,
+and the script prints each input whose minimum size differs between the
+trees and how many do; which minimum code each returns may differ. pytest
+does not collect this file, since its name does not start with test_.
 
-The exit status is 1 when an input raises only in the new tree, else 0.
+The exit status is 1 when an input raises only in the new tree or a
+gamma_id_exact size differs, else 0.
 """
 
 from __future__ import annotations
@@ -34,16 +37,23 @@ GRID = [
 ]
 
 # Reads [n, edges] pairs as JSON on stdin and writes, per input, its
-# certificate text or "!" and the exception's type and message.
+# certificate text and its gamma_id_exact size, each replaced by "!" and
+# the exception's type and message when it raises.
 _BUILD = """
 import json, sys
-from idcodes import Graph, construct_triangle_free, serialize_certificate
+from idcodes import Graph, construct_triangle_free, gamma_id_exact, serialize_certificate
+def attempt(build):
+    try:
+        return build()
+    except Exception as exc:
+        return f"!{type(exc).__name__}: {exc}"
 out = []
 for n, edges in json.load(sys.stdin):
-    try:
-        out.append(serialize_certificate(construct_triangle_free(Graph(n, edges))))
-    except Exception as exc:
-        out.append(f"!{type(exc).__name__}: {exc}")
+    g = Graph(n, edges)
+    out.append((
+        attempt(lambda: serialize_certificate(construct_triangle_free(g))),
+        attempt(lambda: gamma_id_exact(g).size),
+    ))
 json.dump(out, sys.stdout)
 """
 
@@ -84,7 +94,11 @@ def main(argv: list[str]) -> int:
     counts = dict.fromkeys(("identical", "same-size", "grew", "shrank"), 0)
     change = 0
     new_only = 0
-    for args, a, b in zip(GRID, old, new):
+    gammas = 0
+    for args, (a, gamma_a), (b, gamma_b) in zip(GRID, old, new):
+        if gamma_a != gamma_b:
+            gammas += 1
+            print(f"gamma {args}: old {gamma_a}; new {gamma_b}")
         if a.startswith("!") or b.startswith("!"):
             if b.startswith("!") and not a.startswith("!"):
                 new_only += 1
@@ -101,7 +115,8 @@ def main(argv: list[str]) -> int:
             counts["grew" if delta > 0 else "shrank"] += 1
     print(f"inputs {len(GRID)}: " + ", ".join(f"{k} {v}" for k, v in counts.items())
           + f"; code size change {change:+d}")
-    return int(new_only > 0)
+    print(f"gamma_id_exact sizes: {gammas} of {len(GRID)} differ")
+    return int(new_only > 0 or gammas > 0)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from idcodes import (
     ExactResult,
     Graph,
     GuaranteeError,
+    all_family_ids,
     gamma_id_exact,
     load_graph,
     parse_graph,
@@ -191,17 +192,35 @@ def test_family_stdout_and_directory(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_family_slow_confirms_the_catalog_gamma(capsys):
-    assert main(["family", "T3", "--slow"]) == 0
+def test_family_confirms_the_catalog_gamma(capsys, monkeypatch):
+    # Every entry's gamma is checked against gamma_id_exact on every call.
+    seen = []
+
+    def counting(g):
+        seen.append(g.n)
+        return gamma_id_exact(g)
+
+    monkeypatch.setattr(idcodes.cli, "gamma_id_exact", counting)
+    assert main(["family", "T3"]) == 0
     assert "T3\t10\t9\t7\t" in capsys.readouterr().out
+    assert seen == [10]
+    assert main(["family", "all"]) == 0
+    assert len(seen) == 1 + len(all_family_ids())
 
 
-def test_family_slow_mismatch_exits_internal(monkeypatch, capsys):
+def test_family_mismatch_exits_internal(monkeypatch, capsys):
     monkeypatch.setattr(
         idcodes.cli, "gamma_id_exact", lambda g: ExactResult(6, (), 0, True)
     )
-    assert main(["family", "T3", "--slow"]) == 70
+    assert main(["family", "T3"]) == 70
     assert "T3: catalog gamma 7 != exact 6" in capsys.readouterr().err
+
+
+def test_family_has_no_slow_option(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["family", "T3", "--slow"])
+    assert ei.value.code == 4
+    assert "unrecognized arguments: --slow" in capsys.readouterr().err
 
 
 def test_family_unknown_tag():
@@ -447,6 +466,9 @@ TRIANGLE_NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
         (path_graph(4), "0 1 2", [], "bound 3*3 <= 9: holds (slack 0)"),
         (path_graph(4), "0 1 2", ["--delta", "2"],
          "bound 2*3 <= 4: FAILS (slack 2)"),
+        # An edgeless graph has no bound at its maximum degree 0.
+        (Graph(1, []), "0", [], "bound none: maximum degree 0"),
+        (Graph(3, []), "0 1 2", [], "bound none: maximum degree 0"),
     ],
 )
 def test_verify_bound_line(tmp_path, capsys, g, code, extra, line):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -24,8 +25,9 @@ from idcodes import (
     path_identifying_code,
     random_triangle_free,
 )
-from idcodes.exact import _tree_minimum
-from test_construct import GLUED_TREE_68, prufer_trees
+from idcodes.checks import _identifiable
+from idcodes.exact import _Search, _tree_minimum
+from test_construct import GLUED_TREE, GLUED_TREE_68, _refuse_search, prufer_trees
 
 
 def path(n: int) -> Graph:
@@ -218,10 +220,34 @@ def test_chord_outcomes_on_every_pair(n):
 @settings(max_examples=200, deadline=None)
 @given(prufer_trees(min_n=3, max_n=18))
 def test_tree_minimum_matches_the_exact_search(g):
+    # gamma_id_exact hands a tree to _tree_minimum, so the search runs
+    # directly.
     code = _tree_minimum(g.adj)
     assert code == sorted(set(code))
     assert is_identifying(g, code)
-    assert len(code) == gamma_id_exact(g).size
+    best, done = _Search(*_identifiable(g)).run(0, 10**7)
+    assert done and len(code) == best.bit_count()
+
+
+@settings(max_examples=100, deadline=None)
+@given(prufer_trees(min_n=3, max_n=300))
+def test_gamma_id_exact_codes_every_tree_without_a_search(g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idcodes.exact, "_Search", _refuse_search)
+        res = gamma_id_exact(g)
+    assert (res.optimal, res.nodes_explored) == (True, 0)
+    assert res.size == len(res.code)
+    assert oracles.is_id_code(g.n, g.edges, res.code)
+
+
+def test_glued_tree_gamma_without_a_search():
+    # The search took 579,403 nodes (6.75 s) to prove this tree's minimum.
+    t0 = time.perf_counter()
+    res = gamma_id_exact(GLUED_TREE)
+    elapsed = time.perf_counter() - t0
+    assert (res.size, res.nodes_explored, res.optimal) == (37, 0, True)
+    assert is_identifying(GLUED_TREE, res.code)
+    assert elapsed < 0.01
 
 
 def _highs_minimum(g: Graph) -> int:

@@ -1,9 +1,10 @@
 """The exact search kernel.
 
-The outputs of gamma_id_exact are pinned by digest, twice. The `PINNED`
-records hold the node count, so those digests pin the search tree
-itself; they were recorded from the kernel that branches on the smallest
-open resolver set, packs its bound smallest set first, on a root list
+The outputs of _Search are pinned by digest, twice. The records run it
+directly, since gamma_id_exact hands the trees among their graphs to the
+tree dynamic program. The `PINNED` records hold the node count, so those
+digests pin the search tree itself; they were recorded from the kernel
+that branches on the smallest open resolver set, packs its bound smallest set first, on a root list
 without dominated violations, fixes out every vertex that a packing one
 vertex short of a cut leaves to no strictly better code, and skips a
 child that an excluded vertex dominates. The `PINNED_CODES` digest
@@ -41,14 +42,14 @@ import oracles
 from idcodes import (
     Graph,
     GuaranteeError,
-    find_closed_twins,
     gamma_id_exact,
     is_identifying,
     make_standard,
     random_triangle_free,
 )
-from idcodes.exact import _Search
-from idcodes.graphs import closed_neighborhood_masks
+from idcodes.checks import _identifiable
+from idcodes.exact import DEFAULT_NODE_BUDGET, ExactResult, _Search
+from idcodes.graphs import _bits, closed_neighborhood_masks
 from idcodes.refine import _complete
 
 
@@ -65,7 +66,7 @@ def _twin_free(count: int, seed: int, lo: int = 6, hi: int = 15) -> list[Graph]:
     while len(out) < count:
         n = rng.randint(lo, hi)
         g = _random_graph(n, rng.randint(n - 1, 3 * n), rng.randrange(10**9))
-        if not find_closed_twins(g):
+        if not oracles.closed_twins(n, g.edges):
             out.append(g)
     return out
 
@@ -75,15 +76,22 @@ def _line(res, nodes: bool = True) -> str:
     return f"{res.size} {res.code}{count} {res.optimal}\n"
 
 
+def _run(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
+    """The search on g from the empty code, tree or not."""
+    search = _Search(*_identifiable(g))
+    best, done = search.run(0, budget)
+    return ExactResult(best.bit_count(), tuple(_bits(best)), search.nodes, done)
+
+
 def _gamma(nodes: bool = True) -> list[str]:
-    return [_line(gamma_id_exact(g), nodes) for g in _twin_free(80, 1, hi=19)]
+    return [_line(_run(g), nodes) for g in _twin_free(80, 1, hi=19)]
 
 
 def _budget() -> list[str]:
     out = []
     for i, g in enumerate(_twin_free(30, 7, lo=12, hi=16)):
         budget = 3 + 7 * i
-        out.append(_line(gamma_id_exact(g, node_budget=budget)))
+        out.append(_line(_run(g, budget)))
     return out
 
 
@@ -432,13 +440,14 @@ def test_stuck_greedy_raises_guarantee_error(monkeypatch):
 
 def test_search_on_a_long_path_does_not_recurse():
     # The search goes one level deeper per code vertex, and P400's greedy
-    # code has 267. With room for only 150 more Python frames, the walk on
+    # code has 267; it runs directly, since gamma_id_exact hands the path
+    # to the tree dynamic program. With room for only 150 more Python frames, the walk on
     # an explicit stack still runs to its budget.
     g = make_standard("path", 400)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:
-        res = gamma_id_exact(g, node_budget=400)
+        res = _run(g, 400)
     finally:
         sys.setrecursionlimit(limit)
     assert (res.nodes_explored, res.optimal) == (400, False)

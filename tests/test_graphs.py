@@ -13,11 +13,11 @@ from idcodes import (
     Graph,
     GraphFormatError,
     NoCycleEdgeError,
+    NotIdentifiableError,
     VertexRangeError,
     boundary_decomposition,
     components,
     delete,
-    find_closed_twins,
     graph_hash,
     induced_subgraph,
     is_connected,
@@ -28,6 +28,7 @@ from idcodes import (
     serialize_graph,
     triangle_witness,
 )
+from idcodes.checks import _identifiable
 from idcodes.graphs import MutableGraph
 
 
@@ -87,10 +88,18 @@ def test_graph_is_immutable():
 
 
 def test_twins_match_bruteforce():
+    # The checks gate raises the smallest closed twin pair exactly when the
+    # brute-force oracle lists one.
     for seed in range(40):
         n = 2 + seed % 8
         g = random_graph(n, seed % 12, seed)
-        assert find_closed_twins(g) == tuple(oracles.closed_twins(n, g.edges))
+        twins = oracles.closed_twins(n, g.edges)
+        if twins:
+            with pytest.raises(NotIdentifiableError) as err:
+                _identifiable(g)
+            assert err.value.twins == twins[0]
+        else:
+            _identifiable(g)
 
 
 def test_triangle_witness():

@@ -47,7 +47,6 @@ from idcodes import (
     construct_near_triangle_free,
     construct_triangle_free,
     delete,
-    find_closed_twins,
     is_identifying,
     pick_cycle_edge,
     random_triangle_free,
@@ -104,7 +103,7 @@ def _planted(n: int, k: int, seed: int) -> Graph | None:
             adj[u].add(x)
             adj[x].add(u)
     h = Graph(n, sorted(edges))
-    return None if find_closed_twins(h) else h
+    return None if oracles.closed_twins(n, h.edges) else h
 
 
 def _near() -> list[Graph]:
