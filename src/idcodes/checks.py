@@ -18,6 +18,7 @@ the twin pair as NotIdentifiableError for `exact` and the construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -170,17 +171,22 @@ class SignatureTable:
     """Code signatures of every vertex, kept current as the graph gains
     edges or the code gains or loses vertices.
 
-    Holds sig[x], the bitmask of N[x] & C, and the vertices grouped by
-    signature. The code identifies the graph exactly when every group is a
-    single vertex and no signature is empty (`identifies`). Restoring an
-    edge uv changes only sig[u] and sig[v], and adding or dropping a code
-    vertex c changes only the signatures in N[c], so each update costs
-    O(1) or O(deg c) lookups instead of a regroup of all n vertices. The
-    order of the vertices inside a group is not kept.
+    Holds sig[x], the bitmask of N[x] & C, and count[s], the number of
+    vertices whose signature is s, for every signature held. The code
+    identifies the graph exactly when every count is 1 and no signature is
+    empty (`identifies`). Restoring an edge uv changes only sig[u] and
+    sig[v], and adding or dropping a code vertex c changes only the
+    signatures in N[c], so each update costs O(1) or O(deg c) lookups
+    instead of a recount of all n vertices. The members of a signature are
+    not kept: every vertex with a non-empty signature s has the lowest code
+    vertex c of s in its closed neighbourhood, so the members of s are the
+    vertices of N[c] that hold it, listed in O(deg c) when a restore breaks
+    a pair.
 
-    adj is the adjacency of the graph. It is read when the table is built
-    and by `add` and `try_drop`, which need it to hold the edges restored
-    so far.
+    adj is the adjacency of the graph. It is read when the table is built,
+    and all three updates read it: `restore_edge`, `add` and `try_drop`
+    need it to hold every edge restored so far, the edge being restored
+    included.
     """
 
     def __init__(self, adj: Sequence[Iterable[int]], code: Iterable[int]):
@@ -189,41 +195,51 @@ class SignatureTable:
         self.code_mask = _as_mask(code, n, "code")
         cm = self.code_mask
         self.sig = [cm & (_mask_of(a) | 1 << v) for v, a in enumerate(adj)]
-        self.groups = _groups(range(n), self.sig)
+        # A plain dict: Counter's __delitem__ runs in Python on every move.
+        self.count = dict(Counter(self.sig))
 
     def identifies(self) -> bool:
         """True when the code is an identifying code of the graph."""
-        return len(self.groups) == len(self.sig) and 0 not in self.groups
+        count = self.count
+        return len(count) == len(self.sig) and 0 not in count
 
     def _move(self, x: int, sig: int) -> None:
-        group = self.groups[self.sig[x]]
-        group.remove(x)
-        if not group:
-            del self.groups[self.sig[x]]
-        self.groups.setdefault(sig, []).append(x)
+        count, old = self.count, self.sig[x]
+        if count[old] > 1:
+            count[old] -= 1
+        else:
+            del count[old]
+        count[sig] = count.get(sig, 0) + 1
         self.sig[x] = sig
 
     def restore_edge(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
-        """Account for the new edge uv (not an edge before); return the
-        pairs it leaves unseparated that were separated before, sorted.
+        """Account for the new edge uv (not an edge before, but in adj
+        now); return the pairs it leaves unseparated that were separated
+        before, sorted.
 
         u gains v in its signature when v is in the code, and v gains u
-        likewise. A vertex whose signature grows leaves its old group, so
-        every pair in its new group is new. From an identifying code these
-        are all the unseparated pairs of the graph with uv, as
+        likewise. A vertex whose signature grows leaves its old signature,
+        so it is newly unseparated from every other holder of its new one;
+        with no such holder nothing is listed. From an identifying code
+        these are all the unseparated pairs of the graph with uv, as
         `unseparated_pairs` would list them.
         """
-        cm, sig, groups = self.code_mask, self.sig, self.groups
+        cm, sig, count = self.code_mask, self.sig, self.count
         gains_u, gains_v = cm >> v & 1, cm >> u & 1
         if gains_u:
             self._move(u, sig[u] | 1 << v)
         if gains_v:
             self._move(v, sig[v] | 1 << u)
-        fresh = set()
+        if not (gains_u and count[sig[u]] > 1 or gains_v and count[sig[v]] > 1):
+            return ()
+        adj, fresh = self.adj, set()
         for x, gains in ((u, gains_u), (v, gains_v)):
-            if gains:
+            s = sig[x]
+            if gains and count[s] > 1:
+                c = (s & -s).bit_length() - 1
                 fresh.update(
-                    (x, z) if x < z else (z, x) for z in groups[sig[x]] if z != x
+                    (x, z) if x < z else (z, x)
+                    for z in (c, *adj[c]) if z != x and sig[z] == s
                 )
         return tuple(sorted(fresh))
 
@@ -244,18 +260,18 @@ class SignatureTable:
         empty or equal to a signature outside N[c].
         """
         keep = ~(1 << c)
-        sig, groups = self.sig, self.groups
+        sig, count = self.sig, self.count
         closed = [c, *self.adj[c]]
         new = []
         for x in closed:
             s = sig[x] & keep
-            if not s or s in groups:
+            if not s or s in count:
                 return False
             new.append(s)
         for x in closed:
-            del groups[sig[x]]
+            del count[sig[x]]
         for x, s in zip(closed, new):
             sig[x] = s
-            groups[s] = [x]
+            count[s] = 1
         self.code_mask &= keep
         return True

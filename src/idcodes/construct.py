@@ -40,15 +40,17 @@ in reverse order. A SignatureTable of the code, whose signatures come
 from the same mask kernel as the closed neighbourhoods, is kept
 throughout, and its code identifies the current graph: all signatures
 are distinct and non-empty, which is checked after every change of code.
-Restoring uv changes only the signatures of u and v, so the pairs it
-breaks (the ClaimB step) are two table lookups. When there are any, a
-quick patch of one or two vertices around the edge is decided from those
-pairs alone, and each patch vertex is added to the table in place,
-moving only the signatures of its closed neighbourhood; when none fits, a
-structural repair builds a Graph of the current level, and the table is
-rebuilt from the repair's code. Repairs that code a subgraph call the
-construction again, so Python recursion is only as deep as repairs nest,
-never as deep as the cycle rank.
+Restoring uv changes only the signatures of u and v, so whether it
+breaks a pair (the ClaimB step) is two lookups in the table's count of
+each signature; only a signature that two vertices now share has its
+members listed, from N[c] for its lowest code vertex c. When pairs
+break, a quick patch of one or two vertices around the edge is decided
+from those pairs alone, and each patch vertex is added to the table in
+place, moving only the signatures of its closed neighbourhood; when none
+fits, a structural repair builds a Graph of the current level, and the
+table is rebuilt from the repair's code. Repairs that code a subgraph
+call the construction again, so Python recursion is only as deep as
+repairs nest, never as deep as the cycle rank.
 
 Trace labels (CaseStep.label):
     Delta2Path / Delta2Cycle  code of a path / cycle, possibly with the
@@ -246,8 +248,8 @@ def _certificate(
 
 def _fmt_pairs(pairs: tuple[tuple[int, int], ...]) -> str:
     # Restoring an edge uv to an identifying code moves only u and v, each
-    # into a group that held at most one vertex: at most 3 pairs break.
-    return ",".join(f"({a},{b})" for a, b in pairs) or "none"
+    # into a signature that at most one vertex held: at most 3 pairs break.
+    return ",".join(f"({a},{b})" for a, b in pairs) if pairs else "none"
 
 
 def _prune(adj: Sequence[Iterable[int]], code: Iterable[int]) -> SignatureTable:
@@ -889,9 +891,15 @@ def construct_near_triangle_free(
     t = len(edge_set)
     steps.append(CaseStep(STEP_COROLLARY_PATCH, f"deleted {t} edges"))
     damaged: set[int] = set()
-    table = SignatureTable(gt.adj, base)
+    # The table reads its adjacency to list a broken signature's members,
+    # so it gets a copy of gt's that each restored edge is added to.
+    adj = [set(a) for a in gt.adj]
+    table = SignatureTable(adj, base)
     for e in edge_set:
-        fresh = sorted({x for p in table.restore_edge(*e) for x in p} - damaged)
+        u, v = e
+        adj[u].add(v)
+        adj[v].add(u)
+        fresh = sorted({x for p in table.restore_edge(u, v) for x in p} - damaged)
         if len(fresh) > 4:
             raise GuaranteeError(
                 f"edge {e} damaged {len(fresh)} new vertices, more than 4"

@@ -381,10 +381,11 @@ def _admissible_addition(g: Graph, e: tuple[int, int]) -> None:
 
 def triangle_witness(g: Graph) -> tuple[int, int, int] | None:
     """Some triangle of g as a sorted triple, or None if g is triangle-free."""
+    adj = g.adj
     for u, v in g.edges:
-        common = g.adj[u] & g.adj[v]
-        if common:
-            return tuple(sorted((u, v, min(common))))  # type: ignore[return-value]
+        if not adj[u].isdisjoint(adj[v]):
+            w = min(adj[u] & adj[v])
+            return tuple(sorted((u, v, w)))  # type: ignore[return-value]
     return None
 
 

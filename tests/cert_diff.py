@@ -15,11 +15,16 @@ certificates are identical, differ at the same code size, grew or shrank,
 with the summed change in code size (new minus old), and each input that
 raises in either tree. Each tree also runs gamma_id_exact on every input,
 and the script prints each input whose minimum size differs between the
-trees and how many do; which minimum code each returns may differ. pytest
-does not collect this file, since its name does not start with test_.
+trees and how many do; which minimum code each returns may differ.
 
-The exit status is 1 when an input raises only in the new tree or a
-gamma_id_exact size differs, else 0.
+A second section compares construct_near_triangle_free's certificates
+the same way. Each grid input gains its lexicographically first non-edge
+at distance 2, which closes a triangle; an input that then has maximum
+degree below 3 or closed twins is skipped. pytest does not collect this
+file, since its name does not start with test_.
+
+The exit status is 1 when an input raises only in the new tree, in
+either section, or a gamma_id_exact size differs, else 0.
 """
 
 from __future__ import annotations
@@ -36,23 +41,31 @@ GRID = [
     (n, n - 1 + k, s) for n in range(5, 41) for k in range(8) for s in range(12)
 ]
 
-# Reads [n, edges] pairs as JSON on stdin and writes, per input, its
-# certificate text and its gamma_id_exact size, each replaced by "!" and
-# the exception's type and message when it raises.
+# Reads [n, edges, near_edges] triples as JSON on stdin and writes, per
+# input, its certificate text, its gamma_id_exact size and the
+# near-triangle-free certificate of n and near_edges (null when
+# near_edges is), each replaced by "!" and the exception's type and
+# message when it raises.
 _BUILD = """
 import json, sys
-from idcodes import Graph, construct_triangle_free, gamma_id_exact, serialize_certificate
+from idcodes import (
+    Graph, construct_near_triangle_free, construct_triangle_free,
+    gamma_id_exact, serialize_certificate,
+)
 def attempt(build):
     try:
         return build()
     except Exception as exc:
         return f"!{type(exc).__name__}: {exc}"
 out = []
-for n, edges in json.load(sys.stdin):
+for n, edges, near in json.load(sys.stdin):
     g = Graph(n, edges)
     out.append((
         attempt(lambda: serialize_certificate(construct_triangle_free(g))),
         attempt(lambda: gamma_id_exact(g).size),
+        None if near is None else attempt(lambda: serialize_certificate(
+            construct_near_triangle_free(Graph(n, near))
+        )),
     ))
 json.dump(out, sys.stdout)
 """
@@ -77,32 +90,45 @@ def _run(root: Path, program: str, payload: object) -> list:
     return json.loads(done.stdout)
 
 
+def _near(n: int, edges: list[list[int]]) -> list[list[int]] | None:
+    """edges plus the lexicographically first non-edge at distance 2, or
+    None when the result has maximum degree below 3 or closed twins."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    chord = next(
+        ((u, v) for u in range(n) for v in range(u + 1, n)
+         if v not in adj[u] and not adj[u].isdisjoint(adj[v])),
+        None,
+    )
+    if chord is None:
+        return None
+    u, v = chord
+    adj[u].add(v)
+    adj[v].add(u)
+    closed = {frozenset(a | {x}) for x, a in enumerate(adj)}
+    if max(map(len, adj)) < 3 or len(closed) < n:
+        return None
+    return sorted([*map(list, edges), [u, v]])
+
+
 def _size(text: str) -> int:
     line = next(x for x in text.splitlines() if x.startswith("code-size "))
     return int(line.split()[1])
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    old_root = Path(argv[0]).resolve()
-    new_root = Path(argv[1]).resolve() if len(argv) == 2 else ROOT
-    graphs = _run(new_root, _GRAPHS, GRID)
-    old = _run(old_root, _BUILD, graphs)
-    new = _run(new_root, _BUILD, graphs)
+def _compare(name: str, grid: list, pairs: list) -> int:
+    """Print the comparison of the (old, new) certificate pairs, one per
+    grid input, and return how many inputs raise only in the new tree."""
     counts = dict.fromkeys(("identical", "same-size", "grew", "shrank"), 0)
     change = 0
     new_only = 0
-    gammas = 0
-    for args, (a, gamma_a), (b, gamma_b) in zip(GRID, old, new):
-        if gamma_a != gamma_b:
-            gammas += 1
-            print(f"gamma {args}: old {gamma_a}; new {gamma_b}")
+    for args, (a, b) in zip(grid, pairs):
         if a.startswith("!") or b.startswith("!"):
             if b.startswith("!") and not a.startswith("!"):
                 new_only += 1
-            print(f"raises {args}: old {a[1:] if a[0] == '!' else '-'}; "
+            print(f"{name} raises {args}: old {a[1:] if a[0] == '!' else '-'}; "
                   f"new {b[1:] if b[0] == '!' else '-'}")
             continue
         delta = _size(b) - _size(a)
@@ -113,8 +139,34 @@ def main(argv: list[str]) -> int:
             counts["same-size"] += 1
         else:
             counts["grew" if delta > 0 else "shrank"] += 1
-    print(f"inputs {len(GRID)}: " + ", ".join(f"{k} {v}" for k, v in counts.items())
+    print(f"{name} inputs {len(grid)}: "
+          + ", ".join(f"{k} {v}" for k, v in counts.items())
           + f"; code size change {change:+d}")
+    return new_only
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_root = Path(argv[0]).resolve()
+    new_root = Path(argv[1]).resolve() if len(argv) == 2 else ROOT
+    graphs = _run(new_root, _GRAPHS, GRID)
+    payload = [(n, edges, _near(n, edges)) for n, edges in graphs]
+    old = _run(old_root, _BUILD, payload)
+    new = _run(new_root, _BUILD, payload)
+    gammas = 0
+    for args, (_, gamma_a, _), (_, gamma_b, _) in zip(GRID, old, new):
+        if gamma_a != gamma_b:
+            gammas += 1
+            print(f"gamma {args}: old {gamma_a}; new {gamma_b}")
+    new_only = _compare("triangle-free", GRID, [(a[0], b[0]) for a, b in zip(old, new)])
+    near = [i for i, (_, _, edges) in enumerate(payload) if edges is not None]
+    new_only += _compare(
+        "near-triangle-free",
+        [GRID[i] for i in near],
+        [(old[i][2], new[i][2]) for i in near],
+    )
     print(f"gamma_id_exact sizes: {gammas} of {len(GRID)} differ")
     return int(new_only > 0 or gammas > 0)
 

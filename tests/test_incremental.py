@@ -180,16 +180,57 @@ def test_restore_reports_exactly_the_newly_unseparated_pairs(gc, data):
     g, code = gc
     e = data.draw(st.sampled_from(g.edges))
     g1 = delete(g, edges=[e])
-    table = SignatureTable(g1.adj, code)
+    # The table lists a broken signature's members from its adjacency,
+    # which must hold the restored edge.
+    adj = [set(a) for a in g1.adj]
+    table = SignatureTable(adj, code)
     identifying = table.identifies()
     assert identifying == is_identifying(g1, code)
-    fresh = table.restore_edge(*e)
+    u, v = e
+    adj[u].add(v)
+    adj[v].add(u)
+    fresh = table.restore_edge(u, v)
     before = set(unseparated_pairs(g1, code))
     assert fresh == tuple(sorted(set(unseparated_pairs(g, code)) - before))
     if identifying:
         # The ClaimB step: from an identifying code, the new pairs are all.
         assert fresh == unseparated_pairs(g, code)
         assert table.identifies() == (not fresh)
+
+
+def test_restore_lists_both_ends_in_one_signature():
+    # Path 0-1-2-3 with (1, 2) restored: under the code {1, 2} both ends
+    # move to the signature {1, 2}, whose members are read off N[1].
+    adj = [{1}, {0}, {3}, {2}]
+    table = SignatureTable(adj, {1, 2})
+    adj[1].add(2)
+    adj[2].add(1)
+    assert table.restore_edge(1, 2) == ((1, 2),)
+    assert table.count == {0b10: 1, 0b110: 2, 0b100: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_code(), st.data())
+def test_restores_into_one_table_match_the_pairs_they_break(gc, data):
+    # The near-triangle-free pipeline's pattern: one table built with up
+    # to three edges deleted, then the edges restored one by one into its
+    # adjacency, from a code that need not identify after the first.
+    g, code = gc
+    if oracles.closed_twins(g.n, g.edges):
+        return
+    k = data.draw(st.integers(1, min(3, g.m)))
+    edges = data.draw(st.permutations(g.edges))[:k]
+    adj = [set(a) for a in delete(g, edges=edges).adj]
+    table = SignatureTable(adj, code)
+    for i, (u, v) in enumerate(edges):
+        before = set(unseparated_pairs(delete(g, edges=edges[i:]), code))
+        adj[u].add(v)
+        adj[v].add(u)
+        after = set(unseparated_pairs(delete(g, edges=edges[i + 1:]), code))
+        assert table.restore_edge(u, v) == tuple(sorted(after - before))
+    fresh = SignatureTable(g.adj, code)
+    assert (table.sig, table.count) == (fresh.sig, fresh.count)
+    assert table.identifies() == fresh.identifies() == is_identifying(g, code)
 
 
 def _naive_prune(g: Graph, code: set[int]) -> set[int]:
@@ -212,7 +253,7 @@ def test_incremental_prune_matches_naive_rule(gc, pad):
     assert pruned == _naive_prune(g, set(code))
     # The table is the pruned code's own, as a fresh build would give it.
     fresh = SignatureTable(g.adj, pruned)
-    assert (table.sig, table.groups) == (fresh.sig, fresh.groups)
+    assert (table.sig, table.count) == (fresh.sig, fresh.count)
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,8 +265,8 @@ def test_drops_leave_the_table_of_the_smaller_code(gc):
     kept = {c for c in range(g.n) if c in code or not table.try_drop(c)}
     fresh = SignatureTable(g.adj, kept)
     assert table.identifies() and fresh.identifies()
-    assert (table.code_mask, table.sig, table.groups) == (
-        fresh.code_mask, fresh.sig, fresh.groups
+    assert (table.code_mask, table.sig, table.count) == (
+        fresh.code_mask, fresh.sig, fresh.count
     )
 
 
@@ -240,9 +281,9 @@ def test_add_leaves_the_table_of_the_larger_code(gc, data):
     table = SignatureTable(g.adj, code)
     table.add(c)
     fresh = SignatureTable(g.adj, code | {c})
-    # A group's members are compared as a set: their order is not kept.
-    assert (table.code_mask, table.sig) == (fresh.code_mask, fresh.sig)
-    assert {s: sorted(xs) for s, xs in table.groups.items()} == fresh.groups
+    assert (table.code_mask, table.sig, table.count) == (
+        fresh.code_mask, fresh.sig, fresh.count
+    )
     assert table.identifies() == fresh.identifies()
 
 
