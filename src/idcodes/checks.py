@@ -4,16 +4,18 @@ A code C dominates x when N[x] meets C, and separates x from y when some
 code vertex lies in exactly one of the two closed neighbourhoods. C is an
 identifying code when every vertex is dominated and every pair separated;
 the (X, Y) variant restricts the vertices to identify to X (the code, drawn
-from Y, must dominate X and separate all pairs inside X).
+from Y, must dominate X and separate all pairs inside X). `violations`
+lists every failure on a target set X, so a code drawn from Y is an
+(X, Y)-code exactly when it has none there.
 
 This module is the one gate for vertex-set inputs: `_instance` range-checks
 (g, X, Y) for the checkers here, `refine` and `exact`, and `_infeasibility`
 is the one feasibility rule. Some subset of Y identifies X exactly when Y
 does (the generalised Bondy theorem), so Y alone decides, and names a
-witness when it fails. `_xy_instance` raises that witness for `refine`: a
-pair no candidate separates as NotSeparableError, a target no candidate
-dominates as its base class NotYIdentifiableError. `_identifiable` raises
-the twin pair as NotIdentifiableError for `exact` and the construction.
+witness when it fails. `_xy_instance` raises that witness for `refine` as
+NotYIdentifiableError: the pair no candidate separates, else the target no
+candidate dominates. `_identifiable` raises the twin pair as
+NotIdentifiableError for `exact` and the construction.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    NotIdentifiableError, NotSeparableError, NotYIdentifiableError, VertexRangeError
-)
-from .graphs import Graph, _bits, _groups, _mask_of, _pairs, closed_neighborhood_masks
+from .errors import NotIdentifiableError, NotYIdentifiableError, VertexRangeError
+from .graphs import Graph, _groups, _mask_of, _pairs, closed_neighborhood_masks
 
 UNDOMINATED = "undominated"
 UNSEPARATED = "unseparated"
@@ -95,14 +95,13 @@ def _xy_instance(
 ) -> tuple[list[int], list[int], int]:
     """The instance (g, X, Y), raising with `_infeasibility`'s witness when
     no subset of Y identifies X (separates X when not `dominate`): a pair
-    as NotSeparableError, a lone target as NotYIdentifiableError."""
+    or a lone target, as NotYIdentifiableError."""
     masks, xs, allowed = _instance(g, x, y)
     why = _infeasibility(masks, xs, allowed, dominate)
     if why is None:
         return masks, xs, allowed
-    if why.kind == UNSEPARATED:
-        raise NotSeparableError(why.vertices)
-    raise NotYIdentifiableError(why.vertices[0], "no candidate dominates the witness")
+    vs = why.vertices
+    raise NotYIdentifiableError(vs if why.kind == UNSEPARATED else vs[0])
 
 
 def _identifiable(g: Graph) -> tuple[list[int], list[int], int]:
@@ -123,17 +122,6 @@ def _signatures(
     return xs, [masks[v] & code_mask for v in xs]
 
 
-def _identifies(sigs: list[int]) -> bool:
-    return 0 not in sigs and len(set(sigs)) == len(sigs)
-
-
-def unseparated_pairs(
-    g: Graph, code: Iterable[int], x: Iterable[int] | None = None
-) -> tuple[tuple[int, int], ...]:
-    """All target pairs with identical signatures, sorted lexicographically."""
-    return _pairs(_groups(*_signatures(g, code, x)).values())
-
-
 def violations(
     g: Graph, code: Iterable[int], x: Iterable[int] | None = None
 ) -> tuple[Violation, ...]:
@@ -147,24 +135,8 @@ def violations(
 
 def is_identifying(g: Graph, code: Iterable[int]) -> bool:
     """True when the code is a full identifying code of g."""
-    return _identifies(_signatures(g, code)[1])
-
-
-def is_xy_identifying(
-    g: Graph, x: Iterable[int], y: Iterable[int], code: Iterable[int]
-) -> bool:
-    """True when `code` identifies X using only candidates from Y.
-
-    The code must be a subset of Y; anything else is a caller bug, reported
-    as ValueError rather than a plain False.
-    """
-    masks, xs, allowed = _instance(g, x, y)
-    code_set = set(code)
-    stray = sorted(code_set - set(_bits(allowed)))
-    if stray:
-        raise ValueError(f"code vertices {stray} are not in the candidate set Y")
-    code_mask = _mask_of(code_set)
-    return _identifies([masks[v] & code_mask for v in xs])
+    sigs = _signatures(g, code)[1]
+    return 0 not in sigs and len(set(sigs)) == len(sigs)
 
 
 class SignatureTable:
@@ -222,7 +194,7 @@ class SignatureTable:
         so it is newly unseparated from every other holder of its new one;
         with no such holder nothing is listed. From an identifying code
         these are all the unseparated pairs of the graph with uv, as
-        `unseparated_pairs` would list them.
+        `violations` would list them.
         """
         cm, sig, count = self.code_mask, self.sig, self.count
         gains_u, gains_v = cm >> v & 1, cm >> u & 1

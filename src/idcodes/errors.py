@@ -64,35 +64,21 @@ class NotIdentifiableError(IdCodeError, ValueError):
 
 
 class NotYIdentifiableError(IdCodeError, ValueError):
-    """The candidate set Y cannot identify the target set X.
-
-    Either some target vertex has no candidate in its closed neighbourhood,
-    or some target pair cannot be separated by any candidate, which raises
-    the subclass NotSeparableError. `witness` is the vertex or pair in
-    question.
-    """
-
-    def __init__(self, witness: int | tuple[int, int], reason: str):
-        self.witness = witness
-        self.reason = reason
-        super().__init__(f"{reason} (witness {witness})")
-
-
-class NotSeparableError(NotYIdentifiableError):
-    """No subset of the candidate set Y separates the target set X.
+    """No subset of the candidate set Y identifies the target set X.
 
     Attributes:
-        pair: a witness pair of X-vertices no Y-vertex separates, also
-            the witness.
+        witness: the lexicographically smallest target pair no candidate
+            separates or, when Y separates X, the lowest target no
+            candidate dominates.
     """
 
-    def __init__(self, pair: tuple[int, int]):
-        self.pair = self.witness = pair
-        self.reason = "no candidate separates the witness pair"
-        # Its own message, not the base class's "reason (witness ...)" form.
-        IdCodeError.__init__(
-            self, f"no candidate vertex separates {pair[0]} from {pair[1]}"
-        )
+    def __init__(self, witness: int | tuple[int, int]):
+        self.witness = witness
+        if isinstance(witness, tuple):
+            message = f"no candidate vertex separates {witness[0]} from {witness[1]}"
+        else:
+            message = f"no candidate vertex dominates {witness}"
+        super().__init__(message)
 
 
 class NoCycleEdgeError(IdCodeError, ValueError):
@@ -100,11 +86,8 @@ class NoCycleEdgeError(IdCodeError, ValueError):
 
 
 class UnknownFamilyError(IdCodeError, ValueError):
-    """A family tag does not name a catalog member."""
-
-
-class UnsupportedCodeFormError(IdCodeError, ValueError):
-    """The requested special-form code does not exist for this family member."""
+    """A family tag does not name a catalog member, or names one that the
+    operation does not cover."""
 
 
 class EdgeAdditionError(IdCodeError, ValueError):

@@ -1,5 +1,5 @@
-"""Exact minimum identifying codes by branch and bound, plus the closed
-forms for paths and cycles, the optimal chorded odd cycle construction and
+"""Exact minimum identifying codes by branch and bound, plus optimal codes
+for paths and cycles, the optimal chorded odd cycle construction and
 a dynamic program that codes a tree minimally with no search (_tree_minimum).
 
 gamma_id_exact, the one exact entry point, hands every tree to the dynamic
@@ -127,7 +127,7 @@ from typing import Iterable, Sequence
 
 from .checks import _identifiable, is_identifying
 from .errors import GuaranteeError, NotIdentifiableError
-from .graphs import Graph, _admissible_addition, _bits, is_connected, linear_order
+from .graphs import Graph, _admissible_addition, _bits, is_connected
 from .refine import _classes, _complete
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -501,30 +501,12 @@ def _tree_minimum(adj: Sequence[Iterable[int]]) -> list[int]:
     return sorted(code)
 
 
-def gamma_id_closed_form(g: Graph) -> int:
-    """Minimum identifying code size for a path or cycle, by formula.
-
-    Paths: 1 for n=1, floor(n/2)+1 for n>=3 (n=2 has closed twins). Cycles:
-    3 for n in {4, 5}, n/2 for even n>=6, (n+3)/2 for odd n>=7 (n=3 has
-    closed twins). These are the sizes of the optimal patterns
-    path_identifying_code and cycle_identifying_code, which raise
-    NotIdentifiableError for P2 and C3. Raises ValueError for any other
-    graph.
-    """
-    shape = linear_order(g)
-    if shape is None:
-        raise ValueError("closed form exists only for paths and cycles")
-    if shape[0] == "path":
-        return len(path_identifying_code(g.n))
-    return len(cycle_identifying_code(g.n))
-
-
 def path_identifying_code(n: int) -> tuple[int, ...]:
     """An optimal identifying code of the path 0-1-...-(n-1).
 
-    Size floor(n/2)+1 for n >= 3, which gamma_id_closed_form reports. Even
-    vertices for odd n; for even n >= 6 one extra vertex near the far end
-    replaces the pattern's slack; n=4 needs three consecutive vertices.
+    Size floor(n/2)+1 for n >= 3; P2 has closed twins. Even vertices for
+    odd n; for even n >= 6 one extra vertex near the far end replaces the
+    pattern's slack; n=4 needs three consecutive vertices.
     """
     if n == 1:
         return (0,)
@@ -540,7 +522,9 @@ def path_identifying_code(n: int) -> tuple[int, ...]:
 
 
 def cycle_identifying_code(n: int) -> tuple[int, ...]:
-    """An optimal identifying code of the cycle 0-1-...-(n-1)-0."""
+    """An optimal identifying code of the cycle 0-1-...-(n-1)-0: size 3
+    for n in {4, 5}, n/2 for even n >= 6 and (n+3)/2 for odd n >= 7; C3
+    has closed twins."""
     if n < 4:
         if n == 3:
             raise NotIdentifiableError((0, 1))

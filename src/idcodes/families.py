@@ -17,11 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .checks import is_identifying
-from .errors import (
-    GuaranteeError,
-    UnknownFamilyError,
-    UnsupportedCodeFormError,
-)
+from .errors import GuaranteeError, UnknownFamilyError
 from .graphs import Graph, MutableGraph, _admissible_addition
 from .isomorph import find_isomorphism
 
@@ -262,14 +258,13 @@ def tree_plus_edge_code(family: FamilyId, e: tuple[int, int]) -> tuple[int, ...]
     identifies T + e, and otherwise swaps two of its vertices for one
     outside it; size is always gamma(T) - 1, the largest value below 2n/3.
     Over all admissible additions one of the two succeeds, so a miss
-    raises GuaranteeError.
+    raises GuaranteeError. A family that is no catalog tree raises
+    UnknownFamilyError.
     """
     if family.kind == "STAR" and family.delta == 3:
         family = T0
     if family.kind not in _TREE_KINDS:
-        raise UnsupportedCodeFormError(
-            f"{family} is not one of the catalog trees"
-        )
+        raise UnknownFamilyError(f"{family} is not one of the catalog trees")
     entry = make_family(family)
     _admissible_addition(entry.graph, e)
     g = Graph(entry.graph.n, list(entry.graph.edges) + [tuple(e)])

@@ -106,11 +106,12 @@ def _refined(
 def greedy_separating(
     g: Graph, x: Iterable[int], y: Iterable[int]
 ) -> tuple[int, ...]:
-    """A Y-subset separating all pairs of X, of size at most |X| - 1.
+    """A Y-subset separating all pairs of X, of size at most |X| - 1: the
+    generalised Bondy theorem, by construction.
 
-    Raises NotSeparableError with the lexicographically smallest witness
-    pair when X is not Y-separable, and VertexRangeError for a vertex of X
-    or Y outside the graph.
+    Raises NotYIdentifiableError with the lexicographically smallest
+    witness pair when X is not Y-separable, and VertexRangeError for a
+    vertex of X or Y outside the graph.
     """
     return _refined(g, x, y, False)
 
@@ -120,9 +121,9 @@ def greedy_xy_identifying(
 ) -> tuple[int, ...]:
     """A Y-subset identifying X (separating and dominating), size <= |X|.
 
-    Raises NotSeparableError as greedy_separating does; else, when Y
-    separates X, at most one X-vertex has no candidate in its closed
-    neighbourhood, and NotYIdentifiableError names it. Raises
-    VertexRangeError for a vertex of X or Y outside the graph.
+    Raises NotYIdentifiableError naming a pair as greedy_separating does;
+    else, when Y separates X, at most one X-vertex has no candidate in its
+    closed neighbourhood, and the error names it. Raises VertexRangeError
+    for a vertex of X or Y outside the graph.
     """
     return _refined(g, x, y, True)

@@ -18,10 +18,15 @@ and the script prints each input whose minimum size differs between the
 trees and how many do; which minimum code each returns may differ.
 
 A second section compares construct_near_triangle_free's certificates
-the same way. Each grid input gains its lexicographically first non-edge
-at distance 2, which closes a triangle; an input that then has maximum
-degree below 3 or closed twins is skipped. pytest does not collect this
-file, since its name does not start with test_.
+the same way. Each grid input (n, m, s) gains 1 + s % 3 chords, non-edges
+at distance 2 that each close a triangle: in turn, the first, the last
+and again the first such non-edge, in lexicographic order, of the graph
+with the chords so far. It keeps the most chords that leave maximum
+degree 3 or more and no closed twins, and is skipped when no number
+does. So the construction restores one, two or three deleted edges into
+one signature table, and the section prints on how many inputs the new
+tree's certificates delete each number of edges. pytest does not
+collect this file, since its name does not start with test_.
 
 The exit status is 1 when an input raises only in the new tree, in
 either section, or a gamma_id_exact size differs, else 0.
@@ -31,8 +36,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,27 +97,34 @@ def _run(root: Path, program: str, payload: object) -> list:
     return json.loads(done.stdout)
 
 
-def _near(n: int, edges: list[list[int]]) -> list[list[int]] | None:
-    """edges plus the lexicographically first non-edge at distance 2, or
-    None when the result has maximum degree below 3 or closed twins."""
+def _near(n: int, edges: list[list[int]], chords: int) -> list[list[int]] | None:
+    """edges plus the first, last and first again of the non-edges at
+    distance 2 of the graph so far, up to `chords` of them: the most that
+    leave maximum degree 3 or more and no closed twins, or None when no
+    number of chords from one up does."""
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    chord = next(
-        ((u, v) for u in range(n) for v in range(u + 1, n)
-         if v not in adj[u] and not adj[u].isdisjoint(adj[v])),
-        None,
-    )
-    if chord is None:
-        return None
-    u, v = chord
-    adj[u].add(v)
-    adj[v].add(u)
-    closed = {frozenset(a | {x}) for x, a in enumerate(adj)}
-    if max(map(len, adj)) < 3 or len(closed) < n:
-        return None
-    return sorted([*map(list, edges), [u, v]])
+    added, best = [], None
+    for i in range(chords):
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if v not in adj[u] and not adj[u].isdisjoint(adj[v])]
+        if not pool:
+            break
+        u, v = pool[-1] if i == 1 else pool[0]
+        adj[u].add(v)
+        adj[v].add(u)
+        added.append([u, v])
+        closed = {frozenset(a | {x}) for x, a in enumerate(adj)}
+        if max(map(len, adj)) >= 3 and len(closed) == n:
+            best = sorted([*map(list, edges), *added])
+    return best
+
+
+def _deleted(text: str) -> int:
+    """The number of edges a near-triangle-free certificate deletes."""
+    return int(re.search(r"CorollaryPatch deleted (\d+) edges", text)[1])
 
 
 def _size(text: str) -> int:
@@ -152,7 +166,10 @@ def main(argv: list[str]) -> int:
     old_root = Path(argv[0]).resolve()
     new_root = Path(argv[1]).resolve() if len(argv) == 2 else ROOT
     graphs = _run(new_root, _GRAPHS, GRID)
-    payload = [(n, edges, _near(n, edges)) for n, edges in graphs]
+    payload = [
+        (n, edges, _near(n, edges, 1 + s % 3))
+        for (n, edges), (_, _, s) in zip(graphs, GRID)
+    ]
     old = _run(old_root, _BUILD, payload)
     new = _run(new_root, _BUILD, payload)
     gammas = 0
@@ -167,6 +184,9 @@ def main(argv: list[str]) -> int:
         [GRID[i] for i in near],
         [(old[i][2], new[i][2]) for i in near],
     )
+    deleted = Counter(_deleted(new[i][2]) for i in near if new[i][2][0] != "!")
+    print("near-triangle-free deletions (new tree): "
+          + ", ".join(f"{t} edges {c}" for t, c in sorted(deleted.items())))
     print(f"gamma_id_exact sizes: {gammas} of {len(GRID)} differ")
     return int(new_only > 0 or gammas > 0)
 

@@ -48,6 +48,18 @@ def is_xy_code(n: int, edges, xs, ys, code) -> bool:
     return len(set(sigs.values())) == len(set(xs))
 
 
+def unseparated_pairs(n: int, edges, code) -> list[tuple[int, int]]:
+    """Every pair u < v whose closed neighbourhoods meet the code in the
+    same set, in lexicographic order."""
+    closed = neighborhoods(n, edges)
+    cs = set(code)
+    return [
+        (u, v)
+        for u, v in combinations(range(n), 2)
+        if closed[u] & cs == closed[v] & cs
+    ]
+
+
 def min_xy_code(n: int, edges, xs, ys):
     ys = sorted(set(ys))
     for k in range(0, len(ys) + 1):

@@ -18,13 +18,11 @@ from idcodes import (
     construct_near_triangle_free,
     construct_triangle_free,
     find_isomorphism,
-    gamma_id_closed_form,
     gamma_id_exact,
     greedy_separating,
     greedy_xy_identifying,
     in_f_delta,
     is_identifying,
-    is_xy_identifying,
     make_family,
     make_standard,
     random_triangle_free,
@@ -42,11 +40,10 @@ TREE_GAMMAS = (3, 5, 5, 7, 7, 7, 9, 9, 11, 11, 13, 15)
 def test_criterion_1_path_cycle_formulas():
     t0 = time.perf_counter()
     for n in range(3, 13):
-        g = make_standard("path", n)
-        assert gamma_id_exact(g).size == gamma_id_closed_form(g)
+        assert gamma_id_exact(make_standard("path", n)).size == n // 2 + 1
     for n in range(4, 13):
-        g = make_standard("cycle", n)
-        assert gamma_id_exact(g).size == gamma_id_closed_form(g)
+        gamma = 3 if n < 6 else n // 2 if n % 2 == 0 else (n + 3) // 2
+        assert gamma_id_exact(make_standard("cycle", n)).size == gamma
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"PASS criterion 1: paths 3..12 and cycles 4..12 match ({elapsed:.2f}s)")
@@ -164,10 +161,12 @@ def test_criterion_5_greedy_xy_sizes():
             continue
         g = Graph(n, edges)
         sep = greedy_separating(g, xs, ys)
-        assert len(sep) <= len(xs) - 1
+        assert len(sep) <= len(xs) - 1 and set(sep) <= set(ys)
+        broken = oracles.unseparated_pairs(n, edges, sep)
+        assert not [p for p in broken if set(p) <= set(xs)]
         code = greedy_xy_identifying(g, xs, ys)
         assert len(code) <= len(xs)
-        assert is_xy_identifying(g, xs, ys, code)
+        assert oracles.is_xy_code(n, edges, xs, ys, code)
         done += 1
     elapsed = time.perf_counter() - t0
     print(

@@ -15,8 +15,6 @@ from idcodes import (
     greedy_xy_identifying,
     induced_subgraph,
     is_identifying,
-    is_xy_identifying,
-    unseparated_pairs,
     violations,
 )
 
@@ -65,41 +63,30 @@ def test_is_identifying_matches_bruteforce():
         assert is_identifying(g, code) == (not violations(g, code))
 
 
+def unseparated(g: Graph, code, x=None) -> list[tuple[int, int]]:
+    return [v.vertices for v in violations(g, code, x) if v.kind == "unseparated"]
+
+
 def test_unseparated_pairs_match_bruteforce():
     rng = random.Random(10)
     for seed in range(60):
         n = 3 + seed % 6
         g = random_graph(n, seed % 11, 2000 + seed)
         code = set(v for v in range(n) if rng.random() < 0.6)
-        closed = oracles.neighborhoods(n, g.edges)
-        naive = sorted(
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if closed[u] & code == closed[v] & code
-        )
-        assert list(unseparated_pairs(g, code)) == naive
+        assert unseparated(g, code) == oracles.unseparated_pairs(n, g.edges, code)
 
 
 def test_restricted_target_set():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     # The endpoint code tells 1 and 2 apart but conflates each end pair.
-    assert not unseparated_pairs(g, (0, 3), x=(1, 2))
-    assert unseparated_pairs(g, (0, 3)) == ((0, 1), (2, 3))
-    assert unseparated_pairs(g, (0,), x=(2, 3)) == ((2, 3),)
+    assert not violations(g, (0, 3), x=(1, 2))
+    assert unseparated(g, (0, 3)) == [(0, 1), (2, 3)]
+    assert unseparated(g, (0,), x=(2, 3)) == [(2, 3)]
 
 
-def test_is_xy_identifying():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert is_xy_identifying(g, (0, 1, 2), (0, 1, 2, 3), (0, 2))
-    assert not is_xy_identifying(g, (0, 1, 2, 3), (0, 1, 2, 3), (0, 2))
-    with pytest.raises(ValueError):
-        is_xy_identifying(g, (0, 1), (0, 1), (0, 3))  # 3 outside Y
-    with pytest.raises(VertexRangeError, match="candidate vertex 9"):
-        is_xy_identifying(g, (0, 1), (1, 2, 9), (1, 2))
-
-
-def test_is_xy_identifying_matches_bruteforce():
+def test_violations_on_targets_match_the_xy_oracle():
+    # A code drawn from Y is an (X, Y)-code exactly when it has no
+    # violation on X.
     rng = random.Random(11)
     for seed in range(60):
         n = 3 + seed % 6
@@ -107,7 +94,7 @@ def test_is_xy_identifying_matches_bruteforce():
         xs = sorted(rng.sample(range(n), 1 + seed % n))
         ys = sorted(rng.sample(range(n), 1 + (seed + 3) % n))
         code = tuple(v for v in ys if rng.random() < 0.7)
-        assert is_xy_identifying(g, xs, ys, code) == oracles.is_xy_code(
+        assert (not violations(g, code, xs)) == oracles.is_xy_code(
             n, g.edges, xs, ys, code
         )
 
@@ -120,11 +107,7 @@ P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     [
         (lambda: violations(P4, (0, 99)), 99),
         (lambda: violations(P4, (0, 1), x=(0, -1)), -1),
-        (lambda: unseparated_pairs(P4, (0, 99)), 99),
-        (lambda: unseparated_pairs(P4, (0, 1), x=(4,)), 4),
         (lambda: is_identifying(P4, (0, 99)), 99),
-        (lambda: is_xy_identifying(P4, (0, 99), (0, 1), (0,)), 99),
-        (lambda: is_xy_identifying(P4, (0, 1), (0, 1, 99), (0,)), 99),
         (lambda: greedy_separating(P4, (0, 99), (0,)), 99),
         (lambda: greedy_separating(P4, (0, 1), (0, 99)), 99),
         (lambda: greedy_xy_identifying(P4, (99,), (0,)), 99),
@@ -132,9 +115,7 @@ P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         (lambda: induced_subgraph(P4, (0, 4)), 4),
     ],
     ids=[
-        "violations-code", "violations-x", "unseparated_pairs-code",
-        "unseparated_pairs-x",
-        "is_identifying", "is_xy_identifying-x", "is_xy_identifying-y",
+        "violations-code", "violations-x", "is_identifying",
         "greedy_separating-x", "greedy_separating-y",
         "greedy_xy_identifying-x", "greedy_xy_identifying-y",
         "induced_subgraph",

@@ -18,7 +18,6 @@ from idcodes import (
     GuaranteeError,
     NotIdentifiableError,
     cycle_identifying_code,
-    gamma_id_closed_form,
     gamma_id_exact,
     is_identifying,
     odd_cycle_plus_chord_code,
@@ -100,26 +99,33 @@ def test_p3_full_xy_minimum_is_two():
     assert oracles.min_xy_code(3, g.edges, range(3), range(3))[0] == 2
 
 
+def path_gamma(n: int) -> int:
+    return 1 if n == 1 else n // 2 + 1
+
+
+def cycle_gamma(n: int) -> int:
+    return 3 if n in (4, 5) else n // 2 if n % 2 == 0 else (n + 3) // 2
+
+
 def test_closed_form_matches_exact_paths_and_cycles():
-    assert gamma_id_closed_form(path(1)) == 1
-    for n in range(3, 11):
-        assert gamma_id_closed_form(path(n)) == n // 2 + 1
-        assert gamma_id_exact(path(n)).size == n // 2 + 1
+    for n in (1, *range(3, 11)):
+        assert gamma_id_exact(path(n)).size == path_gamma(n)
     for n in range(4, 11):
-        expected = (
-            3 if n in (4, 5) else (n // 2 if n % 2 == 0 else (n + 3) // 2)
-        )
-        assert gamma_id_closed_form(cycle(n)) == expected
-        assert gamma_id_exact(cycle(n)).size == expected
+        assert gamma_id_exact(cycle(n)).size == cycle_gamma(n)
 
 
 def test_closed_form_rejections():
-    with pytest.raises(NotIdentifiableError):
-        gamma_id_closed_form(path(2))
-    with pytest.raises(NotIdentifiableError):
-        gamma_id_closed_form(cycle(3))
-    with pytest.raises(ValueError):
-        gamma_id_closed_form(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    # P2 and C3 have closed twins, and the patterns name the twin pair
+    # that the exact solver's gate names.
+    for pattern, g in (
+        (path_identifying_code, path(2)),
+        (cycle_identifying_code, cycle(3)),
+    ):
+        with pytest.raises(NotIdentifiableError) as ei:
+            pattern(g.n)
+        with pytest.raises(NotIdentifiableError) as ej:
+            gamma_id_exact(g)
+        assert ei.value.twins == ej.value.twins == (0, 1)
 
 
 def test_pattern_codes_verify_and_hit_the_minimum():
@@ -127,15 +133,11 @@ def test_pattern_codes_verify_and_hit_the_minimum():
     for n in range(3, 14):
         code = path_identifying_code(n)
         assert is_identifying(path(n), code)
-        assert len(code) == gamma_id_closed_form(path(n))
+        assert len(code) == path_gamma(n)
     for n in range(4, 14):
         code = cycle_identifying_code(n)
         assert is_identifying(cycle(n), code)
-        assert len(code) == gamma_id_closed_form(cycle(n))
-    with pytest.raises(NotIdentifiableError):
-        path_identifying_code(2)
-    with pytest.raises(NotIdentifiableError):
-        cycle_identifying_code(3)
+        assert len(code) == cycle_gamma(n)
     with pytest.raises(ValueError, match="path order must be >= 1, got 0"):
         path_identifying_code(0)
     with pytest.raises(ValueError, match="cycle order must be >= 3, got 2"):
@@ -306,5 +308,5 @@ def test_exact_matches_highs_on_sparse_graphs_up_to_60_vertices():
 def test_tree_minimum_on_a_long_path_does_not_recurse():
     g = path(2300)
     code = _tree_minimum(g.adj)
-    assert len(code) == gamma_id_closed_form(g)
+    assert len(code) == path_gamma(g.n)
     assert is_identifying(g, code)

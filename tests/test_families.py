@@ -19,7 +19,6 @@ from idcodes import (
     Graph,
     GuaranteeError,
     UnknownFamilyError,
-    UnsupportedCodeFormError,
     all_family_ids,
     find_isomorphism,
     gamma_id_exact,
@@ -219,7 +218,7 @@ def test_tree_plus_edge_rejections():
     with pytest.raises(EdgeAdditionError) as ei:
         tree_plus_edge_code(t1, (5, 5))
     assert ei.value.reason == "range"
-    with pytest.raises(UnsupportedCodeFormError):
+    with pytest.raises(UnknownFamilyError, match="C7 is not one of the catalog trees"):
         tree_plus_edge_code(FamilyId.parse("C7"), (0, 3))
 
 

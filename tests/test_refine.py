@@ -13,13 +13,11 @@ import oracles
 from idcodes import (
     Graph,
     GuaranteeError,
-    NotSeparableError,
     NotYIdentifiableError,
     VertexRangeError,
     greedy_separating,
     gamma_id_exact,
     greedy_xy_identifying,
-    is_xy_identifying,
 )
 from idcodes.graphs import closed_neighborhood_masks
 from idcodes.refine import _complete
@@ -53,8 +51,8 @@ def test_greedy_separating_size_and_validity():
         g, xs, ys = random_instance(seed)
         try:
             code = greedy_separating(g, xs, ys)
-        except NotSeparableError as e:
-            u, v = e.pair
+        except NotYIdentifiableError as e:
+            u, v = e.witness
             closed = oracles.neighborhoods(g.n, g.edges)
             assert not ((closed[u] ^ closed[v]) & set(ys))
             continue
@@ -73,7 +71,7 @@ def test_greedy_xy_identifying_size_and_validity():
             continue
         code = greedy_xy_identifying(g, xs, ys)
         assert len(code) <= len(xs)
-        assert is_xy_identifying(g, xs, ys, code)
+        assert oracles.is_xy_code(g.n, g.edges, xs, ys, code)
         done += 1
     assert done > 100
 
@@ -93,14 +91,14 @@ def test_greedy_is_deterministic():
 
 def test_not_separable_witness():
     g = Graph(2, [(0, 1)])  # closed twins
-    with pytest.raises(NotSeparableError) as ei:
+    with pytest.raises(NotYIdentifiableError) as ei:
         greedy_separating(g, (0, 1), (0, 1))
-    assert ei.value.pair == ei.value.witness == (0, 1)
-    assert isinstance(ei.value, NotYIdentifiableError)
+    assert ei.value.witness == (0, 1)
     assert str(ei.value) == "no candidate vertex separates 0 from 1"
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(NotSeparableError):
+    with pytest.raises(NotYIdentifiableError) as ei:
         greedy_xy_identifying(star, (1, 2, 3), (0,))
+    assert ei.value.witness == (1, 2)
 
 
 def _blocks(g: Graph, xs, code) -> list[set[int]]:
@@ -133,7 +131,7 @@ def test_p3_greedy_within_bound_exact_is_two():
     g = Graph(3, [(0, 1), (1, 2)])
     code = greedy_xy_identifying(g, range(3), range(3))
     assert len(code) <= 3
-    assert is_xy_identifying(g, range(3), range(3), code)
+    assert oracles.is_xy_code(3, g.edges, range(3), range(3), code)
     assert gamma_id_exact(g).size == 2
 
 
@@ -158,6 +156,7 @@ def test_undominated_target_is_the_witness():
     with pytest.raises(NotYIdentifiableError) as ei:
         greedy_xy_identifying(p4, (0, 3), (0,))
     assert ei.value.witness == 3
+    assert str(ei.value) == "no candidate vertex dominates 3"
 
 
 def test_broken_size_guarantee_raises(monkeypatch):
@@ -245,9 +244,9 @@ def test_not_separable_witness_is_the_smallest_pair(inst):
     if not inseparable:
         assert len(greedy_separating(g, xs, ys)) <= max(0, len(xs) - 1)
         return
-    with pytest.raises(NotSeparableError) as ei:
+    with pytest.raises(NotYIdentifiableError) as ei:
         greedy_separating(g, xs, ys)
-    assert ei.value.pair == min(inseparable)
+    assert ei.value.witness == min(inseparable)
 
 
 def _witness(run, g, xs, ys):
@@ -267,7 +266,7 @@ def _witness(run, g, xs, ys):
 def test_xy_entry_points_agree(inst):
     g, xs, ys, _, _ = inst
     greedy = _witness(greedy_xy_identifying, g, xs, ys)
-    assert (greedy is None) == is_xy_identifying(g, xs, ys, ys)
+    assert (greedy is None) == oracles.is_xy_code(g.n, g.edges, xs, ys, ys)
     separating = _witness(greedy_separating, g, xs, ys)
     if isinstance(greedy, tuple):
         assert separating == greedy
